@@ -20,7 +20,6 @@ from .jets import (
     sin,
     cos,
     sqrt,
-    pow_int,
 )
 from .expressions import (
     ExprError,
@@ -110,7 +109,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Jet", "JetError", "InsufficientOrderError", "SingularEvaluationError",
-    "to_scalar", "is_exact", "exp", "log", "sin", "cos", "sqrt", "pow_int",
+    "to_scalar", "is_exact", "exp", "log", "sin", "cos", "sqrt",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonIntegerExponentError", "ExactModeError", "parse_expr", "as_expr",
     "to_string", "differentiate", "eval_jet", "eval_scalar",

@@ -274,14 +274,14 @@ def cmd_tractor(job, mode):
             "contraction_agrees": agrees,
         }
         if f_expr is not None:
-            entry["change"] = _change_block(js, conn, theta, f_expr, p,
-                                            job.order)
+            entry["change"] = _change_block(js, conn, theta, det_direct,
+                                            f_expr, p)
         points.append(entry)
     report = {"command": "tractor", "order": job.order, "points": points}
     return report, EXIT_OK
 
 
-def _change_block(js, conn, theta, f_expr, point, order):
+def _change_block(js, conn, theta, det_theta, f_expr, point):
     target = theta[0][0].order
     wx = ex.eval_jet(ex.differentiate(f_expr, "x"), point, target,
                      "float" if not js.exact else "auto")
@@ -308,8 +308,7 @@ def _change_block(js, conn, theta, f_expr, point, order):
     return {
         "f": ex.to_string(f_expr),
         "det_after_ops": det_a,
-        "det_ops_equals_original": _close(det_a, linalg.det(
-            theta_values(theta))),
+        "det_ops_equals_original": _close(det_a, det_theta),
         "det_recomputed": det_b,
         "scale": scale,
         "invariance_agrees": abs(det_b - expected) <= 1e-9 * ref,

@@ -63,6 +63,7 @@ class JetStructure:
         self._L = None
         self._conn = None
         self._levels = None
+        self._rows = {}
 
     @classmethod
     def at(cls, structure, point, order, mode="auto"):
@@ -130,6 +131,23 @@ class JetStructure:
                 cur.append(row)
             self._levels.append(cur)
         return self._levels[: depth + 1]
+
+    def row(self, word):
+        """Covariant derivative row D_word V, letters applied left to right
+        ("" is V itself).  A pure word is the symmetrised level row, which
+        equals the iterated derivative; a mixed word extends its memoised
+        prefix by one covariant derivative."""
+        if word not in self._rows:
+            k = len(word)
+            if len(set(word)) <= 1:
+                level = self.levels(k)[k]
+                self._rows[word] = level[k] if word[:1] == "y" else level[0]
+            else:
+                o1, o2 = self.connection()
+                ch = word[-1]
+                self._rows[word] = cov_deriv(
+                    self.row(word[:-1]), o1 if ch == "x" else o2, ch)
+        return self._rows[word]
 
 
 # ---------------- scalar invariants ----------------
@@ -212,7 +230,7 @@ def _vector_V(js):
 
 
 def vector_V(js):
-    return js.levels(0)[0][0]
+    return js.row("")
 
 
 def _connection_matrices(a, zero_at):
@@ -366,15 +384,7 @@ def _level_rows(js, depth):
 
 def matrix_M(js):
     """The 6x6 stack (V, D_xV, D_yV, D_(xx)V, D_(xy)V, D_(yy)V) of values."""
-    levels = js.levels(2)
-    rows = [
-        _row_values(levels[0][0]),
-        _row_values(levels[1][0]),
-        _row_values(levels[1][1]),
-        _row_values(levels[2][0]),
-        _row_values(levels[2][1]),
-        _row_values(levels[2][2]),
-    ]
+    rows, _ = _level_rows(js, 2)
     return rows
 
 
@@ -436,17 +446,6 @@ class StratifiedResult:
     swapped: bool
 
 
-def _iterated_rows(js, pattern):
-    """Row for each prefix-closed derivative word, e.g. 'xxxxx' -> V, Vx,
-    Vxx, ... via repeated single-direction covariant derivatives; mixed
-    words apply letters left to right."""
-    o1, o2 = js.connection()
-    row = js.levels(0)[0][0]
-    for ch in pattern:
-        row = cov_deriv(row, o1 if ch == "x" else o2, ch)
-    return row
-
-
 def stratified_obstruction(js, rank_case, tol=1e-9):
     """Single determinant adapted to a degenerate rank of M.
 
@@ -460,10 +459,10 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
         raise ValueError("stratified stacks exist for rank 3 or 4 only")
 
     def build(words, guard_words, swapped):
-        guard = [_row_values(_iterated_rows(js, w)) for w in guard_words]
+        guard = [_row_values(js.row(w)) for w in guard_words]
         if linalg.rank_kernel(guard, tol).rank != len(guard):
             return None
-        rows = [_row_values(_iterated_rows(js, w)) for w in words]
+        rows = [_row_values(js.row(w)) for w in words]
         return StratifiedResult(linalg.det(rows), tuple(words), swapped)
 
     if rank_case == 3:
@@ -487,43 +486,47 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
 
 @dataclass
 class CartanResult:
-    ranks: list
+    stacks: list            # RankResult of the stack through each level
     stabilized_at: object
     stabilized_rank: object
     s_dim: object
     koenigs_ok: object
-    marginal: bool
+
+    @property
+    def ranks(self):
+        return [res.rank for res in self.stacks]
+
+    @property
+    def marginal(self):
+        return any(res.marginal for res in self.stacks)
 
 
-def cartan_stabilize(js, tol=1e-9, k_cap=None):
+def cartan_stabilize(js, tol=1e-9):
     """Dimension of the solution space by rank stabilisation.
 
     Stack the symmetrised derivative rows of V level by level; as soon as
     the rank of the stack through level K equals the rank through level
     K+1, it has stabilised and the solution space has dimension
     S = 6 - rank.  S = 5 never occurs for these pencils, so it is flagged.
+    The stacks through levels 2 and 5 are M and its saturation, so their
+    rank decisions are the ones `analyze_point` reports.
     """
-    if k_cap is None:
-        k_cap = js.order - 4
+    k_cap = js.order - 4
     if k_cap < 0:
         raise InsufficientOrderError(4, js.order)
-    k_cap = min(k_cap, js.order - 4)
 
-    ranks = []
-    marginal = False
+    stacks = []
     rows = []
     for k in range(k_cap + 2):
         for row in js.levels(k)[k]:
             rows.append(_row_values(row))
-        res = linalg.rank_kernel(rows, tol)
-        marginal = marginal or res.marginal
-        ranks.append(res.rank)
+        stacks.append(linalg.rank_kernel(rows, tol))
     for k in range(k_cap + 1):
-        if ranks[k] == ranks[k + 1]:
-            rank = ranks[k]
+        rank = stacks[k].rank
+        if rank == stacks[k + 1].rank:
             s = 6 - rank
-            return CartanResult(ranks, k, rank, s, s != 5, marginal)
-    return CartanResult(ranks, None, None, None, None, marginal)
+            return CartanResult(stacks, k, rank, s, s != 5)
+    return CartanResult(stacks, None, None, None, None)
 
 
 # ---------------- degenerate-branch scalar obstruction ----------------
@@ -634,7 +637,6 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
         raise InsufficientOrderError(5, order)
     js = JetStructure.at(structure, point, order, mode)
     notes = []
-    marginal = False
 
     l1j, l2j = js.liouville()
     flat = l1j.is_zero() and l2j.is_zero()
@@ -642,8 +644,9 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
 
     m_rows = matrix_M(js)
     det_m = linalg.det(m_rows)
-    rk = linalg.rank_kernel(m_rows, tol)
-    marginal = marginal or rk.marginal
+    cres = cartan_stabilize(js, tol)
+    marginal = cres.marginal
+    rank_m = cres.stacks[2].rank
     v_row = tuple(m_rows[0])
 
     e1 = e2 = None
@@ -656,14 +659,14 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
 
     order7 = order8 = None
     strat_rows = ()
-    if rk.rank == 4 and js.order >= 7:
+    if rank_m == 4 and js.order >= 7:
         sres = stratified_obstruction(js, 4, tol)
         if sres is None:
             notes.append("rank-4 stack closed at lower rank")
         else:
             order7 = sres.value
             strat_rows = sres.rows_used
-    if rk.rank == 3 and js.order >= 8:
+    if rank_m == 3 and js.order >= 8:
         sres = stratified_obstruction(js, 3, tol)
         if sres is None:
             notes.append("rank-3 stack closed at lower rank")
@@ -676,11 +679,8 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
     witness = None
     p_value = None
     if js.order >= 8:
-        mm = matrix_Mmax(js)
-        rkm = linalg.rank_kernel(mm, tol)
-        marginal = marginal or rkm.marginal
-        rank_mmax = rkm.rank
-        kernel = rkm.kernel
+        rank_mmax = cres.stacks[5].rank
+        kernel = cres.stacks[5].kernel
         witness, wit_marginal = kernel_has_nondegenerate(kernel, tol)
         marginal = marginal or wit_marginal
         if witness is not None:
@@ -688,24 +688,15 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
         elif kernel:
             p_value = 0
 
-    s_dim = None
-    cartan_ranks = []
-    koenigs = None
-    if js.order >= 5:
-        cres = cartan_stabilize(js, tol)
-        marginal = marginal or cres.marginal
-        s_dim = cres.s_dim
-        cartan_ranks = cres.ranks
-        koenigs = cres.koenigs_ok
-        if cres.stabilized_at is None:
-            notes.append("derivative ranks did not stabilise "
-                         "within the available order")
+    if cres.stabilized_at is None:
+        notes.append("derivative ranks did not stabilise "
+                     "within the available order")
 
     exact = js.exact
     if not exact and marginal:
         verdict = VERDICT_INCONCLUSIVE
         notes.append("rank decisions were numerically marginal")
-    elif rk.rank == 6:
+    elif rank_m == 6:
         verdict = VERDICT_NOT
     elif rank_mmax == 6:
         verdict = VERDICT_NOT
@@ -729,7 +720,7 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
         nu5=nu,
         v_row=v_row,
         det_m=det_m,
-        rank_m=rk.rank,
+        rank_m=rank_m,
         e1=e1,
         e2=e2,
         e_fallback=e_fallback,
@@ -740,9 +731,9 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
         kernel=kernel,
         witness=witness,
         p_value=p_value,
-        s_dim=s_dim,
-        cartan_ranks=cartan_ranks,
-        koenigs_ok=koenigs,
+        s_dim=cres.s_dim,
+        cartan_ranks=cres.ranks,
+        koenigs_ok=cres.koenigs_ok,
         notes=notes,
     )
 

@@ -367,6 +367,3 @@ def sqrt(a):
         tower.append(tower[-1] * (0.5 - (k - 1)) / (k * c0))
     return _compose(a, tower)
 
-
-def pow_int(a, k):
-    return a**k

@@ -13,9 +13,10 @@ reversed order as a consistency check) and undoing the substitution
     Delta = psi1 psi3 - psi2^2
 
 yields the metric.  The round-trip residual re-derives the ODE
-coefficients from the transported section — using the transport equations
-themselves for the exact first derivatives of Psi at each node, so no
-finite differencing enters — and compares them with the input.
+coefficients from the reconstructed metric table, with its first
+derivatives taken by fourth-order central differences across the grid so
+that it measures the transport rather than restating its equations, and
+compares them with the input.
 """
 
 from __future__ import annotations

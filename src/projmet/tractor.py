@@ -288,6 +288,45 @@ def theta_values(theta):
             for row in theta]
 
 
+# ---------------- block accessors ----------------
+#
+# The stacked matrix splits into blocks by the scalar, vector and symmetric
+# 2-tensor slots of its rows and columns: P, Q fill the scalar row, R, S, T
+# the vector rows and U, V, X the tensor rows.
+
+
+def P(m, a):
+    return m[0][1 + a]
+
+
+def Q(m, a, b):
+    return m[0][3 + _IDX2[(a, b)]]
+
+
+def R(m, c):
+    return m[1 + c][0]
+
+
+def S(m, c, a):
+    return m[1 + c][1 + a]
+
+
+def T(m, c, a, b):
+    return m[1 + c][3 + _IDX2[(a, b)]]
+
+
+def U(m, c, d):
+    return m[3 + _IDX2[(c, d)]][0]
+
+
+def V(m, c, d, a):
+    return m[3 + _IDX2[(c, d)]][1 + a]
+
+
+def X(m, c, d, a, b):
+    return m[3 + _IDX2[(c, d)]][3 + _IDX2[(a, b)]]
+
+
 # ---------------- determinant by complete contraction ----------------
 #
 # The determinant of the stacked matrix, with its structural zero corner,
@@ -305,30 +344,6 @@ def det_by_contraction(mat):
             "scalar-scalar corner must be exactly zero, got %r" % (mat[0][0],)
         )
 
-    def P(a):
-        return mat[0][1 + a]
-
-    def Q(a, b):
-        return mat[0][3 + _IDX2[(a, b)]]
-
-    def R(c):
-        return mat[1 + c][0]
-
-    def S(c, a):
-        return mat[1 + c][1 + a]
-
-    def T(c, a, b):
-        return mat[1 + c][3 + _IDX2[(a, b)]]
-
-    def U(c, d):
-        return mat[3 + _IDX2[(c, d)]][0]
-
-    def V(c, d, a):
-        return mat[3 + _IDX2[(c, d)]][1 + a]
-
-    def X(c, d, a, b):
-        return mat[3 + _IDX2[(c, d)]][3 + _IDX2[(a, b)]]
-
     f16 = Fraction(1, 6)
     f12 = Fraction(1, 2)
     f14 = Fraction(1, 4)
@@ -340,24 +355,24 @@ def det_by_contraction(mat):
         (a, b), (c, d), (e, f), (g, h) = [(t[0], t[1]) for t in combo[:4]]
         (i, j), (k, l), (m, n), (p, q) = [(t[0], t[1]) for t in combo[4:]]
         bracket = (
-            Q(g, i) * S(m, p) * T(n, j, k) * U(a, c) * V(d, e, q)
-            * X(b, f, h, l)
-            - f16 * P(p) * R(m) * S(n, q) * X(a, c, g, i) * X(b, e, h, k)
-            * X(d, f, j, l)
-            - f12 * P(p) * S(m, q) * T(n, j, l) * U(c, e) * X(a, d, g, k)
-            * X(b, f, h, i)
-            - f12 * P(p) * T(m, g, i) * T(n, j, k) * U(a, c) * V(d, e, q)
-            * X(b, f, h, l)
-            + f12 * P(p) * R(m) * T(n, g, i) * V(a, c, q) * X(d, e, j, k)
-            * X(b, f, h, l)
-            - f12 * Q(g, i) * R(m) * S(n, p) * V(a, c, q) * X(d, e, j, k)
-            * X(b, f, h, l)
-            - f12 * Q(g, i) * R(m) * T(n, j, k) * V(a, c, p) * V(d, e, q)
-            * X(b, f, h, l)
-            - f14 * Q(g, i) * S(m, p) * S(n, q) * U(a, c) * X(d, e, j, k)
-            * X(b, f, h, l)
-            - f14 * Q(g, i) * T(m, j, k) * T(n, h, l) * U(a, c) * V(d, e, p)
-            * V(b, f, q)
+            Q(mat, g, i) * S(mat, m, p) * T(mat, n, j, k) * U(mat, a, c)
+            * V(mat, d, e, q) * X(mat, b, f, h, l)
+            - f16 * P(mat, p) * R(mat, m) * S(mat, n, q) * X(mat, a, c, g, i)
+            * X(mat, b, e, h, k) * X(mat, d, f, j, l)
+            - f12 * P(mat, p) * S(mat, m, q) * T(mat, n, j, l) * U(mat, c, e)
+            * X(mat, a, d, g, k) * X(mat, b, f, h, i)
+            - f12 * P(mat, p) * T(mat, m, g, i) * T(mat, n, j, k)
+            * U(mat, a, c) * V(mat, d, e, q) * X(mat, b, f, h, l)
+            + f12 * P(mat, p) * R(mat, m) * T(mat, n, g, i) * V(mat, a, c, q)
+            * X(mat, d, e, j, k) * X(mat, b, f, h, l)
+            - f12 * Q(mat, g, i) * R(mat, m) * S(mat, n, p) * V(mat, a, c, q)
+            * X(mat, d, e, j, k) * X(mat, b, f, h, l)
+            - f12 * Q(mat, g, i) * R(mat, m) * T(mat, n, j, k)
+            * V(mat, a, c, p) * V(mat, d, e, q) * X(mat, b, f, h, l)
+            - f14 * Q(mat, g, i) * S(mat, m, p) * S(mat, n, q) * U(mat, a, c)
+            * X(mat, d, e, j, k) * X(mat, b, f, h, l)
+            - f14 * Q(mat, g, i) * T(mat, m, j, k) * T(mat, n, h, l)
+            * U(mat, a, c) * V(mat, d, e, p) * V(mat, b, f, q)
         )
         total = total + sign * bracket
     return total
@@ -373,30 +388,6 @@ def projective_change(theta, omega):
     untouched (all operations add multiples of earlier block rows/columns).
     """
     w = omega
-
-    def P(m, a):
-        return m[0][1 + a]
-
-    def Q(m, a, b):
-        return m[0][3 + _IDX2[(a, b)]]
-
-    def R(m, c):
-        return m[1 + c][0]
-
-    def S(m, c, a):
-        return m[1 + c][1 + a]
-
-    def T(m, c, a, b):
-        return m[1 + c][3 + _IDX2[(a, b)]]
-
-    def U(m, c, d):
-        return m[3 + _IDX2[(c, d)]][0]
-
-    def V(m, c, d, a):
-        return m[3 + _IDX2[(c, d)]][1 + a]
-
-    def X(m, c, d, a, b):
-        return m[3 + _IDX2[(c, d)]][3 + _IDX2[(a, b)]]
 
     # row stage: rows pick up multiples of earlier block rows
     src = [list(row) for row in theta]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -156,9 +157,13 @@ def test_timing_flag(capsys):
 
 
 def test_module_entrypoint():
+    # The child imports the same package the tests import, whether it was
+    # found through PYTHONPATH or through pytest's own `pythonpath`.
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "projmet.cli", "selftest"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
 

@@ -1,12 +1,15 @@
 """Point invariants, the obstruction stack, verdicts, and their identities."""
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from projmet import expressions as ex
+from projmet import invariants
 from projmet import linalg
+from projmet.cli import load_job
 from projmet.invariants import (
     JetStructure,
     VERDICT_DEGENERATE,
@@ -34,6 +37,7 @@ from projmet.invariants import (
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 
+INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 ORIGIN = (Fraction(0), Fraction(0))
 
 PAINLEVE = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
@@ -278,6 +282,63 @@ def test_painleve_stratified_chain():
     assert r.order8 == 0  # rank-3 chain determinant, consistent with rank 5
     assert r.order7 is None
     assert r.stratified_rows == ("", "x", "xx", "xxx", "xxxx", "xxxxx")
+
+
+RANK4 = ProjectiveStructure.from_exprs("0", "x*y^2+x^2*y", "0", "0")
+RANK4_SWAPPED = ProjectiveStructure.from_exprs("0", "y^3", "x^2*y", "0")
+PAINLEVE_SWAPPED = ProjectiveStructure.from_exprs("0", "0", "0",
+                                                  "-(6*x^2+y)")
+
+
+@pytest.mark.parametrize("mode", ["auto", "float"])
+@pytest.mark.parametrize("structure, rows, field", [
+    (RANK4, ("", "x", "xy", "xx", "xxx", "xxxx"), "order7"),
+    (RANK4_SWAPPED, ("", "y", "yx", "yy", "yyy", "yyyy"), "order7"),
+    (PAINLEVE_SWAPPED, ("", "y", "yy", "yyy", "yyyy", "yyyyy"), "order8"),
+], ids=["rank4", "rank4-swapped", "painleve-swapped"])
+def test_stratified_branches(structure, rows, field, mode):
+    r = analyze_point(structure, ORIGIN, order=10, mode=mode)
+    assert r.stratified_rows == rows
+    assert getattr(r, field) == 0
+
+
+@pytest.mark.parametrize("structure, calls", [
+    (PAINLEVE, 56), (RANK4, 57), (RANK4_SWAPPED, 57), (PAINLEVE_SWAPPED, 56),
+], ids=["painleve", "rank4", "rank4-swapped", "painleve-swapped"])
+def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, calls):
+    """Levels 1..7 cost 2k covariant derivatives each (56 in all); the
+    stratified stacks add one per mixed word and none for pure words."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return cov_deriv(*args)
+
+    monkeypatch.setattr(invariants, "cov_deriv", counted)
+    analyze_point(structure, ORIGIN, order=10)
+    assert count[0] == calls
+
+
+def test_word_rows_are_iterated_derivatives():
+    rng = random.Random(56)
+    js = JetStructure.at(_random_structure(rng),
+                         (Fraction(1), Fraction(-1, 2)), 8)
+    omega = dict(zip("xy", js.connection()))
+    for word in ("xxx", "yyy", "xy", "yx", "xyy", "yxx"):
+        row = vector_V(js)
+        for ch in word:
+            row = cov_deriv(row, omega[ch], ch)
+        assert js.row(word) == row
+
+
+def test_point_ranks_are_cartan_prefix_ranks():
+    for path in sorted(INPUTS.glob("*.json")):
+        job = load_job(str(path))
+        for p in job.points:
+            r = analyze_point(job.structure, p, job.order, job.tolerance,
+                              job.arithmetic)
+            assert r.rank_m == r.cartan_ranks[2], path.name
+            assert r.rank_mmax == r.cartan_ranks[5], path.name
 
 
 def test_sixth_order_pair_on_generic_structure():

@@ -101,7 +101,7 @@ def test_sin_at_quarter_turn():
 
 def test_pow_int_pure_power():
     base = (Fraction(0), Fraction(0))
-    f = jets.pow_int(jet_x(base, 3), 3)
+    f = jet_x(base, 3) ** 3
     for i in range(4):
         for j in range(4 - i):
             assert f.coeffs[i][j] == (1 if (i, j) == (3, 0) else 0)
