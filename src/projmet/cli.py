@@ -73,6 +73,12 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
+# Size caps on a job, checked before any jet work: the invariants cost
+# about order^4 jet operations and a recovery grid n^2 substeps nodes.
+MAX_ORDER = 16
+MAX_GRID_N = 201
+MAX_SUBSTEPS = 64
+
 
 class InputError(Exception):
     pass
@@ -122,6 +128,8 @@ class Job:
         self.order = data.get("order", 10)
         if not isinstance(self.order, int) or self.order < 5:
             raise InputError('"order" must be an integer >= 5')
+        if self.order > MAX_ORDER:
+            raise InputError('"order" must be at most %d' % MAX_ORDER)
         self.tolerance = data.get("tolerance", 1e-9)
         if not isinstance(self.tolerance, (int, float)) or self.tolerance <= 0:
             raise InputError('"tolerance" must be a positive number')
@@ -322,7 +330,38 @@ def _close(a, b):
     return abs(float(a) - float(b)) <= 1e-9 * ref
 
 
+def _grid_in(job):
+    gspec = job.data.get("grid", {})
+    if not isinstance(gspec, dict):
+        raise InputError('"grid" must be an object')
+    center = gspec.get("center")
+    if center is None:
+        center = [float(job.points[0][0]), float(job.points[0][1])]
+    if not isinstance(center, list) or len(center) != 2:
+        raise InputError('"grid.center" must be [x, y]')
+    try:
+        n = int(gspec.get("n", 9))
+        substeps = int(gspec.get("substeps", 4))
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InputError('"grid.n" and "grid.substeps" must be integers'
+                         ) from err
+    grid = GridSpec(
+        center=(float(_scalar_in(center[0], "grid.center")),
+                float(_scalar_in(center[1], "grid.center"))),
+        h=float(_scalar_in(gspec.get("h", 0.1), "grid.h")),
+        n=n,
+        substeps=substeps,
+    )
+    if grid.n < 2 or grid.substeps < 1 or not grid.h > 0:
+        raise InputError("grid needs n >= 2, substeps >= 1, h > 0")
+    if grid.n > MAX_GRID_N or grid.substeps > MAX_SUBSTEPS:
+        raise InputError("grid needs n <= %d and substeps <= %d"
+                         % (MAX_GRID_N, MAX_SUBSTEPS))
+    return grid
+
+
 def cmd_recover(job, mode):
+    grid = _grid_in(job)
     rep = decide_metrisability(
         job.structure, job.points, job.order, job.tolerance, mode
     )
@@ -348,24 +387,6 @@ def cmd_recover(job, mode):
             raise InputError('"witness" must be a list of six numbers')
         witness = tuple(
             float(_scalar_in(v, "witness")) for v in witness)
-
-    gspec = job.data.get("grid", {})
-    if not isinstance(gspec, dict):
-        raise InputError('"grid" must be an object')
-    center = gspec.get("center")
-    if center is None:
-        center = [float(job.points[0][0]), float(job.points[0][1])]
-    if not isinstance(center, list) or len(center) != 2:
-        raise InputError('"grid.center" must be [x, y]')
-    grid = GridSpec(
-        center=(float(_scalar_in(center[0], "grid.center")),
-                float(_scalar_in(center[1], "grid.center"))),
-        h=float(_scalar_in(gspec.get("h", 0.1), "grid.h")),
-        n=int(gspec.get("n", 9)),
-        substeps=int(gspec.get("substeps", 4)),
-    )
-    if grid.n < 2 or grid.substeps < 1 or not grid.h > 0:
-        raise InputError("grid needs n >= 2, substeps >= 1, h > 0")
 
     try:
         result = recover_metric(job.structure, witness, grid)

@@ -559,3 +559,140 @@ def eval_scalar(e, x, y):
         raise TypeError("not an expression: %r" % (t,))
 
     return rec(e)
+
+
+# ---------------- compiled float evaluation ----------------
+#
+# A transport evaluates the same derivative trees at thousands of points, so
+# they are compiled once into straight-line Python: one assignment per
+# distinct subtree (hash-consed, so common subexpressions are shared), each
+# line a single operation on names.  The source holds nothing but `repr`'d
+# float literals, x, y, temporaries, + - * / ** with integer exponents and the
+# helpers of _FLOAT_FUNCS; no text of the input reaches `exec`.
+
+
+class _OutOfDomain(Exception):
+    pass
+
+
+def _checked_log(v):
+    if v <= 0:
+        raise _OutOfDomain("log of a non-positive value")
+    return math.log(v)
+
+
+def _checked_sqrt(v):
+    if v < 0:
+        raise _OutOfDomain("sqrt of a negative value")
+    return math.sqrt(v)
+
+
+def _negative_power(v, k):
+    if v == 0:
+        raise _OutOfDomain("zero raised to a negative power")
+    return v**k
+
+
+_FLOAT_FUNCS = {
+    "exp": ("_exp", math.exp),
+    "log": ("_log", _checked_log),
+    "sin": ("_sin", math.sin),
+    "cos": ("_cos", math.cos),
+    "sqrt": ("_sqrt", _checked_sqrt),
+}
+
+
+def _float_source(trees):
+    """Source of `_evaluate(x, y)`, which returns the trees' float values."""
+    lines = []
+    by_id = {}
+    by_key = {}
+
+    def name(t):
+        hit = by_id.get(id(t))
+        if hit is not None:
+            return hit
+        if isinstance(t, Var):
+            if t.name not in ("x", "y"):
+                raise TypeError("not an expression: %r" % (t,))
+            out = t.name
+        else:
+            if isinstance(t, Num):
+                try:
+                    key, text = ("num", t.value), repr(float(t.value))
+                except OverflowError:
+                    raise ExprError(
+                        "literal %s is out of float range" % t.value) from None
+            elif isinstance(t, Neg):
+                a = name(t.arg)
+                key, text = ("neg", a), "-" + a
+            elif isinstance(t, BinOp) and t.op in _PREC:
+                a, b = name(t.left), name(t.right)
+                key, text = (t.op, a, b), "%s %s %s" % (a, t.op, b)
+            elif isinstance(t, Pow):
+                a, k = name(t.base), int(t.exponent)
+                key = ("pow", a, k)
+                text = ("%s ** %d" % (a, k) if k >= 0
+                        else "_negative_power(%s, %d)" % (a, k))
+            elif isinstance(t, Call) and t.func in _FLOAT_FUNCS:
+                a = name(t.arg)
+                helper = _FLOAT_FUNCS[t.func][0]
+                key, text = (t.func, a), "%s(%s)" % (helper, a)
+            else:
+                raise TypeError("not an expression: %r" % (t,))
+            out = by_key.get(key)
+            if out is None:
+                out = "t%d" % len(lines)
+                lines.append("    %s = %s" % (out, text))
+                by_key[key] = out
+        by_id[id(t)] = out
+        return out
+
+    results = [name(t) for t in trees]
+    return "\n".join(
+        ["def _evaluate(x, y):"] + lines
+        + ["    return (%s)" % "".join(r + ", " for r in results)]
+    ) + "\n"
+
+
+def compile_float(trees):
+    """One float function (x, y) -> tuple of the trees' values.
+
+    Outside the domain (division by zero, log of a value <= 0, sqrt of a
+    negative value, zero to a negative power, float overflow) it raises
+    SingularEvaluationError naming the point."""
+    namespace = {"__builtins__": {}, "_negative_power": _negative_power}
+    namespace.update(_FLOAT_FUNCS.values())
+    exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)
+    evaluate = namespace["_evaluate"]
+
+    def at(x, y):
+        try:
+            return evaluate(x, y)
+        except _OutOfDomain as err:
+            raise SingularEvaluationError(str(err), (x, y)) from None
+        except ZeroDivisionError:
+            raise SingularEvaluationError("division by zero", (x, y)) from None
+        except OverflowError:
+            raise SingularEvaluationError(
+                "value out of float range", (x, y)) from None
+
+    return at
+
+
+def compile_derivatives(trees, words):
+    """Differentiate each tree once along every word (letters applied left
+    to right, "" is the tree) and compile them all with `compile_float`.
+    The returned function gives the values tree-major: every word of the
+    first tree, then every word of the second, and so on."""
+    derived = []
+    for t in trees:
+        memo = {"": t}
+
+        def along(word):
+            if word not in memo:
+                memo[word] = differentiate(along(word[:-1]), word[-1])
+            return memo[word]
+
+        derived.extend(along(w) for w in words)
+    return compile_float(derived)

@@ -233,43 +233,60 @@ def vector_V(js):
     return js.row("")
 
 
+# Derivative words of the coefficients that the connection formulas read,
+# letters applied left to right.
+CONNECTION_WORDS = ("", "x", "y", "xx", "xy", "yy")
+
+# The rational constants of the connection formulas, and their floats: a
+# Fraction times a float is the same float product, but much slower.
+CONNECTION_RATIONALS = (F13, F23, F43, F89, F169, F49, F29, F83, F203)
+CONNECTION_FLOATS = tuple(float(c) for c in CONNECTION_RATIONALS)
+
+
 def _connection_matrices(a, zero_at):
     """The pair (O1, O2) of 6x6 connection matrices of the prolonged
     system, as jets of order N-2."""
-    a0, a1, a2, a3 = a
-    n = a0.order
+    n = a[0].order
     if n < 2:
         raise InsufficientOrderError(2, n)
     m = n - 2
+    derivs = []
+    for j in a:
+        jx, jy = j.diff("x"), j.diff("y")
+        derivs.append((j.truncated(m), jx.truncated(m), jy.truncated(m),
+                       jx.diff("x"), jx.diff("y"), jy.diff("y")))
     z = zero_at(m)
-    one = z + 1
+    return connection_formula(derivs, z, z + 1)
+
+
+def connection_formula(derivs, z, one, rationals=CONNECTION_RATIONALS):
+    """(O1, O2) from the coefficients' derivatives: `derivs[k]` holds A_k
+    along CONNECTION_WORDS, and `z`, `one` are the zero and unit of their
+    arithmetic.  Truncated jets give the connection as jets; floats, with
+    `rationals` CONNECTION_FLOATS, give its value at a point."""
+    F13, F23, F43, F89, F169, F49, F29, F83, F203 = rationals
+    ((a0t, a0x, a0y, a0xx, a0xy, a0yy),
+     (a1t, a1x, a1y, a1xx, a1xy, a1yy),
+     (a2t, a2x, a2y, a2xx, a2xy, a2yy),
+     (a3t, a3x, a3y, a3xx, a3xy, a3yy)) = derivs
     half = one / 2
-
-    d = lambda j, v: j.diff(v).truncated(m)
-    dd = lambda j, u, v: j.diff(u).diff(v)
-    a0t, a1t, a2t, a3t = (j.truncated(m) for j in a)
-
-    a0x, a0y = d(a0, "x"), d(a0, "y")
-    a1x, a1y = d(a1, "x"), d(a1, "y")
-    a2x, a2y = d(a2, "x"), d(a2, "y")
-    a3x, a3y = d(a3, "x"), d(a3, "y")
 
     o141 = -F43 * a2x + 4 * a0t * a3t + F23 * a1y
     o142 = -2 * a0y + F23 * a1x + 4 * a2t * a0t - F49 * a1t * a1t
     o143 = 2 * a0x - 4 * a0t * a1t
     o161 = (
-        -F43 * dd(a2, "x", "y") - F203 * a0t * a2t * a3t
-        + F23 * dd(a1, "y", "y") + 4 * a3t * a0y - 2 * a0t * a3y
+        -F43 * a2xy - F203 * a0t * a2t * a3t
+        + F23 * a1yy + 4 * a3t * a0y - 2 * a0t * a3y
         - F169 * a2t * a2x + F89 * a2t * a1y
     )
     o162 = (
-        F23 * dd(a1, "x", "y") - F43 * a1t * a1y + 2 * a0t * a2y
-        - 2 * dd(a0, "y", "y") + 4 * a2t * a0y + 4 * a3t * a0x
+        F23 * a1xy - F43 * a1t * a1y + 2 * a0t * a2y
+        - 2 * a0yy + 4 * a2t * a0y + 4 * a3t * a0x
         + 6 * a0t * a3x + F89 * a1t * a2x
         + F43 * a0t * a1t * a3t - F43 * a0t * a2t * a2t
     )
     o163 = (
-        2 * dd(a0, "x", "y") + F23 * a0t * a2x - F43 * a2t * a0x
+        2 * a0xy + F23 * a0t * a2x - F43 * a2t * a0x
         - 4 * a1t * a0y - F43 * a0t * a1y
         + F83 * a0t * a1t * a2t + 4 * a3t * a0t * a0t
     )
@@ -289,19 +306,19 @@ def _connection_matrices(a, zero_at):
     o252 = 2 * a3x - F23 * a2y + 4 * a1t * a3t - F49 * a2t * a2t
     o253 = F43 * a1y - F23 * a2x + 4 * a0t * a3t
     o261 = (
-        -2 * dd(a3, "x", "y") - 4 * a2t * a3x - F43 * a3t * a2x
+        -2 * a3xy - 4 * a2t * a3x - F43 * a3t * a2x
         + F23 * a3t * a1y - F43 * a1t * a3y
         - 4 * a0t * a3t * a3t - F83 * a1t * a2t * a3t
     )
     o262 = (
-        2 * dd(a3, "x", "x") - F43 * a2t * a2x - F43 * a0t * a2t * a3t
-        - F23 * dd(a2, "x", "y") + 4 * a1t * a3x + 4 * a0t * a3y
+        2 * a3xx - F43 * a2t * a2x - F43 * a0t * a2t * a3t
+        - F23 * a2xy + 4 * a1t * a3x + 4 * a0t * a3y
         + 6 * a3t * a0y + F43 * a3t * a1t * a1t + 2 * a3t * a1x
         + F89 * a2t * a1y
     )
     o263 = (
-        -F23 * dd(a2, "x", "x") + F89 * a1t * a2x + 4 * a0t * a3x
-        - 2 * a3t * a0x - F169 * a1t * a1y + F43 * dd(a1, "x", "y")
+        -F23 * a2xx + F89 * a1t * a2x + 4 * a0t * a3x
+        - 2 * a3t * a0x - F169 * a1t * a1y + F43 * a1xy
         + F203 * a0t * a1t * a3t
     )
     o264 = 4 * a3x - F13 * a2y + 3 * a1t * a3t - F29 * a2t * a2t

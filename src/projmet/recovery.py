@@ -12,7 +12,13 @@ reversed order as a consistency check) and undoing the substitution
     E = psi1 / Delta^2,  F = psi2 / Delta^2,  G = psi3 / Delta^2,
     Delta = psi1 psi3 - psi2^2
 
-yields the metric.  The round-trip residual re-derives the ODE
+yields the metric.  The connection is evaluated on plain floats: the four
+coefficient trees are differentiated once (value, first and second
+derivatives) and compiled into one straight-line float function, whose
+values feed the same formulas that give the connection as jets
+(`invariants.connection_formula`).  The RK4 nodes lie on the lattice of
+spacing h / (2 substeps) and are cached by integer lattice index, so each
+distinct node is evaluated once.  The round-trip residual re-derives the ODE
 coefficients from the reconstructed metric table, with its first
 derivatives taken by fourth-order central differences across the grid so
 that it measures the transport rather than restating its equations, and
@@ -22,8 +28,16 @@ compares them with the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
-from .invariants import JetStructure, cartan_stabilize
+from .expressions import compile_derivatives
+from .invariants import (
+    CONNECTION_FLOATS,
+    CONNECTION_WORDS,
+    JetStructure,
+    cartan_stabilize,
+    connection_formula,
+)
 
 
 class RecoveryError(Exception):
@@ -65,6 +79,15 @@ class GridSpec:
         cx, cy = self.center
         return (float(cx) + i * float(self.h), float(cy) + j * float(self.h))
 
+    def lattice_point(self, i, j):
+        """RK4 node (i, j) of the lattice of spacing h / (2 substeps); grid
+        node (i, j) is lattice node (2 substeps i, 2 substeps j) at the
+        same coordinates."""
+        cx, cy = self.center
+        s = 2 * self.substeps
+        return (float(cx) + (i / s) * float(self.h),
+                float(cy) + (j / s) * float(self.h))
+
 
 @dataclass
 class PsiSection:
@@ -105,18 +128,27 @@ def initial_section(witness, tol=1e-9):
     return tuple(w)
 
 
+def compile_structure(structure):
+    """Float function (x, y) -> the four coefficients along
+    CONNECTION_WORDS, coefficient-major: 24 values."""
+    return compile_derivatives(structure.coefficients, CONNECTION_WORDS)
+
+
 def connection_values(structure, point):
-    """Value matrices of the prolonged connection pair at a float point."""
-    js = JetStructure.at(structure, point, 2, mode="float")
-    o1, o2 = js.connection()
-    return (
-        [[e.value for e in row] for row in o1],
-        [[e.value for e in row] for row in o2],
-    )
+    """Value matrices of the prolonged connection pair at a float point.
+
+    `structure` is a ProjectiveStructure or the function `compile_structure`
+    made of one; `transport` passes the latter, so that the coefficients are
+    differentiated and compiled once per transport."""
+    evaluate = (structure if callable(structure)
+                else compile_structure(structure))
+    v = evaluate(float(point[0]), float(point[1]))
+    return connection_formula((v[0:6], v[6:12], v[12:18], v[18:24]),
+                              0.0, 1.0, CONNECTION_FLOATS)
 
 
 def _neg_mat_vec(m, v):
-    return [-sum(m[i][j] * v[j] for j in range(6)) for i in range(6)]
+    return [-sum(map(mul, row, v)) for row in m]
 
 
 def _axpy(v, a, w):
@@ -124,35 +156,41 @@ def _axpy(v, a, w):
 
 
 class _OmegaCache:
-    def __init__(self, structure):
-        self.structure = structure
+    """Connection values at the RK4 nodes, keyed by lattice index."""
+
+    def __init__(self, structure, grid):
+        self.evaluate = compile_structure(structure)
+        self.grid = grid
         self.cache = {}
 
-    def at(self, point):
-        key = point
-        hit = self.cache.get(key)
+    def at(self, node):
+        hit = self.cache.get(node)
         if hit is None:
-            hit = connection_values(self.structure, point)
-            self.cache[key] = hit
+            hit = connection_values(self.evaluate,
+                                    self.grid.lattice_point(*node))
+            self.cache[node] = hit
         return hit
 
 
-def _rk4_segment(omegas, start, axis, delta, psi, substeps):
-    """One grid edge: integrate dPsi/dt = -O_axis Psi over [0, delta]."""
-    x0, y0 = start
-    h = delta / substeps
+def _rk4_segment(omegas, start, axis, direction, psi):
+    """One grid edge, from grid node `start` to its neighbour `direction`
+    (+1 or -1) along `axis`: integrate dPsi/dt = -O_axis Psi by RK4.  The
+    RK4 nodes are the 2 substeps + 1 lattice nodes along the edge."""
+    grid = omegas.grid
+    substeps = grid.substeps
+    h = direction * float(grid.h) / substeps
+    first = [2 * substeps * c for c in start]
     cur = list(psi)
 
-    def omega(t):
-        pt = (x0 + t, y0) if axis == 0 else (x0, y0 + t)
-        pair = omegas.at(pt)
-        return pair[axis]
+    def omega(s):
+        node = list(first)
+        node[axis] += direction * s
+        return omegas.at(tuple(node))[axis]
 
     for k in range(substeps):
-        t = k * h
-        m0 = omega(t)
-        mh = omega(t + h / 2.0)
-        m1 = omega(t + h)
+        m0 = omega(2 * k)
+        mh = omega(2 * k + 1)
+        m1 = omega(2 * k + 2)
         k1 = _neg_mat_vec(m0, cur)
         k2 = _neg_mat_vec(mh, _axpy(cur, h / 2.0, k1))
         k3 = _neg_mat_vec(mh, _axpy(cur, h / 2.0, k2))
@@ -167,8 +205,6 @@ def _rk4_segment(omegas, start, axis, delta, psi, substeps):
 def _march(omegas, grid, seed, first_axis):
     """Fill the grid by transporting along `first_axis` from the centre,
     then along the other axis from each anchor."""
-    h = float(grid.h)
-    sub = grid.substeps
     offs = grid.offsets()
     psi = {(0, 0): list(seed)}
 
@@ -180,9 +216,8 @@ def _march(omegas, grid, seed, first_axis):
             cur = list(psi[anchor])
             pos = ai if axis == 0 else aj
             while pos + direction in offs_set:
-                start = grid.point(*((pos, aj) if axis == 0 else (ai, pos)))
-                cur = _rk4_segment(omegas, start, axis, direction * h, cur,
-                                   sub)
+                start = (pos, aj) if axis == 0 else (ai, pos)
+                cur = _rk4_segment(omegas, start, axis, direction, cur)
                 pos += direction
                 psi[(pos, aj) if axis == 0 else (ai, pos)] = list(cur)
 
@@ -200,7 +235,7 @@ def transport(structure, seed, grid, loop_tol=1e-7, raise_on_defect=True):
     The section is computed along x-then-y paths; y-then-x paths provide
     the loop defect, whose maximum is the path-dependence measure."""
     seed = initial_section(seed)
-    omegas = _OmegaCache(structure)
+    omegas = _OmegaCache(structure, grid)
     psi_a = _march(omegas, grid, seed, 0)
     psi_b = _march(omegas, grid, seed, 1)
     defects = {}

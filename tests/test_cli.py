@@ -171,3 +171,54 @@ def test_module_entrypoint():
 def test_check_requires_input():
     with pytest.raises(SystemExit):
         cli.main(["check"])
+
+
+def _write_job(tmp_path, data):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(data))
+    return str(job)
+
+
+def test_recover_singular_node_exits_three(tmp_path, capsys):
+    job = _write_job(tmp_path, {
+        "kind": "metric", "E": "1+x*y", "F": "0", "G": "2+1/(x-1/8)",
+        "points": [[0, 0]],
+        "grid": {"center": [0, 0], "h": 0.0625, "n": 5, "substeps": 1},
+    })
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 3
+    assert report["error"] == "division by zero (base point (0.125, 0.0))"
+
+
+@pytest.mark.parametrize("field, value, cap", [
+    ("order", cli.MAX_ORDER + 1, "order"),
+    ("n", cli.MAX_GRID_N + 1, "n <="),
+    ("substeps", cli.MAX_SUBSTEPS + 1, "substeps <="),
+])
+def test_job_over_a_cap_exits_three_before_jet_work(
+        tmp_path, capsys, monkeypatch, field, value, cap):
+    data = json.loads((INPUTS / "exp-family-c1.json").read_text())
+    if field == "order":
+        data["order"] = value
+    else:
+        data["grid"][field] = value
+
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet work started")
+
+    monkeypatch.setattr(cli, "decide_metrisability", no_jets)
+    code, report = run_cli(capsys, "recover", "--input",
+                           _write_job(tmp_path, data))
+    assert code == 3
+    assert cap in report["error"]
+    assert str(value - 1) in report["error"]
+
+
+
+def test_recover_grid_size_must_be_an_integer(tmp_path, capsys):
+    data = json.loads((INPUTS / "exp-family-c1.json").read_text())
+    data["grid"]["n"] = "nine"
+    code, report = run_cli(capsys, "recover", "--input",
+                           _write_job(tmp_path, data))
+    assert code == 3
+    assert "must be integers" in report["error"]

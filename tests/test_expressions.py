@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from projmet import expressions as ex
+from projmet.jets import SingularEvaluationError
 from projmet.expressions import (
     ExactModeError,
     ExprSyntaxError,
@@ -220,3 +221,73 @@ def test_as_expr_accepts_scalars_and_strings():
     assert ex.as_expr("x+1") == parse_expr("x+1")
     tree = parse_expr("y^2")
     assert ex.as_expr(tree) is tree
+
+
+# ---------------- compiled float evaluation ----------------
+
+WORDS = ("", "x", "y", "xx", "xy", "yy")
+
+
+@pytest.mark.parametrize("src, point", [
+    ("exp(x*y) + sin(x)*cos(y)", (0.3, -0.7)),
+    ("log(2+x*y)/sqrt(1+x^2)", (1.1, 0.4)),
+    ("x^(-3)*y - (x-y)^(-2)", (0.8, -0.5)),
+    ("sqrt(x)*log(y)^2 - 1/(x*y)", (2.5, 1.5)),
+    ("(1/2)*x*exp(x*y) + 7", (-0.2, 0.9)),
+])
+def test_compiled_derivatives_match_jet_partials(src, point):
+    tree = parse_expr(src)
+    values = ex.compile_derivatives([tree], WORDS)(*point)
+    jet = eval_jet(tree, point, 2, "float")
+    for word, v in zip(WORDS, values):
+        ref = jet.partial(word.count("x"), word.count("y"))
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), word
+
+
+def test_compiled_trees_are_tree_major_and_share_subtrees():
+    a, b = parse_expr("exp(x*y)"), parse_expr("x*y+exp(x*y)")
+    f = ex.compile_derivatives([a, b], ("", "x"))
+    e = math.exp(0.5 * 2.0)
+    assert f(0.5, 2.0) == pytest.approx((e, 2.0 * e, 1.0 + e, 2.0 + 2.0 * e))
+    source = ex._float_source([a, b])
+    assert source.count("_exp(") == 1
+    assert source.count("x * y") == 1
+
+
+def test_compiled_source_is_flat_and_holds_no_input_text():
+    # a deep left-nested sum: every line of the source is one operation
+    tree = parse_expr("+".join("x^%d/%d" % (k, k + 1) for k in range(300)))
+    f = ex.compile_float([tree])
+    assert f(0.5, 0.0)[0] == pytest.approx(
+        sum(0.5**k / (k + 1) for k in range(300)))
+    source = ex._float_source([parse_expr("sin(x)*(2/3) - y^(-1)")])
+    for line in source.splitlines()[1:-1]:
+        target, expr = line.strip().split(" = ")
+        assert target.startswith("t")
+        assert expr.count("(") <= 1
+    assert "2/3" not in source
+    assert repr(2 / 3) in source
+
+
+@pytest.mark.parametrize("src, point, message", [
+    ("1/(x-1/8)", (0.125, 0.0), "division by zero"),
+    ("log(x)", (0.0, 1.0), "log of a non-positive value"),
+    ("log(x)", (-2.0, 1.0), "log of a non-positive value"),
+    ("sqrt(y)", (1.0, -0.5), "sqrt of a negative value"),
+    ("(x-y)^(-2)", (0.5, 0.5), "zero raised to a negative power"),
+    ("exp(x)", (1000.0, 0.0), "value out of float range"),
+])
+def test_compiled_singular_points_raise_singular_evaluation(
+        src, point, message):
+    f = ex.compile_float([parse_expr(src)])
+    with pytest.raises(SingularEvaluationError) as err:
+        f(*point)
+    assert message in str(err.value)
+    assert err.value.base == point
+
+
+def test_compiled_sqrt_derivative_at_zero_is_singular():
+    f = ex.compile_derivatives([parse_expr("sqrt(x)")], ("", "x"))
+    assert f(4.0, 0.0) == (2.0, 0.25)
+    with pytest.raises(SingularEvaluationError):
+        f(0.0, 0.0)

@@ -1,10 +1,14 @@
 """Parallel transport of a witness and metric reconstruction."""
 
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from projmet import cli, recovery
+from projmet.invariants import JetStructure
+from projmet.jets import SingularEvaluationError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.recovery import (
     DegenerateFormError,
@@ -12,6 +16,8 @@ from projmet.recovery import (
     GridSpec,
     PathDependenceError,
     PsiSection,
+    compile_structure,
+    connection_values,
     initial_section,
     reconstruct_metric,
     recover_metric,
@@ -19,6 +25,8 @@ from projmet.recovery import (
     solution_space_dim,
     transport,
 )
+
+INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
 FLAT = ProjectiveStructure.flat()
 EXP_FAMILY = ProjectiveStructure.from_exprs(
@@ -163,3 +171,72 @@ def test_solution_space_dim_wrapper():
     assert solution_space_dim(FLAT, (Fraction(0), Fraction(0))) == 6
     pain = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
     assert solution_space_dim(pain, (Fraction(0), Fraction(0))) == 1
+
+
+def _jet_connection_values(structure, point):
+    o1, o2 = JetStructure.at(structure, point, 2, "float").connection()
+    return tuple([[e.value for e in row] for row in o] for o in (o1, o2))
+
+
+def _assert_connection_close(structure, point):
+    got = connection_values(compile_structure(structure), point)
+    ref = _jet_connection_values(structure, point)
+    for mg, mr in zip(got, ref):
+        for rg, rr in zip(mg, mr):
+            for g, r in zip(rg, rr):
+                assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), (point, g, r)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(INPUTS.glob("*.json")), ids=lambda p: p.stem)
+def test_compiled_connection_matches_jets_on_inputs(path):
+    job = cli.load_job(str(path))
+    x, y = (float(c) for c in job.points[0])
+    for dx, dy in ((0.0, 0.0), (0.1, -0.05), (-0.07, 0.13)):
+        _assert_connection_close(job.structure, (x + dx, y + dy))
+
+
+def test_compiled_connection_matches_jets_on_transcendental_trees():
+    direct = ProjectiveStructure.from_exprs(
+        "exp(x*y)/(1+x^2)", "log(2+x)*sin(y)", "cos(x-y)^(-2)",
+        "sqrt(3+x*y)*x^(-1)")
+    metric = ode_from_metric(MetricInput.from_exprs(
+        "exp(x)*cos(y)+2", "sin(x*y)/5", "sqrt(4+y^2)*(2+x)^(-1)"))
+    for structure in (direct, metric):
+        for point in ((0.3, -0.2), (1.1, 0.7), (-0.6, 0.4)):
+            _assert_connection_close(structure, point)
+
+
+def test_connection_values_accepts_a_structure():
+    point = (0.2, -0.3)
+    assert connection_values(EXP_FAMILY, point) == connection_values(
+        compile_structure(EXP_FAMILY), point)
+
+
+@pytest.mark.parametrize("n, distinct", [(9, 1089), (21, 6321)])
+def test_transport_evaluates_each_lattice_node_once(monkeypatch, n, distinct):
+    """The RK4 nodes are keyed by lattice index, so edges that share a
+    node share its evaluation: 2 n (8 (n - 1) + 1) - n^2 nodes."""
+    points = []
+    original = recovery.connection_values
+
+    def counted(structure, point):
+        points.append(point)
+        return original(structure, point)
+
+    monkeypatch.setattr(recovery, "connection_values", counted)
+    grid = GridSpec(center=(0.0, 0.0), h=0.05, n=n, substeps=4)
+    transport(EXP_FAMILY, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0), grid)
+    assert len(points) == distinct
+    assert len(set(points)) == distinct
+    for i in grid.offsets():
+        for j in grid.offsets():
+            assert grid.point(i, j) in points
+
+
+def test_transport_singular_node_raises_singular_evaluation():
+    s = ode_from_metric(MetricInput.from_exprs("1+x*y", "0", "2+1/(x-1/8)"))
+    grid = GridSpec(center=(0.0, 0.0), h=0.0625, n=5, substeps=1)
+    with pytest.raises(SingularEvaluationError) as err:
+        transport(s, (1.0, 0.0, 0.5, 0.0, 0.0, 0.0), grid)
+    assert err.value.base == (0.125, 0.0)
