@@ -27,6 +27,7 @@ of the scale change, which is the invariance statement the tests pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -338,15 +339,32 @@ def X(m, c, d, a, b):
 _EPS_PAIRS = ((0, 1, 1), (1, 0, -1))
 
 
+# Weights of the nine bracket terms, and the same times 12 for integer
+# entries.
+_BRACKET_WEIGHTS = (1, Fraction(1, 6), Fraction(1, 2), Fraction(1, 2),
+                    Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+                    Fraction(1, 4), Fraction(1, 4))
+_BRACKET_WEIGHTS_12 = tuple(int(12 * w) for w in _BRACKET_WEIGHTS)
+
+
 def det_by_contraction(mat):
     if mat[0][0] != 0:
         raise ContractionLayoutError(
             "scalar-scalar corner must be exactly zero, got %r" % (mat[0][0],)
         )
+    cells = [v for row in mat for v in row]
+    if not all(isinstance(v, (int, Fraction)) for v in cells):
+        return _contract(mat, _BRACKET_WEIGHTS)
+    # Every term has degree 6: over a common denominator D the integer
+    # contraction with weights times 12 is the determinant times 12 D^6.
+    den = math.lcm(*(v.denominator for v in cells))
+    ints = [[v.numerator * (den // v.denominator) for v in row]
+            for row in mat]
+    return Fraction(_contract(ints, _BRACKET_WEIGHTS_12), 12 * den**6)
 
-    f16 = Fraction(1, 6)
-    f12 = Fraction(1, 2)
-    f14 = Fraction(1, 4)
+
+def _contract(mat, weights):
+    w0, w1, w2, w3, w4, w5, w6, w7, w8 = weights
     total = 0
     for combo in product(_EPS_PAIRS, repeat=8):
         sign = 1
@@ -355,23 +373,23 @@ def det_by_contraction(mat):
         (a, b), (c, d), (e, f), (g, h) = [(t[0], t[1]) for t in combo[:4]]
         (i, j), (k, l), (m, n), (p, q) = [(t[0], t[1]) for t in combo[4:]]
         bracket = (
-            Q(mat, g, i) * S(mat, m, p) * T(mat, n, j, k) * U(mat, a, c)
+            w0 * Q(mat, g, i) * S(mat, m, p) * T(mat, n, j, k) * U(mat, a, c)
             * V(mat, d, e, q) * X(mat, b, f, h, l)
-            - f16 * P(mat, p) * R(mat, m) * S(mat, n, q) * X(mat, a, c, g, i)
+            - w1 * P(mat, p) * R(mat, m) * S(mat, n, q) * X(mat, a, c, g, i)
             * X(mat, b, e, h, k) * X(mat, d, f, j, l)
-            - f12 * P(mat, p) * S(mat, m, q) * T(mat, n, j, l) * U(mat, c, e)
+            - w2 * P(mat, p) * S(mat, m, q) * T(mat, n, j, l) * U(mat, c, e)
             * X(mat, a, d, g, k) * X(mat, b, f, h, i)
-            - f12 * P(mat, p) * T(mat, m, g, i) * T(mat, n, j, k)
+            - w3 * P(mat, p) * T(mat, m, g, i) * T(mat, n, j, k)
             * U(mat, a, c) * V(mat, d, e, q) * X(mat, b, f, h, l)
-            + f12 * P(mat, p) * R(mat, m) * T(mat, n, g, i) * V(mat, a, c, q)
+            + w4 * P(mat, p) * R(mat, m) * T(mat, n, g, i) * V(mat, a, c, q)
             * X(mat, d, e, j, k) * X(mat, b, f, h, l)
-            - f12 * Q(mat, g, i) * R(mat, m) * S(mat, n, p) * V(mat, a, c, q)
+            - w5 * Q(mat, g, i) * R(mat, m) * S(mat, n, p) * V(mat, a, c, q)
             * X(mat, d, e, j, k) * X(mat, b, f, h, l)
-            - f12 * Q(mat, g, i) * R(mat, m) * T(mat, n, j, k)
+            - w6 * Q(mat, g, i) * R(mat, m) * T(mat, n, j, k)
             * V(mat, a, c, p) * V(mat, d, e, q) * X(mat, b, f, h, l)
-            - f14 * Q(mat, g, i) * S(mat, m, p) * S(mat, n, q) * U(mat, a, c)
+            - w7 * Q(mat, g, i) * S(mat, m, p) * S(mat, n, q) * U(mat, a, c)
             * X(mat, d, e, j, k) * X(mat, b, f, h, l)
-            - f14 * Q(mat, g, i) * T(mat, m, j, k) * T(mat, n, h, l)
+            - w8 * Q(mat, g, i) * T(mat, m, j, k) * T(mat, n, h, l)
             * U(mat, a, c) * V(mat, d, e, p) * V(mat, b, f, q)
         )
         total = total + sign * bracket

@@ -222,3 +222,26 @@ def test_recover_grid_size_must_be_an_integer(tmp_path, capsys):
                            _write_job(tmp_path, data))
     assert code == 3
     assert "must be integers" in report["error"]
+
+
+def test_float_exp_overflow_exits_three(tmp_path, capsys):
+    job = _write_job(tmp_path, {
+        "kind": "ode", "A0": "exp(1000*x)", "points": [[1, 0]],
+        "arithmetic": "float",
+    })
+    code, report = run_cli(capsys, "check", "--input", job)
+    assert code == 3
+    assert report["error"] == (
+        "the Taylor tower of exp leaves the float range (base point (1, 0))")
+
+
+def test_float_log_tower_underflow_exits_three(tmp_path, capsys):
+    job = _write_job(tmp_path, {
+        "kind": "ode", "A0": "log(x)", "points": [[1e-200, 1]],
+        "arithmetic": "float",
+    })
+    code, report = run_cli(capsys, "check", "--input", job)
+    assert code == 3
+    assert report["error"] == (
+        "the Taylor tower of log leaves the float range "
+        "(base point (1e-200, 1))")

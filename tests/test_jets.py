@@ -258,3 +258,237 @@ def test_base_mismatch_rejected():
     b = jet_x((Fraction(1), Fraction(0)), 2)
     with pytest.raises(JetError):
         a + b
+
+
+# ---------------- oracle: integer tables against plain tables ----------------
+#
+# The reference below works on plain tables of Fractions and floats, one
+# coefficient at a time, in the loop order the jet operations keep for
+# floats.  Exact results must equal it; float and mixed results must equal
+# it bit for bit, signed zeros included.  Scalars are lifted to constant
+# tables, as `c * jet` means the product with the constant jet c.
+
+from hypothesis import assume, given, settings, strategies as st
+
+
+def _is_exact_table(t):
+    return all(isinstance(c, Fraction) for row in t for c in row)
+
+
+def ref_const(c, n):
+    c = to_scalar(c)
+    zero = Fraction(0) if isinstance(c, Fraction) else 0.0
+    rows = [[zero] * (n - i + 1) for i in range(n + 1)]
+    rows[0][0] = c
+    return rows
+
+
+def ref_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_neg(a):
+    return [[-x for x in row] for row in a]
+
+
+def ref_mul(a, b):
+    n = len(a) - 1
+    zero = (Fraction(0) if _is_exact_table(a) and _is_exact_table(b)
+            else 0.0)
+    rows = [[zero] * (n - i + 1) for i in range(n + 1)]
+    for i, ra in enumerate(a):
+        for j, x in enumerate(ra):
+            if x == 0:
+                continue
+            kmax = n - i - j
+            for k in range(kmax + 1):
+                for l in range(kmax - k + 1):
+                    y = b[k][l]
+                    if y == 0:
+                        continue
+                    rows[i + k][j + l] += x * y
+    return rows
+
+
+def ref_div(a, b):
+    n = len(a) - 1
+    b00 = b[0][0]
+    q = [[None] * (n - i + 1) for i in range(n + 1)]
+    for d in range(n + 1):
+        for i in range(d + 1):
+            j = d - i
+            acc = a[i][j]
+            for k in range(i + 1):
+                for l in range(j + 1):
+                    if (k, l) == (i, j) or q[k][l] == 0:
+                        continue
+                    acc = acc - q[k][l] * b[i - k][j - l]
+            q[i][j] = acc / b00
+    return q
+
+
+def ref_pow(a, k):
+    n = len(a) - 1
+    if k < 0:
+        a, k = ref_div(ref_const(1, n), a), -k
+    result = ref_const(1, n)
+    square = a
+    while k:
+        if k & 1:
+            result = ref_mul(result, square)
+        k >>= 1
+        if k:
+            square = ref_mul(square, square)
+    return result
+
+
+def ref_diff(a, var):
+    n = len(a) - 2
+    if var == "x":
+        return [[(i + 1) * a[i + 1][j] for j in range(n - i + 1)]
+                for i in range(n + 1)]
+    return [[(j + 1) * a[i][j + 1] for j in range(n - i + 1)]
+            for i in range(n + 1)]
+
+
+def ref_truncated(a, m):
+    return [list(a[i][: m - i + 1]) for i in range(m + 1)]
+
+
+def _bits(c):
+    return (type(c).__name__, c.hex() if isinstance(c, float) else c)
+
+
+def assert_matches(jet, table):
+    assert [[_bits(c) for c in row] for row in jet.coeffs] == \
+        [[_bits(c) for c in row] for row in table]
+    if jet.exact:
+        nums = [c for row in jet._rows for c in row]
+        assert jet._den > 0 and math.gcd(jet._den, *nums) == 1
+
+
+ORACLE_BASE = (Fraction(1, 3), Fraction(-2))
+
+_exact_coeff = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 25, 49, 2**40, 3**25]))
+_float_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-200, -1e-200]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+_COEFFS = {"exact": (_exact_coeff, Fraction(0)), "float": (_float_coeff, 0.0)}
+
+
+@st.composite
+def tables(draw, n, kind):
+    """A triangular table of `kind` whose rows are sometimes all zero."""
+    coeff, zero = _COEFFS[kind]
+    rows = []
+    for i in range(n + 1):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append([zero] * (n - i + 1))
+        else:
+            rows.append(draw(st.lists(coeff, min_size=n - i + 1,
+                                      max_size=n - i + 1)))
+    return rows
+
+
+@st.composite
+def table_pairs(draw, kinds=("exact", "exact")):
+    n = draw(st.integers(0, 10))
+    return tuple(draw(tables(n, k)) for k in kinds)
+
+
+def jet_of(table):
+    return Jet(ORACLE_BASE, len(table) - 1, table)
+
+
+ORACLE = settings(max_examples=40, deadline=None)
+
+
+@ORACLE
+@given(table_pairs())
+def test_exact_ring_operations_match_reference(pair):
+    a, b = pair
+    ja, jb = jet_of(a), jet_of(b)
+    assert_matches(ja, a)
+    assert_matches(ja + jb, ref_add(a, b))
+    assert_matches(ja - jb, ref_sub(a, b))
+    assert_matches(ja * jb, ref_mul(a, b))
+    assert_matches(-ja, ref_neg(a))
+    assert_matches(ja.to_float(), [[float(c) for c in row] for row in a])
+
+
+@ORACLE
+@given(table_pairs(), st.integers(1, 10**5), st.integers(1, 10**5))
+def test_exact_division_matches_reference(pair, p, q):
+    a, b = pair
+    b[0][0] = Fraction(p, q) if b[0][0] == 0 else b[0][0]
+    assert_matches(jet_of(a) / jet_of(b), ref_div(a, b))
+
+
+@ORACLE
+@given(table_pairs(), st.integers(-2, 5))
+def test_exact_powers_match_reference(pair, k):
+    a, _ = pair
+    if k < 0:
+        assume(a[0][0] != 0)
+    assert_matches(jet_of(a) ** k, ref_pow(a, k))
+
+
+@ORACLE
+@given(st.sampled_from([("exact",), ("float",)]).flatmap(table_pairs),
+       st.one_of(st.integers(-50, 50), _exact_coeff, _float_coeff))
+def test_scalar_products_match_reference(tables, c):
+    (a,) = tables
+    n = len(a) - 1
+    const = ref_const(c, n)
+    assert_matches(jet_of(a) * c, ref_mul(a, const))
+    assert_matches(c * jet_of(a), ref_mul(a, const))
+    assert_matches(jet_of(a) + c, ref_add(a, const))
+    assert_matches(c - jet_of(a), ref_sub(const, a))
+
+
+@ORACLE
+@given(table_pairs(), st.integers(0, 10))
+def test_diff_and_truncation_match_reference(pair, m):
+    a, _ = pair
+    n = len(a) - 1
+    ja = jet_of(a)
+    assert_matches(ja.truncated(min(m, n)), ref_truncated(a, min(m, n)))
+    if n >= 1:
+        for var in ("x", "y"):
+            assert_matches(ja.diff(var), ref_diff(a, var))
+
+
+@ORACLE
+@given(st.sampled_from([("exact", "float"), ("float", "exact"),
+                        ("float", "float")]).flatmap(table_pairs))
+def test_float_and_mixed_results_match_reference_bit_for_bit(pair):
+    a, b = pair
+    ja, jb = jet_of(a), jet_of(b)
+    assert not (ja + jb).exact
+    assert_matches(ja + jb, ref_add(a, b))
+    assert_matches(ja - jb, ref_sub(a, b))
+    assert_matches(ja * jb, ref_mul(a, b))
+    assert_matches(-jb, ref_neg(b))
+    if b[0][0] != 0:
+        assert_matches(ja / jb, ref_div(a, b))
+        assert_matches(jb ** -2, ref_pow(b, -2))
+    assert_matches(jb ** 3, ref_pow(b, 3))
+    if len(b) > 1:
+        assert_matches(jb.diff("y"), ref_diff(b, "y"))
+
+
+def test_float_scalar_product_underflow_gives_positive_zero():
+    # as a product with the constant jet: 0.0 + (-1e-200 * 1e-200) is +0.0
+    jet = Jet(ORACLE_BASE, 1, [[-1e-200, 2.0], [-0.0]])
+    for product in (jet * 1e-200, 1e-200 * jet):
+        assert [[c.hex() for c in row] for row in product.coeffs] == \
+            [["0x0.0p+0", (2e-200).hex()], ["0x0.0p+0"]]
