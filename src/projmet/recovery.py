@@ -257,22 +257,30 @@ def transport(structure, seed, grid, loop_tol=1e-7, raise_on_defect=True):
     return section
 
 
+def _undo_substitution(psi, degenerate_tol):
+    """(E, F, G, Delta) at one node of the section, or None where the form
+    Delta = psi1 psi3 - psi2^2 is degenerate relative to the psi scale."""
+    p1, p2, p3 = psi[:3]
+    delta = p1 * p3 - p2 * p2
+    if abs(delta) <= degenerate_tol * max(1.0, p1 * p1, p2 * p2, p3 * p3):
+        return None
+    d2 = delta * delta
+    return (p1 / d2, p2 / d2, p3 / d2, delta)
+
+
 def reconstruct_metric(section, degenerate_tol=1e-12):
     """Undo the substitution at every node; degenerate nodes are excluded."""
     nodes = {}
     excluded = []
     signatures = set()
     for key, psi in sorted(section.psi.items()):
-        p1, p2, p3 = psi[0], psi[1], psi[2]
-        delta = p1 * p3 - p2 * p2
-        scale = max(1.0, p1 * p1, p2 * p2, p3 * p3)
-        if abs(delta) <= degenerate_tol * scale:
+        node = _undo_substitution(psi, degenerate_tol)
+        if node is None:
             excluded.append(key)
             continue
-        d2 = delta * delta
-        sig = "riemannian" if delta > 0 else "lorentzian"
+        sig = "riemannian" if node[3] > 0 else "lorentzian"
         signatures.add(sig)
-        nodes[key] = (p1 / d2, p2 / d2, p3 / d2, delta, sig)
+        nodes[key] = node + (sig,)
     if not nodes:
         raise DegenerateFormError(
             "transported section is degenerate at every node"
@@ -307,15 +315,9 @@ def roundtrip_residual(section, structure, degenerate_tol=1e-12):
     """
     grid = section.grid
     h = grid.h
-    efg = {}
-    for key, psi in section.psi.items():
-        p1, p2, p3 = psi[0], psi[1], psi[2]
-        delta = p1 * p3 - p2 * p2
-        scale = max(1.0, p1 * p1, p2 * p2, p3 * p3)
-        if abs(delta) <= degenerate_tol * scale:
-            continue
-        d2 = delta * delta
-        efg[key] = (p1 / d2, p2 / d2, p3 / d2)
+    nodes = {key: _undo_substitution(psi, degenerate_tol)
+             for key, psi in section.psi.items()}
+    efg = {key: node[:3] for key, node in nodes.items() if node is not None}
 
     def stencil(key, axis):
         i, j = key

@@ -245,3 +245,15 @@ def test_float_log_tower_underflow_exits_three(tmp_path, capsys):
     assert report["error"] == (
         "the Taylor tower of log leaves the float range "
         "(base point (1e-200, 1))")
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "tractor"])
+def test_non_finite_float_matrix_exits_three(tmp_path, capsys, command):
+    # exp(700) is finite, but the derivatives overflow to inf and nan
+    job = _write_job(tmp_path, {
+        "kind": "ode", "A0": "exp(700*x*y)", "points": [[1, 1]],
+        "arithmetic": "float",
+    })
+    code, report = run_cli(capsys, command, "--input", job)
+    assert code == 3
+    assert report["error"] == "non-finite matrix entry"

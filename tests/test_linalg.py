@@ -1,10 +1,15 @@
 """Exact and floating determinants, rank, and kernel extraction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from projmet import linalg
+from projmet.jets import SingularEvaluationError
 from projmet.linalg import det, mat_vec, rank_kernel
 
 
@@ -137,3 +142,87 @@ def test_bad_inputs_rejected():
         rank_kernel([[Fraction(1), Fraction(2)], [Fraction(1)]])
     with pytest.raises(ValueError):
         det([[Fraction(1), Fraction(2)]])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_entries_rejected(bad):
+    rows = [[1.0, 2.0], [bad, 0.5]]
+    with pytest.raises(SingularEvaluationError):
+        det(rows)
+    with pytest.raises(SingularEvaluationError):
+        rank_kernel(rows)
+
+
+# ---------------- sympy oracle for the exact elimination ----------------
+
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def low_rank_matrices(draw, max_rows=12, max_cols=7, square=False):
+    """A rank-<=r product B C of small rational matrices, with some rows
+    zeroed.  Hypothesis draws the shape; its seeded random draws the
+    entries."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    zeroed = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 3))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def matrix(n, k):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(k)] for _ in range(n)]
+
+    b, c = matrix(nrows, r), matrix(r, ncols)
+    return [[Fraction(0)] * ncols if i in zeroed else
+            [sum((b[i][k] * c[k][j] for k in range(r)), Fraction(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def _sympy(a):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in a])
+
+
+def _fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+@ORACLE
+@given(low_rank_matrices())
+def test_exact_elimination_matches_sympy_rref(a):
+    rref, pivots = _sympy(a).rref()
+    m, pivot_cols, _, _ = linalg._eliminate_exact(a)
+    assert tuple(pivot_cols) == pivots
+    for i, row in enumerate(m):
+        if i < len(pivots):
+            head = row[pivots[i]]
+            assert [Fraction(v, head) for v in row] == \
+                [_fraction(v) for v in rref.row(i)]
+        else:
+            assert not any(row)
+    r = rank_kernel(a)
+    assert r.rank == len(pivots) and r.exact and not r.marginal
+
+
+@ORACLE
+@given(low_rank_matrices())
+def test_exact_kernel_is_normalised_rref_nullspace(a):
+    want = []
+    for vec in _sympy(a).nullspace():
+        v = [_fraction(x) for x in vec]
+        peak = max(v, key=abs)
+        want.append(tuple(x / peak for x in v))
+    got = rank_kernel(a).kernel
+    assert got == want
+    for v in got:
+        assert all(isinstance(x, Fraction) for x in v)
+        assert not any(mat_vec(a, v))
+
+
+@ORACLE
+@given(low_rank_matrices(max_rows=7, square=True))
+def test_exact_det_matches_sympy_and_cofactor_expansion(a):
+    d = det(a)
+    assert isinstance(d, Fraction)
+    assert d == _fraction(_sympy(a).det()) == cofactor_det(a)
