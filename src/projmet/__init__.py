@@ -59,7 +59,6 @@ from .invariants import (
     tresse_I1,
     nu5,
     vector_V,
-    connection_matrices,
     cov_deriv,
     curvature,
     matrix_M,
@@ -121,11 +120,10 @@ __all__ = [
     "VERDICT_FLAT", "VERDICT_METRISABLE", "VERDICT_NOT",
     "VERDICT_DEGENERATE", "VERDICT_INCONCLUSIVE",
     "JetStructure", "liouville_L", "tresse_I1", "nu5", "vector_V",
-    "connection_matrices", "cov_deriv", "curvature", "matrix_M",
-    "matrix_Mmax", "sixth_order_E", "stratified_obstruction",
-    "cartan_stabilize", "degenerate_obstruction", "genericity_P",
-    "kernel_has_nondegenerate", "PointReport", "ObstructionReport",
-    "analyze_point", "decide_metrisability",
+    "cov_deriv", "curvature", "matrix_M", "matrix_Mmax", "sixth_order_E",
+    "stratified_obstruction", "cartan_stabilize", "degenerate_obstruction",
+    "genericity_P", "kernel_has_nondegenerate", "PointReport",
+    "ObstructionReport", "analyze_point", "decide_metrisability",
     "ContractionLayoutError", "AffineConnection", "schouten", "TractorData",
     "tractor_data", "theta_bar", "theta_values", "det_by_contraction",
     "projective_change", "change_connection",

@@ -30,6 +30,7 @@ from . import expressions as ex
 from . import linalg
 from .expressions import ExprError, parse_expr
 from .invariants import (
+    MATRIX_M_ORDER,
     JetStructure,
     VERDICT_DEGENERATE,
     VERDICT_FLAT,
@@ -59,6 +60,7 @@ from .recovery import (
     recover_metric,
 )
 from .tractor import (
+    STACK_ORDER,
     AffineConnection,
     det_by_contraction,
     projective_change,
@@ -216,9 +218,10 @@ def _verdict_exit(verdict):
 def cmd_invariants(job, mode):
     slope = job.data.get("slope", 0)
     slope = _scalar_in(slope, "slope")
+    order = min(job.order, MATRIX_M_ORDER)  # every value is a constant term
     points = []
     for p in job.points:
-        js = JetStructure.at(job.structure, p, job.order, mode)
+        js = JetStructure.at(job.structure, p, order, mode)
         l1, l2 = liouville_L(js)
         m = matrix_M(js)
         points.append({
@@ -257,9 +260,12 @@ def cmd_tractor(job, mode):
             f_expr = parse_expr(change_src)
         except ExprError as err:
             raise InputError('"change": %s' % err) from err
+    # the values are constant terms; the changed connection drops one order
+    needed = STACK_ORDER if f_expr is None else STACK_ORDER + 1
+    order = min(job.order, needed)
     points = []
     for p in job.points:
-        js = JetStructure.at(job.structure, p, job.order, mode)
+        js = JetStructure.at(job.structure, p, order, mode)
         conn = AffineConnection.from_structure(js)
         td = tractor_data(conn)
         theta = theta_bar(td)

@@ -35,12 +35,10 @@ F23 = Fraction(2, 3)
 F43 = Fraction(4, 3)
 F89 = Fraction(8, 9)
 F169 = Fraction(16, 9)
-F209 = Fraction(20, 9)
 F49 = Fraction(4, 9)
 F29 = Fraction(2, 9)
 F83 = Fraction(8, 3)
 F203 = Fraction(20, 3)
-F163 = Fraction(16, 3)
 F12 = Fraction(1, 2)
 
 VERDICT_FLAT = "MetrisableFlat"
@@ -335,10 +333,6 @@ def connection_formula(derivs, z, one, rationals=CONNECTION_RATIONALS):
     return (omega1, omega2)
 
 
-def connection_matrices(js):
-    return js.connection()
-
-
 def cov_deriv(row, omega, var):
     """Covariant derivative of a row vector: D_a V = dV/da - V . O_a."""
     k = row[0].order
@@ -382,8 +376,6 @@ def curvature(js):
 
 # ---------------- determinant/rank stacks ----------------
 
-_LEVEL_NAMES = ("", "x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy")
-
 
 def _row_values(row):
     return [e.value for e in row]
@@ -397,6 +389,11 @@ def _level_rows(js, depth):
             rows.append(_row_values(row))
             names.append("x" * (k - i) + "y" * i if k else "V")
     return rows, names
+
+
+# The jet order matrix_M needs: levels(2) reads derivative level 2 of V, and
+# V costs three orders.  nu5 needs 3 and L1, L2 need 2.
+MATRIX_M_ORDER = 5
 
 
 def matrix_M(js):

@@ -31,8 +31,6 @@ from fractions import Fraction
 from math import gcd
 from operator import add, floordiv, neg, sub, truediv
 
-Scalar = Fraction | float
-
 
 class JetError(ValueError):
     """Base class for jet arithmetic errors."""

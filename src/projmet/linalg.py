@@ -169,7 +169,3 @@ def rank_kernel(rows, tol=1e-9):
         pivot = max(v, key=abs)
         kernel.append(tuple(a / pivot for a in v))
     return RankResult(len(pivot_cols), kernel, marginal, exact)
-
-
-def mat_vec(m, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in m]

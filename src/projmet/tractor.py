@@ -145,8 +145,8 @@ def _covd3(t, g):
 
 
 def schouten(conn):
-    """Schouten tensor P_bd and the skew curvature part beta_ab (the latter
-    vanishes identically for trace-free symbols; returned for checking)."""
+    """Schouten tensor P_bd: the Ricci contraction of the curvature.  Its
+    skew part vanishes identically for trace-free symbols."""
     g = conn.gamma
     n = conn.order
     if n < 1:
@@ -161,18 +161,14 @@ def schouten(conn):
             acc = acc - gg[c][b][e] * gg[e][a][dd]
         return acc
 
-    p = [[riem(0, 0, b, dd) + riem(1, 1, b, dd) for dd in (0, 1)]
-         for b in (0, 1)]
-    beta = [[F12 * (riem(0, a, b, 0) + riem(1, a, b, 1)) for b in (0, 1)]
-            for a in (0, 1)]
-    return p, beta
+    return [[riem(0, 0, b, dd) + riem(1, 1, b, dd) for dd in (0, 1)]
+            for b in (0, 1)]
 
 
 @dataclass(frozen=True)
 class TractorData:
     conn: AffineConnection
     p: tuple        # Schouten P_ab
-    beta: tuple     # skew curvature part (zero for trace-free symbols)
     np: tuple       # grad_a P_bc
     y3: tuple       # Cotton Y_abc
     y1: tuple       # contracted Cotton Y_c = eps^{ab} grad_a P_bc
@@ -180,11 +176,16 @@ class TractorData:
     z: tuple        # Z_ab = grad_(a Y_b)
 
 
+# The connection order the stack needs: its entries carry up to five
+# derivatives of the symbols, and theta_bar truncates to order - 5.
+STACK_ORDER = 5
+
+
 def tractor_data(conn):
-    if conn.order < 5:
-        raise InsufficientOrderError(5, conn.order)
+    if conn.order < STACK_ORDER:
+        raise InsufficientOrderError(STACK_ORDER, conn.order)
     g = conn.gamma
-    p, beta = schouten(conn)
+    p = schouten(conn)
     np_ = _covd2(p, g)
     y3 = tuple(
         tuple(
@@ -203,7 +204,6 @@ def tractor_data(conn):
     return TractorData(
         conn,
         tuple(tuple(row) for row in p),
-        tuple(tuple(row) for row in beta),
         tuple(tuple(tuple(r) for r in plane) for plane in np_),
         y3, y1,
         tuple(tuple(row) for row in ny),
@@ -213,9 +213,9 @@ def tractor_data(conn):
 
 def theta_bar(td):
     """The stacked 6x6 matrix of jets, all truncated to a common order
-    (connection order minus five)."""
+    (connection order minus STACK_ORDER)."""
     g = td.conn.gamma
-    target = td.conn.order - 5
+    target = td.conn.order - STACK_ORDER
     nz = _covd2([list(r) for r in td.z], g)
     nny = _covd2([list(r) for r in td.ny], g)
     nnz = _covd3(nz, g)
@@ -339,12 +339,14 @@ def X(m, c, d, a, b):
 _EPS_PAIRS = ((0, 1, 1), (1, 0, -1))
 
 
-# Weights of the nine bracket terms, and the same times 12 for integer
-# entries.
+# Weights of the nine bracket terms, the same times 12 for integer entries,
+# and their floats for float entries: a Fraction times a float is the same
+# float product, but much slower.
 _BRACKET_WEIGHTS = (1, Fraction(1, 6), Fraction(1, 2), Fraction(1, 2),
                     Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
                     Fraction(1, 4), Fraction(1, 4))
 _BRACKET_WEIGHTS_12 = tuple(int(12 * w) for w in _BRACKET_WEIGHTS)
+_BRACKET_WEIGHTS_FLOAT = tuple(float(w) for w in _BRACKET_WEIGHTS)
 
 
 def det_by_contraction(mat):
@@ -353,6 +355,8 @@ def det_by_contraction(mat):
             "scalar-scalar corner must be exactly zero, got %r" % (mat[0][0],)
         )
     cells = [v for row in mat for v in row]
+    if all(isinstance(v, float) for v in cells):
+        return _contract(mat, _BRACKET_WEIGHTS_FLOAT)
     if not all(isinstance(v, (int, Fraction)) for v in cells):
         return _contract(mat, _BRACKET_WEIGHTS)
     # Every term has degree 6: over a common denominator D the integer

@@ -257,3 +257,26 @@ def test_non_finite_float_matrix_exits_three(tmp_path, capsys, command):
     code, report = run_cli(capsys, command, "--input", job)
     assert code == 3
     assert report["error"] == "non-finite matrix entry"
+
+
+@pytest.mark.parametrize("command, order, change, code", [
+    ("tractor", 5, "x*y/3 - y^2/5", 3),
+    ("tractor", 5, None, 0),
+    ("tractor", 6, "x*y/3 - y^2/5", 0),
+    ("invariants", 5, None, 0),
+])
+def test_low_order_exit_codes(tmp_path, capsys, command, order, change,
+                              code):
+    # a projective change costs the recomputed stack one order
+    data = json.loads((INPUTS / "painleve1.json").read_text())
+    data["order"] = order
+    if change is not None:
+        data["change"] = change
+    got, report = run_cli(capsys, command, "--input",
+                          _write_job(tmp_path, data))
+    assert got == code
+    if code == 3:
+        assert report["error"] == ("derivative order 5 requested but only "
+                                   "order 4 is available")
+    else:
+        assert report["order"] == order

@@ -19,7 +19,6 @@ from projmet.invariants import (
     VERDICT_NOT,
     analyze_point,
     cartan_stabilize,
-    connection_matrices,
     cov_deriv,
     curvature,
     decide_metrisability,

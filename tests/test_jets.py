@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import add, mul, neg, sub, truediv
 
 import pytest
 
@@ -484,6 +485,49 @@ def test_float_and_mixed_results_match_reference_bit_for_bit(pair):
     assert_matches(jb ** 3, ref_pow(b, 3))
     if len(b) > 1:
         assert_matches(jb.diff("y"), ref_diff(b, "y"))
+
+
+# ---------------- truncation commutes with every operation ----------------
+#
+# A coefficient of degree d is computed from input coefficients of degree
+# <= d only, by the same operations whatever the truncation order.  So an
+# operation at order n truncated to m < n equals the operation on the inputs
+# truncated to m: exactly, and for floats bit for bit.  Callers that need
+# only low-order values rely on this to evaluate at a lower order.
+
+
+def _truncation_commutes(op, m, *tables):
+    """Compare op on jets of `tables`, truncated afterwards, with op on the
+    tables cut to order m.  An op that fails at the full order (a tower
+    leaving the float range, say) is not compared."""
+    try:
+        full = op(*map(jet_of, tables))
+    except SingularEvaluationError:
+        return
+    low = op(*(jet_of(ref_truncated(t, m)) for t in tables))
+    assert [[_bits(c) for c in row] for row in
+            full.truncated(low.order).coeffs] == \
+        [[_bits(c) for c in row] for row in low.coeffs]
+
+
+@ORACLE
+@given(st.sampled_from([("exact", "exact"), ("float", "float"),
+                        ("exact", "float"), ("float", "exact")])
+       .flatmap(table_pairs),
+       st.one_of(st.integers(-50, 50), _exact_coeff, _float_coeff),
+       st.integers(-2, 5), st.data())
+def test_truncation_commutes_with_every_operation(pair, c, k, data):
+    a, b = pair
+    assume(len(a) > 1)
+    m = data.draw(st.integers(0, len(a) - 2), label="m")
+    for op in (add, sub, mul, truediv):
+        _truncation_commutes(op, m, a, b)
+    unary = [neg, lambda j: j * c, lambda j: c * j, lambda j: j ** k,
+             jets.exp, jets.log, jets.sin, jets.cos, jets.sqrt]
+    if m >= 1:
+        unary += [lambda j: j.diff("x"), lambda j: j.diff("y")]
+    for op in unary:
+        _truncation_commutes(op, m, a)
 
 
 def test_float_scalar_product_underflow_gives_positive_zero():

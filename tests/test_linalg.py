@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from projmet import linalg
 from projmet.jets import SingularEvaluationError
-from projmet.linalg import det, mat_vec, rank_kernel
+from projmet.linalg import det, rank_kernel
+
+
+def mat_vec(m, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
 def cofactor_det(m):

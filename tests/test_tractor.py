@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from projmet import expressions as ex
-from projmet import linalg
+from projmet import linalg, tractor
 from projmet.invariants import JetStructure, liouville_L
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
@@ -39,6 +39,23 @@ def test_connection_is_trace_free():
         assert tr.is_zero()
 
 
+def _beta(conn):
+    """The skew curvature part beta_ab = (R^0_ab0 + R^1_ab1) / 2, with
+    R^c_abd = d_a G^c_bd - d_b G^c_ad + G^c_ae G^e_bd - G^c_be G^e_ad."""
+    g = conn.gamma
+    m = conn.order - 1
+
+    def riem(c, a, b, d):
+        acc = g[c][b][d].diff("xy"[a]) - g[c][a][d].diff("xy"[b])
+        for e in (0, 1):
+            acc = acc + (g[c][a][e] * g[e][b][d]
+                         - g[c][b][e] * g[e][a][d]).truncated(m)
+        return acc
+
+    return [[(riem(0, a, b, 0) + riem(1, a, b, 1)) / 2 for b in (0, 1)]
+            for a in (0, 1)]
+
+
 def test_beta_vanishes_identically():
     rng = random.Random(71)
     for _ in range(3):
@@ -46,13 +63,24 @@ def test_beta_vanishes_identically():
             rng.randint(-3, 3) for _ in range(4)) for _ in range(4)]
         s = ProjectiveStructure.from_exprs(*coeffs)
         js, conn = _conn(s, (Fraction(1), Fraction(-1)), order=8)
-        _p, beta = schouten(conn)
+        beta = _beta(conn)
         assert all(e.is_zero() for row in beta for e in row)
+    # a shift by the non-closed form y dx makes beta skew and nonzero
+    point = (Fraction(1), Fraction(-1))
+    js, conn = _conn(GENERIC, point, order=8)
+    w = (ex.eval_jet(ex.parse_expr("y"), point, 8, "rational"), 0)
+    gamma = tuple(tuple(tuple(
+        conn.gamma[c][a][b] + (w[b] if c == a else 0)
+        + (w[a] if c == b else 0) for b in (0, 1)) for a in (0, 1))
+        for c in (0, 1))
+    beta = _beta(AffineConnection(gamma, conn.s))
+    assert [[e.value for e in row] for row in beta] == [
+        [0, Fraction(-3, 2)], [Fraction(3, 2), 0]]
 
 
 def test_schouten_is_symmetric():
     js, conn = _conn(GENERIC, (Fraction(2), Fraction(1)), order=8)
-    p, _beta = schouten(conn)
+    p = schouten(conn)
     assert p[0][1] == p[1][0]
 
 
@@ -149,6 +177,17 @@ def test_contraction_float_matrices():
         want = linalg.det(m)
         got = det_by_contraction(m)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_float_contraction_matches_fraction_weights_bit_for_bit():
+    # a Fraction weight times a float is the float weight times it
+    rng = random.Random(93)
+    for _ in range(20):
+        m = [[rng.choice((-1, 1)) * 10.0 ** rng.uniform(-6, 6)
+              for _ in range(6)] for _ in range(6)]
+        m[0][0] = 0.0
+        want = tractor._contract(m, tractor._BRACKET_WEIGHTS)
+        assert det_by_contraction(m).hex() == want.hex()
 
 
 def test_contraction_requires_zero_corner():
