@@ -340,8 +340,8 @@ _EPS_PAIRS = ((0, 1, 1), (1, 0, -1))
 
 
 # Weights of the nine bracket terms, the same times 12 for integer entries,
-# and their floats for float entries: a Fraction times a float is the same
-# float product, but much slower.
+# and their floats for any stack that is not all ints and Fractions: a
+# Fraction times a float is the same float product, but much slower.
 _BRACKET_WEIGHTS = (1, Fraction(1, 6), Fraction(1, 2), Fraction(1, 2),
                     Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
                     Fraction(1, 4), Fraction(1, 4))
@@ -355,10 +355,8 @@ def det_by_contraction(mat):
             "scalar-scalar corner must be exactly zero, got %r" % (mat[0][0],)
         )
     cells = [v for row in mat for v in row]
-    if all(isinstance(v, float) for v in cells):
-        return _contract(mat, _BRACKET_WEIGHTS_FLOAT)
     if not all(isinstance(v, (int, Fraction)) for v in cells):
-        return _contract(mat, _BRACKET_WEIGHTS)
+        return _contract(mat, _BRACKET_WEIGHTS_FLOAT)
     # Every term has degree 6: over a common denominator D the integer
     # contraction with weights times 12 is the determinant times 12 D^6.
     den = math.lcm(*(v.denominator for v in cells))

@@ -280,3 +280,23 @@ def test_low_order_exit_codes(tmp_path, capsys, command, order, change,
                                    "order 4 is available")
     else:
         assert report["order"] == order
+
+
+@pytest.mark.parametrize("command, code", [
+    ("check", 3), ("invariants", 0), ("tractor", 0),
+])
+def test_tower_leaving_float_range_above_order_five(tmp_path, capsys,
+                                                    command, code):
+    # log's Taylor tower at x = 1e-40 overflows only past the order the
+    # constant-term values need; check still works at the job's order
+    job = _write_job(tmp_path, {
+        "kind": "ode", "A0": "log(x)", "points": [[1e-40, 1]],
+        "arithmetic": "float",
+    })
+    got, report = run_cli(capsys, command, "--input", job)
+    assert got == code
+    if code == 3:
+        assert report["error"].startswith(
+            "the Taylor tower of log leaves the float range")
+    else:
+        assert report["order"] == 10
