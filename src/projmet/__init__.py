@@ -14,7 +14,6 @@ from .jets import (
     InsufficientOrderError,
     SingularEvaluationError,
     to_scalar,
-    is_exact,
     exp,
     log,
     sin,
@@ -108,7 +107,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Jet", "JetError", "InsufficientOrderError", "SingularEvaluationError",
-    "to_scalar", "is_exact", "exp", "log", "sin", "cos", "sqrt",
+    "to_scalar", "exp", "log", "sin", "cos", "sqrt",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonIntegerExponentError", "ExactModeError", "parse_expr", "as_expr",
     "to_string", "differentiate", "eval_jet", "eval_scalar",

@@ -108,13 +108,24 @@ def to_jsonable(obj):
 
 
 def _scalar_in(v, what):
+    """A number or rational string of the job; JSON reads 1e400 as inf,
+    so a non-finite float is refused here."""
     try:
         if isinstance(v, (int, float, str)):
-            return to_scalar(v)
+            value = to_scalar(v)
+            if isinstance(value, Fraction) or math.isfinite(value):
+                return value
     except (ValueError, TypeError):
         pass
-    raise InputError("%s: expected a number or a rational string, got %r"
-                     % (what, v))
+    raise InputError("%s: expected a finite number or a rational string, "
+                     "got %r" % (what, v))
+
+
+def _float_in(v, what):
+    try:
+        return float(_scalar_in(v, what))
+    except OverflowError:
+        raise InputError("%s: %r is out of float range" % (what, v)) from None
 
 
 class Job:
@@ -133,8 +144,9 @@ class Job:
         if self.order > MAX_ORDER:
             raise InputError('"order" must be at most %d' % MAX_ORDER)
         self.tolerance = data.get("tolerance", 1e-9)
-        if not isinstance(self.tolerance, (int, float)) or self.tolerance <= 0:
-            raise InputError('"tolerance" must be a positive number')
+        if (not isinstance(self.tolerance, (int, float))
+                or not 0 < self.tolerance < math.inf):
+            raise InputError('"tolerance" must be a positive finite number')
         self.arithmetic = data.get("arithmetic", "auto")
         if self.arithmetic not in ("auto", "rational", "float"):
             raise InputError(
@@ -352,9 +364,9 @@ def _grid_in(job):
         raise InputError('"grid.n" and "grid.substeps" must be integers'
                          ) from err
     grid = GridSpec(
-        center=(float(_scalar_in(center[0], "grid.center")),
-                float(_scalar_in(center[1], "grid.center"))),
-        h=float(_scalar_in(gspec.get("h", 0.1), "grid.h")),
+        center=(_float_in(center[0], "grid.center"),
+                _float_in(center[1], "grid.center")),
+        h=_float_in(gspec.get("h", 0.1), "grid.h"),
         n=n,
         substeps=substeps,
     )
@@ -391,8 +403,7 @@ def cmd_recover(job, mode):
     else:
         if not isinstance(witness, list) or len(witness) != 6:
             raise InputError('"witness" must be a list of six numbers')
-        witness = tuple(
-            float(_scalar_in(v, "witness")) for v in witness)
+        witness = tuple(_float_in(v, "witness") for v in witness)
 
     try:
         result = recover_metric(job.structure, witness, grid)

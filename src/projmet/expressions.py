@@ -391,12 +391,6 @@ def powi(a, k):
     return Pow(a, k)
 
 
-def call(func, a):
-    if func not in FUNCTIONS:
-        raise UnknownIdentifierError("unknown function %r" % func, None)
-    return Call(func, a)
-
-
 # ---------------- differentiation ----------------
 
 
@@ -659,8 +653,9 @@ def compile_float(trees):
     """One float function (x, y) -> tuple of the trees' values.
 
     Outside the domain (division by zero, log of a value <= 0, sqrt of a
-    negative value, zero to a negative power, float overflow) it raises
-    SingularEvaluationError naming the point."""
+    negative value, zero to a negative power, overflow in `**` or an
+    elementary function) it raises SingularEvaluationError naming the
+    point.  `+`, `-`, `*` and `/` overflow to inf or nan without raising."""
     namespace = {"__builtins__": {}, "_negative_power": _negative_power}
     namespace.update(_FLOAT_FUNCS.values())
     exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)

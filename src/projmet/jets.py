@@ -77,10 +77,6 @@ def to_scalar(value):
     raise TypeError("cannot interpret %r as a scalar" % (value,))
 
 
-def is_exact(value):
-    return isinstance(value, Fraction)
-
-
 class Jet:
     """Truncated Taylor expansion at a fixed base point.
 

@@ -64,11 +64,6 @@ class ProjectiveStructure:
     def coefficients(self):
         return (self.a0, self.a1, self.a2, self.a3)
 
-    def jets_at(self, point, order, mode="auto"):
-        return tuple(
-            eval_jet(c, point, order, mode) for c in self.coefficients
-        )
-
     def values_at(self, point):
         return tuple(
             eval_scalar(c, point[0], point[1]) for c in self.coefficients

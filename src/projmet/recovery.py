@@ -28,6 +28,8 @@ compares them with the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from math import isfinite
 from operator import mul
 
 from .expressions import compile_derivatives
@@ -38,6 +40,13 @@ from .invariants import (
     cartan_stabilize,
     connection_formula,
 )
+from .jets import SingularEvaluationError
+
+# Largest loop defect a transport accepts; relative size of psi1 psi3 -
+# psi2^2 at or below which a node is degenerate, and a witness too.
+LOOP_TOL = 1e-7
+DEGENERATE_TOL = 1e-12
+WITNESS_TOL = 1e-9
 
 
 class RecoveryError(Exception):
@@ -52,10 +61,10 @@ class PathDependenceError(RecoveryError):
     """Transport along x-then-y and y-then-x disagree beyond tolerance:
     the witness is not actually parallel (or the step is too coarse)."""
 
-    def __init__(self, defect, tol):
+    def __init__(self, defect):
         super().__init__(
             "transport is path dependent: defect %.3e exceeds %.3e"
-            % (defect, tol)
+            % (defect, LOOP_TOL)
         )
         self.defect = defect
 
@@ -113,14 +122,14 @@ class RecoveryResult:
     residual: float
 
 
-def initial_section(witness, tol=1e-9):
+def initial_section(witness):
     """Validate a kernel vector as a transport seed."""
     w = [float(v) for v in witness]
     if len(w) != 6:
         raise DegenerateWitnessError("witness must have six components")
     scale = max(1.0, max(abs(v) for v in w))
     q = w[0] * w[2] - w[1] * w[1]
-    if abs(q) <= tol * scale * scale:
+    if abs(q) <= WITNESS_TOL * scale * scale:
         raise DegenerateWitnessError(
             "witness encodes a degenerate form (psi1 psi3 - psi2^2 = %.3e)"
             % q
@@ -134,14 +143,10 @@ def compile_structure(structure):
     return compile_derivatives(structure.coefficients, CONNECTION_WORDS)
 
 
-def connection_values(structure, point):
-    """Value matrices of the prolonged connection pair at a float point.
-
-    `structure` is a ProjectiveStructure or the function `compile_structure`
-    made of one; `transport` passes the latter, so that the coefficients are
-    differentiated and compiled once per transport."""
-    evaluate = (structure if callable(structure)
-                else compile_structure(structure))
+def connection_values(evaluate, point):
+    """Value matrices of the prolonged connection pair at a float point;
+    `evaluate` is what `compile_structure` makes of the structure, so that
+    a transport differentiates and compiles the coefficients once."""
     v = evaluate(float(point[0]), float(point[1]))
     return connection_formula((v[0:6], v[6:12], v[12:18], v[18:24]),
                               0.0, 1.0, CONNECTION_FLOATS)
@@ -155,28 +160,11 @@ def _axpy(v, a, w):
     return [vi + a * wi for vi, wi in zip(v, w)]
 
 
-class _OmegaCache:
-    """Connection values at the RK4 nodes, keyed by lattice index."""
-
-    def __init__(self, structure, grid):
-        self.evaluate = compile_structure(structure)
-        self.grid = grid
-        self.cache = {}
-
-    def at(self, node):
-        hit = self.cache.get(node)
-        if hit is None:
-            hit = connection_values(self.evaluate,
-                                    self.grid.lattice_point(*node))
-            self.cache[node] = hit
-        return hit
-
-
-def _rk4_segment(omegas, start, axis, direction, psi):
+def _rk4_segment(omegas, grid, start, axis, direction, psi):
     """One grid edge, from grid node `start` to its neighbour `direction`
     (+1 or -1) along `axis`: integrate dPsi/dt = -O_axis Psi by RK4.  The
-    RK4 nodes are the 2 substeps + 1 lattice nodes along the edge."""
-    grid = omegas.grid
+    RK4 nodes are the 2 substeps + 1 lattice nodes along the edge, and
+    `omegas` maps a lattice index to the connection values there."""
     substeps = grid.substeps
     h = direction * float(grid.h) / substeps
     first = [2 * substeps * c for c in start]
@@ -185,7 +173,7 @@ def _rk4_segment(omegas, start, axis, direction, psi):
     def omega(s):
         node = list(first)
         node[axis] += direction * s
-        return omegas.at(tuple(node))[axis]
+        return omegas(tuple(node))[axis]
 
     for k in range(substeps):
         m0 = omega(2 * k)
@@ -217,7 +205,7 @@ def _march(omegas, grid, seed, first_axis):
             pos = ai if axis == 0 else aj
             while pos + direction in offs_set:
                 start = (pos, aj) if axis == 0 else (ai, pos)
-                cur = _rk4_segment(omegas, start, axis, direction, cur)
+                cur = _rk4_segment(omegas, grid, start, axis, direction, cur)
                 pos += direction
                 psi[(pos, aj) if axis == 0 else (ai, pos)] = list(cur)
 
@@ -229,24 +217,34 @@ def _march(omegas, grid, seed, first_axis):
     return psi
 
 
-def transport(structure, seed, grid, loop_tol=1e-7, raise_on_defect=True):
+def transport(structure, seed, grid, raise_on_defect=True):
     """Parallel-transport the seed over the grid.
 
     The section is computed along x-then-y paths; y-then-x paths provide
-    the loop defect, whose maximum is the path-dependence measure."""
+    the loop defect, whose maximum is the path-dependence measure.  A node
+    where either section is not finite raises SingularEvaluationError."""
     seed = initial_section(seed)
-    omegas = _OmegaCache(structure, grid)
+    evaluate = compile_structure(structure)
+
+    @cache
+    def omegas(node):
+        return connection_values(evaluate, grid.lattice_point(*node))
+
     psi_a = _march(omegas, grid, seed, 0)
     psi_b = _march(omegas, grid, seed, 1)
     defects = {}
     worst = 0.0
     for key, va in psi_a.items():
         vb = psi_b[key]
+        if not all(map(isfinite, va + vb)):
+            raise SingularEvaluationError(
+                "transported section is not finite at grid node (%d, %d)"
+                % key, grid.point(*key))
         d = max(abs(a - b) for a, b in zip(va, vb))
         defects[key] = d
         worst = max(worst, d)
-    if raise_on_defect and worst > loop_tol:
-        raise PathDependenceError(worst, loop_tol)
+    if raise_on_defect and worst > LOOP_TOL:
+        raise PathDependenceError(worst)
     section = PsiSection(
         grid,
         tuple(seed),
@@ -257,30 +255,23 @@ def transport(structure, seed, grid, loop_tol=1e-7, raise_on_defect=True):
     return section
 
 
-def _undo_substitution(psi, degenerate_tol):
-    """(E, F, G, Delta) at one node of the section, or None where the form
-    Delta = psi1 psi3 - psi2^2 is degenerate relative to the psi scale."""
-    p1, p2, p3 = psi[:3]
-    delta = p1 * p3 - p2 * p2
-    if abs(delta) <= degenerate_tol * max(1.0, p1 * p1, p2 * p2, p3 * p3):
-        return None
-    d2 = delta * delta
-    return (p1 / d2, p2 / d2, p3 / d2, delta)
-
-
-def reconstruct_metric(section, degenerate_tol=1e-12):
-    """Undo the substitution at every node; degenerate nodes are excluded."""
+def reconstruct_metric(section):
+    """Undo the substitution at every node.  Nodes where the form
+    Delta = psi1 psi3 - psi2^2 is degenerate relative to the psi scale are
+    excluded."""
     nodes = {}
     excluded = []
     signatures = set()
     for key, psi in sorted(section.psi.items()):
-        node = _undo_substitution(psi, degenerate_tol)
-        if node is None:
+        p1, p2, p3 = psi[:3]
+        delta = p1 * p3 - p2 * p2
+        if abs(delta) <= DEGENERATE_TOL * max(1.0, p1 * p1, p2 * p2, p3 * p3):
             excluded.append(key)
             continue
-        sig = "riemannian" if node[3] > 0 else "lorentzian"
+        d2 = delta * delta
+        sig = "riemannian" if delta > 0 else "lorentzian"
         signatures.add(sig)
-        nodes[key] = node + (sig,)
+        nodes[key] = (p1 / d2, p2 / d2, p3 / d2, delta, sig)
     if not nodes:
         raise DegenerateFormError(
             "transported section is degenerate at every node"
@@ -302,7 +293,7 @@ def _ode_values_from_metric_table(efg, dx, dy):
     return (a0, a1, a2, a3)
 
 
-def roundtrip_residual(section, structure, degenerate_tol=1e-12):
+def roundtrip_residual(metric, structure):
     """Largest deviation, over interior nondegenerate nodes, between the
     input ODE coefficients and the ones recomputed from the reconstructed
     metric table.
@@ -313,11 +304,9 @@ def roundtrip_residual(section, structure, degenerate_tol=1e-12):
     stencil leaves the grid or touches a degenerate node are not measured;
     when no node qualifies the residual is NaN.
     """
-    grid = section.grid
+    grid = metric.grid
     h = grid.h
-    nodes = {key: _undo_substitution(psi, degenerate_tol)
-             for key, psi in section.psi.items()}
-    efg = {key: node[:3] for key, node in nodes.items() if node is not None}
+    efg = {key: node[:3] for key, node in metric.nodes.items()}
 
     def stencil(key, axis):
         i, j = key
@@ -345,17 +334,16 @@ def roundtrip_residual(section, structure, degenerate_tol=1e-12):
     return float("nan") if worst is None else worst
 
 
-def recover_metric(structure, witness, grid, loop_tol=1e-7,
-                   degenerate_tol=1e-12):
-    section = transport(structure, witness, grid, loop_tol)
-    metric = reconstruct_metric(section, degenerate_tol)
-    residual = roundtrip_residual(section, structure, degenerate_tol)
-    return RecoveryResult(section, metric, residual)
+def recover_metric(structure, witness, grid):
+    section = transport(structure, witness, grid)
+    metric = reconstruct_metric(section)
+    return RecoveryResult(section, metric,
+                          roundtrip_residual(metric, structure))
 
 
-def solution_space_dim(structure, point, order=10, tol=1e-9, mode="auto"):
+def solution_space_dim(structure, point, order=10, mode="auto"):
     """Dimension of the space of compatible metrics at a point, by rank
     stabilisation; None when the ranks do not stabilise in the available
     order."""
     js = JetStructure.at(structure, point, order, mode)
-    return cartan_stabilize(js, tol).s_dim
+    return cartan_stabilize(js).s_dim

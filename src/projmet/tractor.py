@@ -62,10 +62,6 @@ class AffineConnection:
     def order(self):
         return self.gamma[0][0][0].order
 
-    @property
-    def base(self):
-        return self.gamma[0][0][0].base
-
     @classmethod
     def from_structure(cls, js):
         """Trace-free symbols of the ODE coefficients; their zero trace

@@ -1,0 +1,69 @@
+"""The names the benchmark tracer wraps still exist.
+
+`bench/tracing.py` replaces functions at the names their callers look up;
+a renamed or deleted target only shows up in a traced benchmark run.  This
+loads the tracer as a file, resolves every target as `install` does, and
+installs and uninstalls both recorders around a small transport.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+from projmet import jets, recovery
+from projmet.model import ProjectiveStructure
+from projmet.recovery import GridSpec
+
+TRACING = (pathlib.Path(__file__).resolve().parent.parent
+           / "bench" / "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _owner(module_name, attr):
+    owner = importlib.import_module(module_name)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = owner.__dict__[part]
+    return owner, name
+
+
+def test_every_span_target_and_jet_counter_resolves():
+    tracing = _load_tracing()
+    for module_name, attr, _ in tracing.SPAN_TARGETS:
+        owner, name = _owner(module_name, attr)
+        assert callable(owner.__dict__.get(name)), (module_name, attr)
+    for attr, _ in tracing.JET_COUNTERS:
+        assert callable(jets.Jet.__dict__.get(attr)), attr
+
+
+def test_recorders_install_and_uninstall():
+    tracing = _load_tracing()
+    targets = [_owner(m, a) for m, a, _ in tracing.SPAN_TARGETS]
+    before = [owner.__dict__[name] for owner, name in targets]
+    jet_before = {a: jets.Jet.__dict__[a] for a, _ in tracing.JET_COUNTERS}
+
+    recorder = tracing.Recorder()
+    counter = tracing.JetCounter()
+    recorder.install()
+    counter.install()
+    try:
+        grid = GridSpec(center=(0.0, 0.0), h=0.1, n=3, substeps=1)
+        recovery.transport(ProjectiveStructure.flat(),
+                           (1.0, 0.0, 1.0, 0.0, 0.0, 0.0), grid)
+    finally:
+        counter.uninstall()
+        recorder.uninstall()
+
+    summary = recorder.summary()
+    assert summary["recovery.transport"]["calls"] == 1
+    # 2 n (2 substeps (n - 1) + 1) - n^2 lattice nodes, each once
+    assert summary["recovery.connection_values"]["calls"] == 21
+    assert recorder.lattice.ratio == 1.0
+    assert [owner.__dict__[name] for owner, name in targets] == before
+    assert {a: jets.Jet.__dict__[a] for a in jet_before} == jet_before

@@ -300,3 +300,152 @@ def test_tower_leaving_float_range_above_order_five(tmp_path, capsys,
             "the Taylor tower of log leaves the float range")
     else:
         assert report["order"] == 10
+
+
+def _write_raw_job(tmp_path, data):
+    # "HUGE" stands for the literal 1e400, which JSON reads as inf
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+    return str(job)
+
+
+SELFTEST_ODE = {"kind": "ode", "A0": "x^2+y", "A1": "y^2", "A2": "x*y",
+                "A3": "x+1", "points": [[0.5, 0.25]], "arithmetic": "float"}
+LIOUVILLE_AT_ONE = {"kind": "metric", "E": "x+y", "F": "0", "G": "x+y",
+                    "points": [[1, 1]]}
+
+
+@pytest.mark.parametrize("command, data, error", [
+    ("recover", dict(LIOUVILLE_AT_ONE, grid={
+        "center": [1e160, 1e160], "h": 0.1, "n": 3}),
+     "transported section is not finite at grid node (1, 0) "
+     "(base point (1e+160, 1e+160))"),
+    ("recover", dict(LIOUVILLE_AT_ONE, grid={"h": "HUGE", "n": 3}),
+     "grid.h: expected a finite number or a rational string, got inf"),
+    ("recover", dict(LIOUVILLE_AT_ONE, grid={"center": ["HUGE", 1],
+                                             "n": 3}),
+     "grid.center: expected a finite number or a rational string, got inf"),
+    ("check", dict(SELFTEST_ODE, tolerance="HUGE"),
+     '"tolerance" must be a positive finite number'),
+    ("recover", dict(LIOUVILLE_AT_ONE, witness=["HUGE", 0, 1, 0, 0, 0]),
+     "witness: expected a finite number or a rational string, got inf"),
+    ("check", dict(SELFTEST_ODE, points=[["HUGE", 0.25]]),
+     "point x: expected a finite number or a rational string, got inf"),
+    ("recover", dict(LIOUVILLE_AT_ONE, grid={"h": "1e400", "n": 3}),
+     "grid.h: '1e400' is out of float range"),
+], ids=["grid-centre-overflows", "h", "centre", "tolerance", "witness",
+        "point", "exact-h-beyond-float"])
+def test_non_finite_numbers_exit_three(tmp_path, capsys, command, data,
+                                       error):
+    code, report = run_cli(capsys, command, "--input",
+                           _write_raw_job(tmp_path, data))
+    assert code == 3
+    assert report["error"] == error
+
+
+def test_disagreeing_points_are_inconclusive(tmp_path, capsys):
+    job = _write_job(tmp_path, {
+        "kind": "ode", "A0": "x^12+y^13", "A1": "y^12", "A2": "x^12*y",
+        "A3": "x^13", "points": [[0, 0], [1, 1]],
+    })
+    code, report = run_cli(capsys, "check", "--input", job)
+    assert code == 2
+    assert report["report"]["verdict"] == "Inconclusive"
+    assert report["report"]["notes"] == [
+        "sample points disagree: Metrisable at (0, 0), "
+        "NotMetrisable at (1, 1)"]
+
+
+@pytest.mark.parametrize("tolerance, verdict, code", [
+    (1e-3, "Inconclusive", 2),
+    (None, "DegenerateKernel", 1),
+])
+def test_marginal_rank_decision_is_inconclusive(tmp_path, capsys,
+                                                tolerance, verdict, code):
+    data = {"kind": "ode", "A0": "6*y^2+x", "points": [[0.5, 0.25]],
+            "arithmetic": "float"}
+    if tolerance is not None:
+        data["tolerance"] = tolerance
+    got, report = run_cli(capsys, "check", "--input",
+                          _write_job(tmp_path, data))
+    assert got == code
+    assert report["report"]["verdict"] == verdict
+    (point,) = report["report"]["points"]
+    assert point["cartan_ranks"] == [1, 2, 3, 4, 5, 5, 5, 5]
+    marginal = "rank decisions were numerically marginal" in point["notes"]
+    assert marginal == (code == 2)
+
+
+def _exp_family(**changes):
+    return dict(json.loads((INPUTS / "exp-family-c1.json").read_text()),
+                **changes)
+
+
+def test_recover_uses_and_echoes_a_user_witness(tmp_path, capsys):
+    job = _write_job(tmp_path, _exp_family(witness=[2, 0, 2, 0, 0, 0]))
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 0
+    assert report["witness"] == [2.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+    # twice the seed, twice psi and four times Delta: E = psi1 / Delta^2
+    # falls eightfold
+    corner = report["nodes"][0]
+    assert abs(corner["E"] - math.exp(0.04) / 8) < 1e-9
+
+
+def test_recover_witness_needs_six_entries(tmp_path, capsys):
+    job = _write_job(tmp_path, _exp_family(witness=[1, 0, 1, 0, 0]))
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 3
+    assert report["error"] == '"witness" must be a list of six numbers'
+
+
+def test_recover_refuses_a_degenerate_user_witness(tmp_path, capsys):
+    job = _write_job(tmp_path, _exp_family(witness=[1, 1, 1, 0, 0, 0]))
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 1
+    assert report["refused"] is True
+    assert "degenerate form" in report["reason"]
+
+
+def test_recover_flat_job_uses_the_default_seed(tmp_path, capsys):
+    # below order 8 no point yields a kernel witness
+    data = dict(json.loads((INPUTS / "flat.json").read_text()), order=7)
+    code, report = run_cli(capsys, "recover", "--input",
+                           _write_job(tmp_path, data))
+    assert code == 0
+    assert report["verdict"] == "MetrisableFlat"
+    assert report["witness"] == [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    assert report["signature"] == "riemannian"
+    assert report["transport_defect"] == 0.0
+
+
+BAD_INPUTS = [
+    ("recover", _exp_family(order=4), "order"),
+    ("recover", _exp_family(order="10"), "order"),
+    ("recover", _exp_family(tolerance=0), "tolerance"),
+    ("recover", _exp_family(arithmetic="exact"), "arithmetic"),
+    ("recover", [_exp_family()], "JSON object"),
+    ("check", {"kind": "ode", "A0": 1, "points": [[0, 0]]}, "A0"),
+    ("check", {"kind": "metric", "E": "1", "points": [[0, 0]]}, '"G"'),
+    ("check", {"kind": "lambda", "points": [[0, 0]]}, "p_coeffs"),
+    ("check", {"kind": "ode", "points": []}, "points"),
+    ("check", {"kind": "ode", "points": [[0, 0, 0]]}, "point"),
+    ("recover", _exp_family(grid=[0, 0]), '"grid"'),
+    ("recover", _exp_family(grid={"center": [0]}), "grid.center"),
+    ("recover", _exp_family(grid={"n": 1}), "n >= 2"),
+    ("recover", _exp_family(grid={"h": 0}), "h > 0"),
+    ("tractor", _exp_family(change="x+"), '"change"'),
+]
+
+
+@pytest.mark.parametrize("command, data, field", BAD_INPUTS, ids=[
+    "order-4", "order-string", "tolerance-0", "arithmetic", "job-list",
+    "numeric-A0", "metric-without-G", "lambda-without-p_coeffs",
+    "empty-points", "three-entry-point", "grid-list", "one-entry-centre",
+    "n-1", "h-0", "change"])
+def test_bad_input_exits_three_naming_the_field(tmp_path, capsys, command,
+                                                data, field):
+    code, report = run_cli(capsys, command, "--input",
+                           _write_job(tmp_path, data))
+    assert code == 3
+    assert field in report["error"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from projmet import expressions as ex
+from projmet.invariants import JetStructure
 from projmet.model import (
     DegenerateMetricError,
     LambdaPoly,
@@ -145,7 +146,7 @@ def test_metric_to_section_and_back():
 
 def test_structure_jets_at_orders():
     s = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
-    ja = s.jets_at((Fraction(0), Fraction(0)), 4)
+    ja = JetStructure.at(s, (Fraction(0), Fraction(0)), 4).a
     a0 = ja[0]
     assert a0.partial(0, 2) == 12
     assert a0.partial(1, 0) == 1

@@ -134,14 +134,14 @@ def test_roundtrip_residual_measures_ode_match():
     section, and it jumps when a node value is corrupted."""
     grid = GridSpec(center=(0.0, 0.0), h=0.05, n=9, substeps=4)
     section = transport(EXP_FAMILY, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0), grid)
-    clean = roundtrip_residual(section, EXP_FAMILY)
+    clean = roundtrip_residual(reconstruct_metric(section), EXP_FAMILY)
     assert 0 < clean < 1e-10
 
     bad_psi = dict(section.psi)
     p = bad_psi[(0, 0)]
     bad_psi[(0, 0)] = (p[0] + 1e-3,) + tuple(p[1:])
     broken = PsiSection(grid, section.seed, bad_psi, section.defect)
-    assert roundtrip_residual(broken, EXP_FAMILY) > 1e-4
+    assert roundtrip_residual(reconstruct_metric(broken), EXP_FAMILY) > 1e-4
 
 
 def test_rk4_error_falls_fourth_order():
@@ -152,7 +152,7 @@ def test_rk4_error_falls_fourth_order():
     for h, n in ((0.2, 7), (0.1, 9)):
         grid = GridSpec(center=(0.0, 0.0), h=h, n=n, substeps=1)
         section = transport(EXP_FAMILY, seed, grid, raise_on_defect=False)
-        res[h] = roundtrip_residual(section, EXP_FAMILY)
+        res[h] = roundtrip_residual(reconstruct_metric(section), EXP_FAMILY)
     ratio = res[0.2] / res[0.1]
     assert ratio > 11.0
 
@@ -207,12 +207,6 @@ def test_compiled_connection_matches_jets_on_transcendental_trees():
             _assert_connection_close(structure, point)
 
 
-def test_connection_values_accepts_a_structure():
-    point = (0.2, -0.3)
-    assert connection_values(EXP_FAMILY, point) == connection_values(
-        compile_structure(EXP_FAMILY), point)
-
-
 @pytest.mark.parametrize("n, distinct", [(9, 1089), (21, 6321)])
 def test_transport_evaluates_each_lattice_node_once(monkeypatch, n, distinct):
     """The RK4 nodes are keyed by lattice index, so edges that share a
@@ -240,3 +234,4 @@ def test_transport_singular_node_raises_singular_evaluation():
     with pytest.raises(SingularEvaluationError) as err:
         transport(s, (1.0, 0.0, 0.5, 0.0, 0.0, 0.0), grid)
     assert err.value.base == (0.125, 0.0)
+
