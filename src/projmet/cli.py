@@ -128,6 +128,11 @@ def _float_in(v, what):
         raise InputError("%s: %r is out of float range" % (what, v)) from None
 
 
+def _is_int(v):
+    """A JSON integer: not a bool, a float or a string."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class Job:
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -139,12 +144,13 @@ class Job:
         self.structure = self._build_structure(data)
         self.points = self._build_points(data)
         self.order = data.get("order", 10)
-        if not isinstance(self.order, int) or self.order < 5:
+        if not _is_int(self.order) or self.order < 5:
             raise InputError('"order" must be an integer >= 5')
         if self.order > MAX_ORDER:
             raise InputError('"order" must be at most %d' % MAX_ORDER)
         self.tolerance = data.get("tolerance", 1e-9)
-        if (not isinstance(self.tolerance, (int, float))
+        if (isinstance(self.tolerance, bool)
+                or not isinstance(self.tolerance, (int, float))
                 or not 0 < self.tolerance < math.inf):
             raise InputError('"tolerance" must be a positive finite number')
         self.arithmetic = data.get("arithmetic", "auto")
@@ -284,11 +290,6 @@ def cmd_tractor(job, mode):
         vals = theta_values(theta)
         det_direct = linalg.det(vals)
         contraction = det_by_contraction(vals)
-        if isinstance(det_direct, Fraction):
-            agrees = contraction == det_direct
-        else:
-            ref = max(1.0, abs(det_direct))
-            agrees = abs(contraction - det_direct) <= 1e-9 * ref
         m = matrix_M(js)
         entry = {
             "point": [p[0], p[1]],
@@ -297,7 +298,7 @@ def cmd_tractor(job, mode):
             "det_theta": det_direct,
             "D": det_direct / 4320,
             "contraction": contraction,
-            "contraction_agrees": agrees,
+            "contraction_agrees": _close(contraction, det_direct),
         }
         if f_expr is not None:
             entry["change"] = _change_block(js, conn, theta, det_direct,
@@ -317,31 +318,23 @@ def _change_block(js, conn, theta, det_theta, f_expr, point):
     det_a = linalg.det(theta_values(theta_a))
 
     f_jet = ex.eval_jet(f_expr, point, conn.order, "float")
-    conn_b = change_connection(
-        AffineConnection(
-            tuple(tuple(tuple(e.to_float() for e in r) for r in pl)
-                  for pl in conn.gamma),
-            conn.s.to_float(),
-        ),
-        f_jet,
-    )
-    theta_b = theta_bar(tractor_data(conn_b))
+    theta_b = theta_bar(tractor_data(change_connection(conn, f_jet)))
     det_b = linalg.det(theta_values(theta_b))
     fval = float(ex.eval_scalar(f_expr, point[0], point[1]))
     scale = math.exp(-18.0 * fval)
-    expected = float(det_a) * scale
-    ref = max(1.0, abs(expected))
     return {
         "f": ex.to_string(f_expr),
         "det_after_ops": det_a,
         "det_ops_equals_original": _close(det_a, det_theta),
         "det_recomputed": det_b,
         "scale": scale,
-        "invariance_agrees": abs(det_b - expected) <= 1e-9 * ref,
+        "invariance_agrees": _close(det_b, float(det_a) * scale),
     }
 
 
 def _close(a, b):
+    """Fractions agree only when equal; anything else within 1e-9 of the
+    larger magnitude, or of 1."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     ref = max(1.0, abs(float(a)), abs(float(b)))
@@ -357,12 +350,10 @@ def _grid_in(job):
         center = [float(job.points[0][0]), float(job.points[0][1])]
     if not isinstance(center, list) or len(center) != 2:
         raise InputError('"grid.center" must be [x, y]')
-    try:
-        n = int(gspec.get("n", 9))
-        substeps = int(gspec.get("substeps", 4))
-    except (TypeError, ValueError, OverflowError) as err:
-        raise InputError('"grid.n" and "grid.substeps" must be integers'
-                         ) from err
+    n = gspec.get("n", 9)
+    substeps = gspec.get("substeps", 4)
+    if not (_is_int(n) and _is_int(substeps)):
+        raise InputError('"grid.n" and "grid.substeps" must be integers')
     grid = GridSpec(
         center=(_float_in(center[0], "grid.center"),
                 _float_in(center[1], "grid.center")),
@@ -376,6 +367,20 @@ def _grid_in(job):
         raise InputError("grid needs n <= %d and substeps <= %d"
                          % (MAX_GRID_N, MAX_SUBSTEPS))
     return grid
+
+
+def _centre_witness(job, mode, rep, centre):
+    """The kernel witness at the grid centre: from the report of the sample
+    point there, or from analysing the centre when no sample point is."""
+    at = next((r for r in rep.points
+               if (float(r.point[0]), float(r.point[1])) == centre), None)
+    if at is None:
+        at = analyze_point(job.structure, centre, job.order, job.tolerance,
+                           mode)
+    if at.witness is None:
+        # flat below order 8: every vector is parallel, pick a definite one
+        return (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    return at.witness
 
 
 def cmd_recover(job, mode):
@@ -395,11 +400,7 @@ def cmd_recover(job, mode):
 
     witness = job.data.get("witness")
     if witness is None:
-        witness = next(
-            (r.witness for r in rep.points if r.witness is not None), None)
-        if witness is None:
-            # flat structures: every vector is parallel, pick a definite one
-            witness = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        witness = _centre_witness(job, mode, rep, grid.center)
     else:
         if not isinstance(witness, list) or len(witness) != 6:
             raise InputError('"witness" must be a list of six numbers')

@@ -87,9 +87,6 @@ class Call:
     arg: object
 
 
-Expr = Num | Var | BinOp | Pow | Neg | Call
-
-
 # ---------------- tokenizer / parser ----------------
 
 

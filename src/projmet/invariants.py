@@ -39,7 +39,6 @@ F49 = Fraction(4, 9)
 F29 = Fraction(2, 9)
 F83 = Fraction(8, 3)
 F203 = Fraction(20, 3)
-F12 = Fraction(1, 2)
 
 VERDICT_FLAT = "MetrisableFlat"
 VERDICT_METRISABLE = "Metrisable"

@@ -79,15 +79,17 @@ class AffineConnection:
         return AffineConnection(self.gamma, self.s * lam)
 
 
-def _trunc3(g, m):
-    return [[[g[c][a][b].truncated(m) for b in (0, 1)] for a in (0, 1)]
-            for c in (0, 1)]
+def _truncated(t, m):
+    """A jet, or nested lists of jets, truncated to order m."""
+    if isinstance(t, Jet):
+        return t.truncated(m)
+    return [_truncated(e, m) for e in t]
 
 
 def _covd1(t, g):
     m = t[0].order - 1
-    tt = [e.truncated(m) for e in t]
-    gg = _trunc3(g, m)
+    tt = _truncated(t, m)
+    gg = _truncated(g, m)
     return [
         [
             t[b].diff(_VARS[a])
@@ -100,8 +102,8 @@ def _covd1(t, g):
 
 def _covd2(t, g):
     m = t[0][0].order - 1
-    tt = [[e.truncated(m) for e in row] for row in t]
-    gg = _trunc3(g, m)
+    tt = _truncated(t, m)
+    gg = _truncated(g, m)
     return [
         [
             [
@@ -118,8 +120,8 @@ def _covd2(t, g):
 
 def _covd3(t, g):
     m = t[0][0][0].order - 1
-    tt = [[[e.truncated(m) for e in row] for row in plane] for plane in t]
-    gg = _trunc3(g, m)
+    tt = _truncated(t, m)
+    gg = _truncated(g, m)
     out = []
     for a in (0, 1):
         plane = []
@@ -147,8 +149,7 @@ def schouten(conn):
     n = conn.order
     if n < 1:
         raise InsufficientOrderError(1, 0)
-    m = n - 1
-    gg = _trunc3(g, m)
+    gg = _truncated(g, n - 1)
 
     def riem(c, a, b, dd):
         acc = g[c][b][dd].diff(_VARS[a]) - g[c][a][dd].diff(_VARS[b])
@@ -164,12 +165,12 @@ def schouten(conn):
 @dataclass(frozen=True)
 class TractorData:
     conn: AffineConnection
-    p: tuple        # Schouten P_ab
-    np: tuple       # grad_a P_bc
-    y3: tuple       # Cotton Y_abc
-    y1: tuple       # contracted Cotton Y_c = eps^{ab} grad_a P_bc
-    ny: tuple       # grad_a Y_c
-    z: tuple        # Z_ab = grad_(a Y_b)
+    p: list         # Schouten P_ab
+    np: list        # grad_a P_bc
+    y3: list        # Cotton Y_abc
+    y1: list        # contracted Cotton Y_c = eps^{ab} grad_a P_bc
+    ny: list        # grad_a Y_c
+    z: list         # Z_ab = grad_(a Y_b)
 
 
 # The connection order the stack needs: its entries carry up to five
@@ -183,28 +184,13 @@ def tractor_data(conn):
     g = conn.gamma
     p = schouten(conn)
     np_ = _covd2(p, g)
-    y3 = tuple(
-        tuple(
-            tuple(F12 * (np_[a][b][c] - np_[b][a][c]) for c in (0, 1))
-            for b in (0, 1)
-        )
-        for a in (0, 1)
-    )
-    m = np_[0][0][0].order
-    st = conn.s.truncated(m)
-    y1 = tuple(st * (np_[0][1][c] - np_[1][0][c]) for c in (0, 1))
+    y3 = [[[F12 * (np_[a][b][c] - np_[b][a][c]) for c in (0, 1)]
+           for b in (0, 1)] for a in (0, 1)]
+    st = conn.s.truncated(np_[0][0][0].order)
+    y1 = [st * (np_[0][1][c] - np_[1][0][c]) for c in (0, 1)]
     ny = _covd1(y1, g)
-    z = tuple(
-        tuple(F12 * (ny[a][b] + ny[b][a]) for b in (0, 1)) for a in (0, 1)
-    )
-    return TractorData(
-        conn,
-        tuple(tuple(row) for row in p),
-        tuple(tuple(tuple(r) for r in plane) for plane in np_),
-        y3, y1,
-        tuple(tuple(row) for row in ny),
-        z,
-    )
+    z = [[F12 * (ny[a][b] + ny[b][a]) for b in (0, 1)] for a in (0, 1)]
+    return TractorData(conn, p, np_, y3, y1, ny, z)
 
 
 def theta_bar(td):
@@ -212,23 +198,11 @@ def theta_bar(td):
     (connection order minus STACK_ORDER)."""
     g = td.conn.gamma
     target = td.conn.order - STACK_ORDER
-    nz = _covd2([list(r) for r in td.z], g)
-    nny = _covd2([list(r) for r in td.ny], g)
+    nz = _covd2(td.z, g)
+    nny = _covd2(td.ny, g)
     nnz = _covd3(nz, g)
-
-    def t_(j):
-        return j.truncated(target)
-
-    p = [[t_(e) for e in row] for row in td.p]
-    np_ = [[[t_(e) for e in r] for r in plane] for plane in td.np]
-    y3 = [[[t_(e) for e in r] for r in plane] for plane in td.y3]
-    y1 = [t_(e) for e in td.y1]
-    ny = [[t_(e) for e in row] for row in td.ny]
-    z = [[t_(e) for e in row] for row in td.z]
-    nzt = [[[t_(e) for e in r] for r in plane] for plane in nz]
-    nnyt = [[[t_(e) for e in r] for r in plane] for plane in nny]
-    nnzt = [[[[t_(e) for e in rr] for rr in r] for r in plane]
-            for plane in nnz]
+    p, np_, y3, y1, ny, z, nzt, nnyt, nnzt = _truncated(
+        [td.p, td.np, td.y3, td.y1, td.ny, td.z, nz, nny, nnz], target)
 
     def block_t(c, a, b):
         return (
@@ -277,12 +251,11 @@ def theta_bar(td):
             theta[r][3 + _IDX2[(a, b)]] = (
                 block_x(c, dd, a, b) - 5 * p[a][b] * z[c][dd]
             )
-    return tuple(tuple(row) for row in theta)
+    return theta
 
 
 def theta_values(theta):
-    return [[e.value if isinstance(e, Jet) else e for e in row]
-            for row in theta]
+    return [[e.value for e in row] for row in theta]
 
 
 # ---------------- block accessors ----------------
@@ -406,29 +379,29 @@ def projective_change(theta, omega):
     w = omega
 
     # row stage: rows pick up multiples of earlier block rows
-    src = [list(row) for row in theta]
     mid = [list(row) for row in theta]
     for c in (0, 1):
         for a in (0, 1):
-            mid[1 + c][1 + a] = S(src, c, a) - 2 * w[c] * P(src, a)
+            mid[1 + c][1 + a] = S(theta, c, a) - 2 * w[c] * P(theta, a)
         for (a, b) in _PAIRS:
             mid[1 + c][3 + _IDX2[(a, b)]] = (
-                T(src, c, a, b) - 2 * w[c] * Q(src, a, b)
+                T(theta, c, a, b) - 2 * w[c] * Q(theta, a, b)
             )
     for (c, d) in _PAIRS:
         r = 3 + _IDX2[(c, d)]
-        mid[r][0] = U(src, c, d) - F12 * (w[c] * R(src, d) + w[d] * R(src, c))
+        mid[r][0] = (U(theta, c, d)
+                     - F12 * (w[c] * R(theta, d) + w[d] * R(theta, c)))
         for a in (0, 1):
             mid[r][1 + a] = (
-                V(src, c, d, a)
-                - F12 * (w[c] * S(src, d, a) + w[d] * S(src, c, a))
-                + w[c] * w[d] * P(src, a)
+                V(theta, c, d, a)
+                - F12 * (w[c] * S(theta, d, a) + w[d] * S(theta, c, a))
+                + w[c] * w[d] * P(theta, a)
             )
         for (a, b) in _PAIRS:
             mid[r][3 + _IDX2[(a, b)]] = (
-                X(src, c, d, a, b)
-                - F12 * (w[c] * T(src, d, a, b) + w[d] * T(src, c, a, b))
-                + w[c] * w[d] * Q(src, a, b)
+                X(theta, c, d, a, b)
+                - F12 * (w[c] * T(theta, d, a, b) + w[d] * T(theta, c, a, b))
+                + w[c] * w[d] * Q(theta, a, b)
             )
 
     # column stage: columns pick up multiples of earlier block columns
@@ -456,23 +429,24 @@ def projective_change(theta, omega):
                 - F12 * (V(mid, c, d, a) * w[b] + V(mid, c, d, b) * w[a])
                 + U(mid, c, d) * w[a] * w[b]
             )
-    return tuple(tuple(row) for row in out)
+    return out
 
 
 def change_connection(conn, f_jet):
     """The representative with symbols shifted by omega = df (both slots),
     with the area scale rescaled by exp(-3 f) so it stays parallel.
 
-    The exponential forces float arithmetic; the result drops one order
-    (omega costs a derivative).
+    The exponential forces float arithmetic, so every symbol and the scale
+    are converted to float; the result drops one order (omega costs a
+    derivative).
     """
     m = conn.order - 1
     w = (f_jet.diff("x").truncated(m), f_jet.diff("y").truncated(m))
-    g = _trunc3(conn.gamma, m)
+    g = _truncated(conn.gamma, m)
     gamma = tuple(
         tuple(
             tuple(
-                g[c][a][b]
+                g[c][a][b].to_float()
                 + (w[b] if c == a else 0)
                 + (w[a] if c == b else 0)
                 for b in (0, 1)
@@ -481,5 +455,5 @@ def change_connection(conn, f_jet):
         )
         for c in (0, 1)
     )
-    s = conn.s.truncated(m) * jetlib.exp(-3 * f_jet.truncated(m))
+    s = conn.s.truncated(m).to_float() * jetlib.exp(-3 * f_jet.truncated(m))
     return AffineConnection(gamma, s)

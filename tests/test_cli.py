@@ -419,6 +419,39 @@ def test_recover_flat_job_uses_the_default_seed(tmp_path, capsys):
     assert report["transport_defect"] == 0.0
 
 
+def _liouville(**changes):
+    return dict(json.loads((INPUTS / "liouville-metric.json").read_text()),
+                **changes)
+
+
+def test_recover_takes_the_witness_at_an_off_sample_centre(tmp_path,
+                                                           capsys):
+    # no sample point is the centre, so the centre itself is analysed
+    data = _liouville(grid={"center": [1.2, 1.15], "h": 0.04, "n": 7})
+    code, report = run_cli(capsys, "recover", "--input",
+                           _write_job(tmp_path, data))
+    assert code == 0
+    assert report["verdict"] == "Metrisable"
+    assert report["transport_defect"] <= 1e-7
+
+
+def test_recover_takes_the_witness_of_the_centre_sample_point(
+        tmp_path, capsys, monkeypatch):
+    data = _liouville(grid={"center": [1, 2], "h": 0.04, "n": 5})
+    job = _write_job(tmp_path, data)
+    _, checked = run_cli(capsys, "check", "--input", job)
+    second = checked["report"]["points"][1]["witness"]
+
+    def no_extra_analysis(*args):
+        raise AssertionError("the centre is a sample point")
+    monkeypatch.setattr(cli, "analyze_point", no_extra_analysis)
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 0
+    assert report["witness"] == second
+    assert report["witness"] != checked["report"]["points"][0]["witness"]
+    assert report["transport_defect"] <= 1e-7
+
+
 BAD_INPUTS = [
     ("recover", _exp_family(order=4), "order"),
     ("recover", _exp_family(order="10"), "order"),
@@ -435,6 +468,15 @@ BAD_INPUTS = [
     ("recover", _exp_family(grid={"n": 1}), "n >= 2"),
     ("recover", _exp_family(grid={"h": 0}), "h > 0"),
     ("tractor", _exp_family(change="x+"), '"change"'),
+    ("recover", _exp_family(grid={"n": "5"}), "grid.n"),
+    ("recover", _exp_family(grid={"n": 5.5}), "grid.n"),
+    ("recover", _exp_family(grid={"n": 5.0}), "grid.n"),
+    ("recover", _exp_family(grid={"substeps": True}), "grid.substeps"),
+    ("recover", _exp_family(grid={"substeps": "2"}), "grid.substeps"),
+    ("check", _exp_family(tolerance=True), "tolerance"),
+    ("check", _exp_family(tolerance="1e-9"), "tolerance"),
+    ("check", _exp_family(order=True), "order"),
+    ("check", _exp_family(order=10.0), "order"),
 ]
 
 
@@ -442,7 +484,9 @@ BAD_INPUTS = [
     "order-4", "order-string", "tolerance-0", "arithmetic", "job-list",
     "numeric-A0", "metric-without-G", "lambda-without-p_coeffs",
     "empty-points", "three-entry-point", "grid-list", "one-entry-centre",
-    "n-1", "h-0", "change"])
+    "n-1", "h-0", "change", "n-string", "n-fraction", "n-float",
+    "substeps-bool", "substeps-string", "tolerance-bool", "tolerance-string",
+    "order-bool", "order-float"])
 def test_bad_input_exits_three_naming_the_field(tmp_path, capsys, command,
                                                 data, field):
     code, report = run_cli(capsys, command, "--input",

@@ -268,3 +268,23 @@ def test_change_routes_determinant_scaling():
     fval = ex.eval_scalar(f, pt[0], pt[1])
     want = d0 * math.exp(-18.0 * fval)
     assert abs(d_b - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_change_connection_is_float_for_an_exact_connection():
+    pt = (Fraction(1, 2), Fraction(-1, 4))
+    js, conn = _conn(GENERIC, pt, order=8)
+    assert js.exact
+    f_jet = ex.eval_jet(ex.parse_expr("x*y/3 - y^2/5"), pt, conn.order,
+                        "float")
+    changed = change_connection(conn, f_jet)
+    by_hand = change_connection(AffineConnection(
+        tuple(tuple(tuple(e.to_float() for e in r) for r in plane)
+              for plane in conn.gamma),
+        conn.s.to_float(),
+    ), f_jet)
+    entries = [e for plane in changed.gamma for r in plane for e in r]
+    expected = [e for plane in by_hand.gamma for r in plane for e in r]
+    assert not any(e.exact for e in entries + [changed.s])
+    assert entries == expected
+    assert changed.s == by_hand.s
+    assert changed.order == conn.order - 1
