@@ -281,16 +281,19 @@ def cmd_tractor(job, mode):
     # the values are constant terms; the changed connection drops one order
     needed = STACK_ORDER if f_expr is None else STACK_ORDER + 1
     order = min(job.order, needed)
+    # only `change_connection` reads that extra order: the unchanged route
+    # runs on the connection and A-jets truncated back to STACK_ORDER
+    low = min(order, STACK_ORDER)
     points = []
     for p in job.points:
         js = JetStructure.at(job.structure, p, order, mode)
         conn = AffineConnection.from_structure(js)
-        td = tractor_data(conn)
+        td = tractor_data(conn.truncated(low))
         theta = theta_bar(td)
         vals = theta_values(theta)
         det_direct = linalg.det(vals)
         contraction = det_by_contraction(vals)
-        m = matrix_M(js)
+        m = matrix_M(JetStructure(tuple(a.truncated(low) for a in js.a)))
         entry = {
             "point": [p[0], p[1]],
             "mode": "exact" if js.exact else "float",

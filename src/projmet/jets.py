@@ -22,10 +22,25 @@ becomes the correctly rounded integer division numerator / denominator,
 which is its Fraction's float().  The elementary transcendental functions
 (exp, log, sin, cos, sqrt) always force float.  Integer powers of exact jets
 stay exact.
+
+Performance.  Products are the innermost loop of every command, since each
+covariant derivative is a sum of them.  A product with a zero operand is
+the zero table at once.  Of the others, the first 31 at a truncation order
+run a nested loop that skips zero factors; the 32nd (KERNEL_AT) compiles
+straight-line code for that order, one expression per output cell with the
+terms in the loop's order, and every later product at that order runs it,
+six to ten times faster than the loop.  The results are the loop's bit
+for bit.  Where the kernel meets inf * 0, a product the loop skips, its
+table holds a nan, and a float product with a non-finite cell is
+recomputed by the loop.  Compiling costs about 5 us per term (about 1 ms
+at order 5 and 3 ms at order 8) and happens once per order and process,
+never at import: a one-shot run that multiplies a few jets pays nothing,
+and a process that runs many jobs pays it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from math import gcd
@@ -398,7 +413,71 @@ def _scaled(rows, m):
     return [tuple([c * m for c in row]) for row in rows]
 
 
+# The product, counted per truncation order, that compiles the order's
+# kernel; the ones before it run the loop.  Compiling costs about 5 us per
+# term (3 ms at order 8), which a job that multiplies a handful of jets
+# would not earn back.
+KERNEL_AT = 32
+
+_loop_products = {}  # order -> products the loop has multiplied
+
+
 def _convolve(a, b, n, zero):
+    """The truncated Cauchy product of two tables, accumulated into `zero`.
+
+    A zero operand gives the zero table, as the loop would, without
+    multiplying; in exact structures such as Painleve I most products have
+    one.  Of the others, the first KERNEL_AT - 1 at an order run
+    `_loop_convolve`; the next one compiles that order's `_product_kernel`,
+    which serves all later ones.  Both give the same table, bit for bit,
+    when the kernel's is finite.  Otherwise the kernel may have met
+    inf * 0, which the loop skips, so a float product with a non-finite
+    cell runs the loop again (a finite table whose sum overflows does too,
+    harmlessly)."""
+    # a nonzero constant term settles most tables without scanning them
+    if not ((a[0][0] or any(map(any, a))) and (b[0][0] or any(map(any, b)))):
+        return _zero_rows(n, zero)
+    count = _loop_products.get(n, 0) + 1
+    if count < KERNEL_AT:
+        _loop_products[n] = count
+        return _loop_convolve(a, b, n, zero)
+    rows = _product_kernel(n)(a, b, zero)
+    if isinstance(zero, float) and not math.isfinite(sum(map(sum, rows))):
+        return _loop_convolve(a, b, n, zero)
+    return rows
+
+
+@functools.cache
+def _product_kernel(n):
+    """`product(a, b, zero)`: the order-n Cauchy product as straight-line
+    code.  It unpacks both tables into locals and returns each cell (p, q)
+    as zero + a0_0*b{p}_{q} + a0_1*b{p}_{q-1} + ..., the terms in the
+    lexicographic (i, j) order in which `_loop_convolve` accumulates them.
+    The loop skips a zero factor; the kernel adds its product, +-0.0 for a
+    finite float, to an accumulator that starts at +0.0 and so never
+    becomes -0.0, which leaves every finite cell unchanged.  Integer
+    tables are exact either way."""
+    def table(t):
+        return "[%s]" % ", ".join(
+            "[%s]" % ", ".join("%s%d_%d" % (t, i, j) for j in range(n - i + 1))
+            for i in range(n + 1))
+
+    def cell(p, q):
+        return " + ".join(["zero"] + [
+            "a%d_%d*b%d_%d" % (i, j, p - i, q - j)
+            for i in range(p + 1) for j in range(q + 1)])
+
+    rows = ", ".join(
+        "(%s,)" % ", ".join(cell(p, q) for q in range(n - p + 1))
+        for p in range(n + 1))
+    source = "def product(a, b, zero):\n    %s = a\n    %s = b\n" \
+        "    return [%s]\n" % (table("a"), table("b"), rows)
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<product kernel %d>" % n, "exec"), namespace)
+    return namespace["product"]
+
+
+def _loop_convolve(a, b, n, zero):
     """The truncated Cauchy product of two tables, accumulated into `zero`
     in a fixed order and skipping zero factors."""
     rows = _zeros(n, zero)

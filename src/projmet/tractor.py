@@ -27,10 +27,12 @@ of the scale change, which is the invariance statement the tests pin down.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from . import jets as jetlib
 from .jets import Jet, InsufficientOrderError
@@ -77,6 +79,9 @@ class AffineConnection:
 
     def rescaled(self, lam):
         return AffineConnection(self.gamma, self.s * lam)
+
+    def truncated(self, m):
+        return AffineConnection(_truncated(self.gamma, m), self.s.truncated(m))
 
 
 def _truncated(t, m):
@@ -336,35 +341,62 @@ def det_by_contraction(mat):
 
 def _contract(mat, weights):
     w0, w1, w2, w3, w4, w5, w6, w7, w8 = weights
+    cells = [v for row in mat for v in row]
     total = 0
+    for sign, factors in _contraction_plan():
+        (a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5,
+         c0, c1, c2, c3, c4, c5, d0, d1, d2, d3, d4, d5,
+         e0, e1, e2, e3, e4, e5, f0, f1, f2, f3, f4, f5,
+         g0, g1, g2, g3, g4, g5, h0, h1, h2, h3, h4, h5,
+         i0, i1, i2, i3, i4, i5) = factors(cells)
+        bracket = (
+            w0 * a0 * a1 * a2 * a3 * a4 * a5
+            - w1 * b0 * b1 * b2 * b3 * b4 * b5
+            - w2 * c0 * c1 * c2 * c3 * c4 * c5
+            - w3 * d0 * d1 * d2 * d3 * d4 * d5
+            + w4 * e0 * e1 * e2 * e3 * e4 * e5
+            - w5 * f0 * f1 * f2 * f3 * f4 * f5
+            - w6 * g0 * g1 * g2 * g3 * g4 * g5
+            - w7 * h0 * h1 * h2 * h3 * h4 * h5
+            - w8 * i0 * i1 * i2 * i3 * i4 * i5
+        )
+        total = total + sign * bracket
+    return total
+
+
+@functools.cache
+def _contraction_plan():
+    """For each alternating assignment, its epsilon sign and a getter of
+    the 54 factors of its bracket from the flattened matrix: six per term,
+    in the order `_contract` multiplies them.  Built on first use."""
+    mat = [[6 * r + c for c in range(6)] for r in range(6)]
+    plan = []
     for combo in product(_EPS_PAIRS, repeat=8):
         sign = 1
         for (_, _, eps) in combo:
             sign *= eps
         (a, b), (c, d), (e, f), (g, h) = [(t[0], t[1]) for t in combo[:4]]
         (i, j), (k, l), (m, n), (p, q) = [(t[0], t[1]) for t in combo[4:]]
-        bracket = (
-            w0 * Q(mat, g, i) * S(mat, m, p) * T(mat, n, j, k) * U(mat, a, c)
-            * V(mat, d, e, q) * X(mat, b, f, h, l)
-            - w1 * P(mat, p) * R(mat, m) * S(mat, n, q) * X(mat, a, c, g, i)
-            * X(mat, b, e, h, k) * X(mat, d, f, j, l)
-            - w2 * P(mat, p) * S(mat, m, q) * T(mat, n, j, l) * U(mat, c, e)
-            * X(mat, a, d, g, k) * X(mat, b, f, h, i)
-            - w3 * P(mat, p) * T(mat, m, g, i) * T(mat, n, j, k)
-            * U(mat, a, c) * V(mat, d, e, q) * X(mat, b, f, h, l)
-            + w4 * P(mat, p) * R(mat, m) * T(mat, n, g, i) * V(mat, a, c, q)
-            * X(mat, d, e, j, k) * X(mat, b, f, h, l)
-            - w5 * Q(mat, g, i) * R(mat, m) * S(mat, n, p) * V(mat, a, c, q)
-            * X(mat, d, e, j, k) * X(mat, b, f, h, l)
-            - w6 * Q(mat, g, i) * R(mat, m) * T(mat, n, j, k)
-            * V(mat, a, c, p) * V(mat, d, e, q) * X(mat, b, f, h, l)
-            - w7 * Q(mat, g, i) * S(mat, m, p) * S(mat, n, q) * U(mat, a, c)
-            * X(mat, d, e, j, k) * X(mat, b, f, h, l)
-            - w8 * Q(mat, g, i) * T(mat, m, j, k) * T(mat, n, h, l)
-            * U(mat, a, c) * V(mat, d, e, p) * V(mat, b, f, q)
-        )
-        total = total + sign * bracket
-    return total
+        plan.append((sign, itemgetter(
+            Q(mat, g, i), S(mat, m, p), T(mat, n, j, k), U(mat, a, c),
+            V(mat, d, e, q), X(mat, b, f, h, l),
+            P(mat, p), R(mat, m), S(mat, n, q), X(mat, a, c, g, i),
+            X(mat, b, e, h, k), X(mat, d, f, j, l),
+            P(mat, p), S(mat, m, q), T(mat, n, j, l), U(mat, c, e),
+            X(mat, a, d, g, k), X(mat, b, f, h, i),
+            P(mat, p), T(mat, m, g, i), T(mat, n, j, k), U(mat, a, c),
+            V(mat, d, e, q), X(mat, b, f, h, l),
+            P(mat, p), R(mat, m), T(mat, n, g, i), V(mat, a, c, q),
+            X(mat, d, e, j, k), X(mat, b, f, h, l),
+            Q(mat, g, i), R(mat, m), S(mat, n, p), V(mat, a, c, q),
+            X(mat, d, e, j, k), X(mat, b, f, h, l),
+            Q(mat, g, i), R(mat, m), T(mat, n, j, k), V(mat, a, c, p),
+            V(mat, d, e, q), X(mat, b, f, h, l),
+            Q(mat, g, i), S(mat, m, p), S(mat, n, q), U(mat, a, c),
+            X(mat, d, e, j, k), X(mat, b, f, h, l),
+            Q(mat, g, i), T(mat, m, j, k), T(mat, n, h, l), U(mat, a, c),
+            V(mat, d, e, p), V(mat, b, f, q))))
+    return plan
 
 
 # ---------------- projective change ----------------

@@ -7,14 +7,20 @@ change `"change": "x*y/3 - y^2/5"` added, and `code` is what `main` returned.
 The files were rendered that way before exact jets moved to integer tables,
 and were not edited since. Inputs with transcendental calls keep their
 exit-3 reports in rational mode.
+
+Jet products run through a loop or a compiled kernel (`jets._convolve`);
+the reports are also rendered with every product on one of the two paths.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from projmet import cli
+from projmet import cli, jets
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -34,8 +40,7 @@ def test_every_input_command_and_mode_has_a_golden_report():
     assert sorted(c.rsplit(".", 2)[0] for c in CASES) == expected
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_report_is_byte_identical(case, tmp_path, capsys):
+def _assert_golden(case, tmp_path, capsys):
     name, command, mode, exit_tag, _ = case.split(".")
     data = json.loads((ROOT / "inputs" / (name + ".json")).read_text())
     job = tmp_path / "job.json"
@@ -44,3 +49,34 @@ def test_report_is_byte_identical(case, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == int(exit_tag[len("exit"):])
     assert out == (GOLDEN / case).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_is_byte_identical(case, tmp_path, capsys):
+    _assert_golden(case, tmp_path, capsys)
+
+
+# KERNEL_AT 0 sends every product through the compiled kernel, and a
+# threshold above any count sends every product through the loop.
+PRODUCT_PATHS = {"kernel": 0, "loop": float("inf")}
+
+
+@pytest.mark.parametrize("path", sorted(PRODUCT_PATHS))
+@pytest.mark.parametrize("case", CASES)
+def test_report_is_byte_identical_on_one_product_path(
+        case, path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(jets, "KERNEL_AT", PRODUCT_PATHS[path])
+    _assert_golden(case, tmp_path, capsys)
+
+
+def test_import_compiles_no_product_kernel():
+    # a fresh interpreter, so that no earlier test has multiplied jets
+    probe = ("import projmet, projmet.cli\n"
+             "from projmet import jets, tractor\n"
+             "print(jets._product_kernel.cache_info().currsize,"
+             " tractor._contraction_plan.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+                         ).stdout
+    assert out.split() == ["0", "0"]

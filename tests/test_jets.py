@@ -536,3 +536,99 @@ def test_float_scalar_product_underflow_gives_positive_zero():
     for product in (jet * 1e-200, 1e-200 * jet):
         assert [[c.hex() for c in row] for row in product.coeffs] == \
             [["0x0.0p+0", (2e-200).hex()], ["0x0.0p+0"]]
+
+
+# ---------------- compiled product kernels ----------------
+#
+# `_product_kernel(n)` must give `_loop_convolve`'s table bit for bit
+# whenever its own table is finite; `_convolve` runs the loop again when it
+# is not, and returns the zero table for a zero operand, so through
+# `_convolve` the two agree on every input.
+
+_kernel_finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, -5e-324, 2.5e-308,
+                     1e-160]),
+    st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300))
+_kernel_any = st.one_of(
+    _kernel_finite,
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+_kernel_int = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
+                        st.sampled_from([2**61 - 1, -2**63, 3**40]))
+
+
+@st.composite
+def kernel_tables(draw, n, coeff, zero):
+    """A dense, sparse or constant triangular table of order n."""
+    shape = draw(st.sampled_from(["dense", "sparse", "constant"]))
+    cells = [(i, j) for i in range(n + 1) for j in range(n - i + 1)]
+    rows = [[zero] * (n - i + 1) for i in range(n + 1)]
+    if shape == "constant":
+        cells = cells[:1]
+    elif shape == "sparse":
+        cells = draw(st.lists(st.sampled_from(cells), max_size=4))
+    for i, j in cells:
+        rows[i][j] = draw(coeff)
+    return rows
+
+
+@st.composite
+def kernel_pairs(draw, coeff, zero):
+    n = draw(st.integers(0, 16))
+    return n, draw(kernel_tables(n, coeff, zero)), \
+        draw(kernel_tables(n, coeff, zero))
+
+
+def _table_bits(rows):
+    return [[_bits(c) for c in row] for row in rows]
+
+
+@ORACLE
+@given(kernel_pairs(_kernel_int, 0))
+def test_integer_kernel_matches_loop(case):
+    n, a, b = case
+    loop = _table_bits(jets._loop_convolve(a, b, n, 0))
+    assert _table_bits(jets._product_kernel(n)(a, b, 0)) == loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "KERNEL_AT", 0)
+        assert _table_bits(jets._convolve(a, b, n, 0)) == loop
+
+
+@ORACLE
+@given(kernel_pairs(_kernel_finite, 0.0))
+def test_float_kernel_matches_loop_bit_for_bit(case):
+    n, a, b = case
+    assert _table_bits(jets._product_kernel(n)(a, b, 0.0)) == \
+        _table_bits(jets._loop_convolve(a, b, n, 0.0))
+
+
+@ORACLE
+@given(kernel_pairs(_kernel_any, 0.0))
+def test_non_finite_kernel_products_fall_back_to_the_loop(case):
+    n, a, b = case
+    loop = _table_bits(jets._loop_convolve(a, b, n, 0.0))
+    kernel = jets._product_kernel(n)(a, b, 0.0)
+    if all(math.isfinite(c) for row in kernel for c in row):
+        assert _table_bits(kernel) == loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "KERNEL_AT", 0)
+        assert _table_bits(jets._convolve(a, b, n, 0.0)) == loop
+
+
+def test_an_orders_kernel_is_compiled_at_its_32nd_product(monkeypatch):
+    assert jets.KERNEL_AT == 32
+    monkeypatch.setattr(jets, "_loop_products", {})
+    jets._product_kernel.cache_clear()
+    x = jet_x((Fraction(1), Fraction(2)), 3)
+    y = jet_y((0.5, 0.25), 4)
+    zero = Jet.constant(0, x.base, 3)
+    for _ in range(40):  # a zero operand multiplies nothing and counts nothing
+        assert (x * zero).is_zero()
+    for _ in range(31):
+        x * x
+        y * y
+    assert jets._product_kernel.cache_info().currsize == 0
+    assert x * x == Jet(x.base, 3, [[1, 0, 0, 0], [2, 0, 0], [1, 0], [0]])
+    assert jets._product_kernel.cache_info().currsize == 1
+    y * y
+    assert jets._product_kernel.cache_info().currsize == 2
