@@ -76,10 +76,16 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 # Size caps on a job, checked before any jet work: the invariants cost
-# about order^4 jet operations and a recovery grid n^2 substeps nodes.
+# about order^4 jet operations and a recovery grid n^2 substeps nodes.  In
+# exact arithmetic every operation also grows with the bits of the numbers
+# it multiplies, which a point or literal brings in and a power multiplies,
+# so exponents (as a product along a chain of nested powers) and the bits
+# of an exact numerator or denominator are capped too.
 MAX_ORDER = 16
 MAX_GRID_N = 201
 MAX_SUBSTEPS = 64
+MAX_EXPONENT = 16
+MAX_EXACT_BITS = 64
 
 
 class InputError(Exception):
@@ -115,10 +121,39 @@ def _scalar_in(v, what):
             value = to_scalar(v)
             if isinstance(value, Fraction) or math.isfinite(value):
                 return value
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         pass
     raise InputError("%s: expected a finite number or a rational string, "
                      "got %r" % (what, v))
+
+
+def _bits(q):
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _exact_in(v, what):
+    """A job number that exact arithmetic may carry into every jet."""
+    value = _scalar_in(v, what)
+    if isinstance(value, Fraction) and _bits(value) > MAX_EXACT_BITS:
+        raise InputError("%s: %r has a numerator or denominator of more "
+                         "than %d bits" % (what, v, MAX_EXACT_BITS))
+    return value
+
+
+def _expr_sizes(t):
+    """The largest product of |exponents| along a chain of nested powers
+    of a tree, and the most bits of a literal's numerator or denominator."""
+    if isinstance(t, ex.Num):
+        return 1, _bits(t.value)
+    if isinstance(t, ex.Pow):
+        power, bits = _expr_sizes(t.base)
+        return abs(t.exponent) * power, bits
+    if isinstance(t, ex.BinOp):
+        (p1, b1), (p2, b2) = _expr_sizes(t.left), _expr_sizes(t.right)
+        return max(p1, p2), max(b1, b2)
+    if isinstance(t, (ex.Neg, ex.Call)):
+        return _expr_sizes(t.arg)
+    return 1, 0
 
 
 def _float_in(v, what):
@@ -162,9 +197,17 @@ class Job:
         if not isinstance(src, str):
             raise InputError("%s must be an expression string" % what)
         try:
-            return parse_expr(src)
+            tree = parse_expr(src)
         except ExprError as err:
             raise InputError("%s: %s" % (what, err)) from err
+        power, bits = _expr_sizes(tree)
+        if power > MAX_EXPONENT:
+            raise InputError("%s: nested powers reach exponent %d, more "
+                             "than %d" % (what, power, MAX_EXPONENT))
+        if bits > MAX_EXACT_BITS:
+            raise InputError("%s: a number has a numerator or denominator "
+                             "of more than %d bits" % (what, MAX_EXACT_BITS))
+        return tree
 
     def _build_structure(self, data):
         try:
@@ -192,7 +235,7 @@ class Job:
                     'lambda jobs need a non-empty "p_coeffs" list')
             lam = LambdaPoly(tuple(
                 self._parse(c, "p_coeffs[%d]" % i) if isinstance(c, str)
-                else ex.num(_scalar_in(c, "p_coeffs[%d]" % i))
+                else ex.num(_exact_in(c, "p_coeffs[%d]" % i))
                 for i, c in enumerate(coeffs)
             ))
             return ode_from_lambda(lam)
@@ -208,8 +251,8 @@ class Job:
             if not isinstance(p, list) or len(p) != 2:
                 raise InputError("each point must be a two-element list")
             out.append((
-                _scalar_in(p[0], "point x"),
-                _scalar_in(p[1], "point y"),
+                _exact_in(p[0], "point x"),
+                _exact_in(p[1], "point y"),
             ))
         return out
 
@@ -234,8 +277,7 @@ def _verdict_exit(verdict):
 
 
 def cmd_invariants(job, mode):
-    slope = job.data.get("slope", 0)
-    slope = _scalar_in(slope, "slope")
+    slope = _exact_in(job.data.get("slope", 0), "slope")
     order = min(job.order, MATRIX_M_ORDER)  # every value is a constant term
     points = []
     for p in job.points:
@@ -274,44 +316,37 @@ def cmd_tractor(job, mode):
     change_src = job.data.get("change")
     f_expr = None
     if change_src is not None:
-        try:
-            f_expr = parse_expr(change_src)
-        except ExprError as err:
-            raise InputError('"change": %s' % err) from err
+        f_expr = job._parse(change_src, '"change"')
     # the values are constant terms; the changed connection drops one order
     needed = STACK_ORDER if f_expr is None else STACK_ORDER + 1
     order = min(job.order, needed)
-    # only `change_connection` reads that extra order: the unchanged route
-    # runs on the connection and A-jets truncated back to STACK_ORDER
-    low = min(order, STACK_ORDER)
     points = []
     for p in job.points:
         js = JetStructure.at(job.structure, p, order, mode)
-        conn = AffineConnection.from_structure(js)
-        td = tractor_data(conn.truncated(low))
-        theta = theta_bar(td)
+        # only `change_connection` reads the extra order
+        low = JetStructure(tuple(a.truncated(STACK_ORDER) for a in js.a))
+        theta = theta_bar(tractor_data(AffineConnection.from_structure(low)))
         vals = theta_values(theta)
         det_direct = linalg.det(vals)
         contraction = det_by_contraction(vals)
-        m = matrix_M(JetStructure(tuple(a.truncated(low) for a in js.a)))
         entry = {
             "point": [p[0], p[1]],
             "mode": "exact" if js.exact else "float",
-            "det_M": linalg.det(m),
+            "det_M": linalg.det(matrix_M(low)),
             "det_theta": det_direct,
             "D": det_direct / 4320,
             "contraction": contraction,
             "contraction_agrees": _close(contraction, det_direct),
         }
         if f_expr is not None:
-            entry["change"] = _change_block(js, conn, theta, det_direct,
-                                            f_expr, p)
+            entry["change"] = _change_block(js, theta, det_direct, f_expr,
+                                            p)
         points.append(entry)
     report = {"command": "tractor", "order": job.order, "points": points}
     return report, EXIT_OK
 
 
-def _change_block(js, conn, theta, det_theta, f_expr, point):
+def _change_block(js, theta, det_theta, f_expr, point):
     target = theta[0][0].order
     wx = ex.eval_jet(ex.differentiate(f_expr, "x"), point, target,
                      "float" if not js.exact else "auto")
@@ -320,6 +355,7 @@ def _change_block(js, conn, theta, det_theta, f_expr, point):
     theta_a = projective_change(theta, (wx, wy))
     det_a = linalg.det(theta_values(theta_a))
 
+    conn = AffineConnection.from_structure(js)
     f_jet = ex.eval_jet(f_expr, point, conn.order, "float")
     theta_b = theta_bar(tractor_data(change_connection(conn, f_jet)))
     det_b = linalg.det(theta_values(theta_b))
@@ -386,8 +422,18 @@ def _centre_witness(job, mode, rep, centre):
     return at.witness
 
 
+def _witness_in(job):
+    witness = job.data.get("witness")
+    if witness is None:
+        return None
+    if not isinstance(witness, list) or len(witness) != 6:
+        raise InputError('"witness" must be a list of six numbers')
+    return tuple(_float_in(v, "witness") for v in witness)
+
+
 def cmd_recover(job, mode):
     grid = _grid_in(job)
+    witness = _witness_in(job)
     rep = decide_metrisability(
         job.structure, job.points, job.order, job.tolerance, mode
     )
@@ -401,13 +447,8 @@ def cmd_recover(job, mode):
             if code == EXIT_NEGATIVE else "verdict inconclusive",
         }, code
 
-    witness = job.data.get("witness")
     if witness is None:
         witness = _centre_witness(job, mode, rep, grid.center)
-    else:
-        if not isinstance(witness, list) or len(witness) != 6:
-            raise InputError('"witness" must be a list of six numbers')
-        witness = tuple(_float_in(v, "witness") for v in witness)
 
     try:
         result = recover_metric(job.structure, witness, grid)

@@ -381,13 +381,9 @@ def _row_values(row):
 
 
 def _level_rows(js, depth):
-    rows = []
-    names = []
-    for k, level in enumerate(js.levels(depth)):
-        for i, row in enumerate(level):
-            rows.append(_row_values(row))
-            names.append("x" * (k - i) + "y" * i if k else "V")
-    return rows, names
+    """Values of the symmetrised derivative rows of V through `depth`, level
+    by level: the rows through level k are the first (k+1)(k+2)/2."""
+    return [_row_values(row) for level in js.levels(depth) for row in level]
 
 
 # The jet order matrix_M needs: levels(2) reads derivative level 2 of V, and
@@ -397,14 +393,12 @@ MATRIX_M_ORDER = 5
 
 def matrix_M(js):
     """The 6x6 stack (V, D_xV, D_yV, D_(xx)V, D_(xy)V, D_(yy)V) of values."""
-    rows, _ = _level_rows(js, 2)
-    return rows
+    return _level_rows(js, 2)
 
 
 def matrix_Mmax(js):
     """All symmetrised derivative rows of V through order five: 21 x 6."""
-    rows, _ = _level_rows(js, 5)
-    return rows
+    return _level_rows(js, 5)
 
 
 @dataclass
@@ -412,7 +406,6 @@ class EResult:
     e1: object
     e2: object
     fallback: bool
-    rows_used: tuple
 
 
 def sixth_order_E(js, tol=1e-9):
@@ -425,14 +418,13 @@ def sixth_order_E(js, tol=1e-9):
     the alternative tops.  Returns None for both when no five independent
     rows exist (the rank has dropped; the stratified stacks apply instead).
     """
-    rows, names = _level_rows(js, 3)
+    rows = _level_rows(js, 3)
     std = [0, 1, 2, 3, 5]
     base = [rows[i] for i in std]
     if linalg.rank_kernel(base, tol).rank == 5:
         e1 = linalg.det(base + [rows[6]])
         e2 = linalg.det(base + [rows[9]])
-        return EResult(e1, e2, False,
-                       tuple(names[i] for i in std + [6]) + (names[9],))
+        return EResult(e1, e2, False)
     chosen = []
     for i in range(len(rows)):
         if len(chosen) == 5:
@@ -442,21 +434,19 @@ def sixth_order_E(js, tol=1e-9):
         if linalg.rank_kernel(trial, tol).rank == len(trial):
             chosen.append(i)
     else:
-        return EResult(None, None, True, ())
+        return EResult(None, None, True)
     if len(tops) < 2:
-        return EResult(None, None, True, ())
+        return EResult(None, None, True)
     base = [rows[j] for j in chosen]
     e1 = linalg.det(base + [rows[tops[0]]])
     e2 = linalg.det(base + [rows[tops[1]]])
-    return EResult(e1, e2, True,
-                   tuple(names[j] for j in chosen + tops))
+    return EResult(e1, e2, True)
 
 
 @dataclass
 class StratifiedResult:
     value: object
     rows_used: tuple
-    swapped: bool
 
 
 def stratified_obstruction(js, rank_case, tol=1e-9):
@@ -471,12 +461,12 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
     if rank_case not in (3, 4):
         raise ValueError("stratified stacks exist for rank 3 or 4 only")
 
-    def build(words, guard_words, swapped):
+    def build(words, guard_words):
         guard = [_row_values(js.row(w)) for w in guard_words]
         if linalg.rank_kernel(guard, tol).rank != len(guard):
             return None
         rows = [_row_values(js.row(w)) for w in words]
-        return StratifiedResult(linalg.det(rows), tuple(words), swapped)
+        return StratifiedResult(linalg.det(rows), tuple(words))
 
     if rank_case == 3:
         words = ("", "x", "xx", "xxx", "xxxx", "xxxxx")
@@ -485,13 +475,12 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
         words = ("", "x", "xy", "xx", "xxx", "xxxx")
         guards = ("", "x", "y", "xx")
 
-    res = build(words, guards, False)
+    res = build(words, guards)
     if res is not None:
         return res
     swap = str.maketrans("xy", "yx")
-    res = build(tuple(w.translate(swap) for w in words),
-                tuple(g.translate(swap) for g in guards), True)
-    return res
+    return build(tuple(w.translate(swap) for w in words),
+                 tuple(g.translate(swap) for g in guards))
 
 
 # ---------------- solution space dimension ----------------
@@ -501,7 +490,6 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
 class CartanResult:
     stacks: list            # RankResult of the stack through each level
     stabilized_at: object
-    stabilized_rank: object
     s_dim: object
     koenigs_ok: object
 
@@ -528,18 +516,14 @@ def cartan_stabilize(js, tol=1e-9):
     if k_cap < 0:
         raise InsufficientOrderError(4, js.order)
 
-    stacks = []
-    rows = []
-    for k in range(k_cap + 2):
-        for row in js.levels(k)[k]:
-            rows.append(_row_values(row))
-        stacks.append(linalg.rank_kernel(rows, tol))
+    rows = _level_rows(js, k_cap + 1)
+    stacks = [linalg.rank_kernel(rows[:(k + 1) * (k + 2) // 2], tol)
+              for k in range(k_cap + 2)]
     for k in range(k_cap + 1):
-        rank = stacks[k].rank
-        if rank == stacks[k + 1].rank:
-            s = 6 - rank
-            return CartanResult(stacks, k, rank, s, s != 5)
-    return CartanResult(stacks, None, None, None, None)
+        if stacks[k].rank == stacks[k + 1].rank:
+            s = 6 - stacks[k].rank
+            return CartanResult(stacks, k, s, s != 5)
+    return CartanResult(stacks, None, None, None)
 
 
 # ---------------- degenerate-branch scalar obstruction ----------------

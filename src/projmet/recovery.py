@@ -217,7 +217,7 @@ def _march(omegas, grid, seed, first_axis):
     return psi
 
 
-def transport(structure, seed, grid, raise_on_defect=True):
+def transport(structure, seed, grid):
     """Parallel-transport the seed over the grid.
 
     The section is computed along x-then-y paths; y-then-x paths provide
@@ -243,16 +243,13 @@ def transport(structure, seed, grid, raise_on_defect=True):
         d = max(abs(a - b) for a, b in zip(va, vb))
         defects[key] = d
         worst = max(worst, d)
-    if raise_on_defect and worst > LOOP_TOL:
-        raise PathDependenceError(worst)
-    section = PsiSection(
+    return PsiSection(
         grid,
         tuple(seed),
         {k: tuple(v) for k, v in psi_a.items()},
         worst,
         defects,
     )
-    return section
 
 
 def reconstruct_metric(section):
@@ -335,7 +332,11 @@ def roundtrip_residual(metric, structure):
 
 
 def recover_metric(structure, witness, grid):
+    """Transport the witness over the grid, refuse a loop defect above
+    LOOP_TOL, and reconstruct the metric from the section."""
     section = transport(structure, witness, grid)
+    if section.defect > LOOP_TOL:
+        raise PathDependenceError(section.defect)
     metric = reconstruct_metric(section)
     return RecoveryResult(section, metric,
                           roundtrip_residual(metric, structure))

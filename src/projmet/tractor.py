@@ -80,9 +80,6 @@ class AffineConnection:
     def rescaled(self, lam):
         return AffineConnection(self.gamma, self.s * lam)
 
-    def truncated(self, m):
-        return AffineConnection(_truncated(self.gamma, m), self.s.truncated(m))
-
 
 def _truncated(t, m):
     """A jet, or nested lists of jets, truncated to order m."""

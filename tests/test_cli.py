@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -213,6 +214,55 @@ def test_job_over_a_cap_exits_three_before_jet_work(
     assert cap in report["error"]
     assert str(value - 1) in report["error"]
 
+
+
+SELFTEST_ODE_EXACT = {"kind": "ode", "A0": "x^2*y", "A1": "y^2", "A2": "x*y",
+                      "A3": "x+1"}
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"kind": "metric", "E": "1+x^100000", "G": "1", "points": [[2, 0]]},
+     "E: nested powers reach exponent 100000, more than 16"),
+    (dict(SELFTEST_ODE_EXACT, points=[["1e1000", 1]]),
+     "point x: '1e1000' has a numerator or denominator of more than 64 "
+     "bits"),
+    (dict(SELFTEST_ODE_EXACT, points=[["1e10000", 1]]),
+     "point x: '1e10000' has a numerator or denominator of more than 64 "
+     "bits"),
+], ids=["metric-power", "point-1e1000", "point-1e10000"])
+def test_oversized_exact_input_exits_three_before_jet_work(
+        tmp_path, capsys, monkeypatch, data, error):
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet work started")
+
+    monkeypatch.setattr(cli, "ode_from_metric", no_jets)
+    monkeypatch.setattr(cli, "decide_metrisability", no_jets)
+    code, report = run_cli(capsys, "check", "--input",
+                           _write_job(tmp_path, data))
+    assert code == 3
+    assert report["error"] == error
+
+
+def test_a_job_at_the_size_caps_is_accepted():
+    at_cap = "%d/%d" % (2 ** cli.MAX_EXACT_BITS - 1, 3)
+    nested = "(x^2)^%d" % (cli.MAX_EXPONENT // 2)
+    job = cli.Job({"kind": "ode", "A0": "%s - %s" % (nested, at_cap),
+                   "points": [[at_cap, 0]]})
+    assert job.points == [(Fraction(at_cap), 0)]
+
+
+def test_recover_refuses_a_bad_witness_before_any_analysis(
+        tmp_path, capsys, monkeypatch):
+    # a structure recover would refuse as not metrisable
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet work started")
+
+    monkeypatch.setattr(cli, "decide_metrisability", no_jets)
+    job = _write_job(tmp_path, {"kind": "ode", "A0": "6*y^2+x",
+                                "points": [[0, 0]], "witness": [1, 2]})
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 3
+    assert report["error"] == '"witness" must be a list of six numbers'
 
 
 def test_recover_grid_size_must_be_an_integer(tmp_path, capsys):
@@ -477,6 +527,20 @@ BAD_INPUTS = [
     ("check", _exp_family(tolerance="1e-9"), "tolerance"),
     ("check", _exp_family(order=True), "order"),
     ("check", _exp_family(order=10.0), "order"),
+    ("tractor", {"kind": "ode", "A0": "x", "points": [[0, 0]], "change": 5},
+     '"change"'),
+    ("check", {"kind": "ode", "A0": "x", "points": [["1/0", 0]]},
+     "point x"),
+    ("invariants", _exp_family(slope="1/0"), "slope"),
+    ("recover", _exp_family(grid={"center": ["1/0", 0]}), "grid.center"),
+    ("recover", _exp_family(witness=[1, "1/0", 1, 0, 0, 0]), "witness"),
+    ("check", {"kind": "ode", "A0": "((x^2)^3)^3", "points": [[0, 0]]},
+     "exponent 18"),
+    ("check", {"kind": "ode", "A0": "x/%d" % 2 ** 64, "points": [[0, 0]]},
+     "A0: a number"),
+    ("invariants", _exp_family(slope=2 ** 64), "slope"),
+    ("check", {"kind": "lambda", "p_coeffs": ["1/%d" % 2 ** 64, 0, 0, 0],
+               "points": [[0, 0]]}, "p_coeffs[0]"),
 ]
 
 
@@ -486,7 +550,9 @@ BAD_INPUTS = [
     "empty-points", "three-entry-point", "grid-list", "one-entry-centre",
     "n-1", "h-0", "change", "n-string", "n-fraction", "n-float",
     "substeps-bool", "substeps-string", "tolerance-bool", "tolerance-string",
-    "order-bool", "order-float"])
+    "order-bool", "order-float", "change-number", "point-over-zero",
+    "slope-over-zero", "centre-over-zero", "witness-over-zero",
+    "nested-exponent", "literal-bits", "slope-bits", "p_coeffs-bits"])
 def test_bad_input_exits_three_naming_the_field(tmp_path, capsys, command,
                                                 data, field):
     code, report = run_cli(capsys, command, "--input",

@@ -1,12 +1,14 @@
-"""Golden reports: `check`, `invariants` and `tractor` stay byte-identical.
+"""Golden reports: `check`, `invariants`, `tractor` and `recover` stay
+byte-identical.
 
 Each file under `tests/golden/` is named `<input>.<command>.<mode>.exit<code>
 .json`. It holds the stdout of `projmet.cli.main([command, "--input", job,
 "--mode", mode])`, where `job` is `inputs/<input>.json` with the projective
 change `"change": "x*y/3 - y^2/5"` added, and `code` is what `main` returned.
-The files were rendered that way before exact jets moved to integer tables,
-and were not edited since. Inputs with transcendental calls keep their
-exit-3 reports in rational mode.
+The `check`, `invariants` and `tractor` files were rendered that way before
+exact jets moved to integer tables, the `recover` files before the transport
+lost its `raise_on_defect` switch, and none was edited since. Inputs with
+transcendental calls keep their exit-3 reports in rational mode.
 
 Jet products run through a loop or a compiled kernel (`jets._convolve`);
 the reports are also rendered with every product on one of the two paths.
@@ -34,7 +36,7 @@ def test_every_input_command_and_mode_has_a_golden_report():
     expected = sorted(
         "%s.%s.%s" % (name, command, mode)
         for name in inputs
-        for command in ("check", "invariants", "tractor")
+        for command in ("check", "invariants", "tractor", "recover")
         for mode in ("rational", "float")
     )
     assert sorted(c.rsplit(".", 2)[0] for c in CASES) == expected

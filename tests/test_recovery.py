@@ -96,11 +96,13 @@ def test_lorentzian_witness_signature():
 def test_path_dependence_raises_on_obstructed_structure():
     s = ProjectiveStructure.from_exprs("x^2+y", "y^2", "x*y", "x+1")
     grid = GridSpec(center=(1.0, 1.0), h=0.2, n=5, substeps=4)
-    with pytest.raises(PathDependenceError):
-        transport(s, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0), grid)
-    section = transport(s, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0), grid,
-                        raise_on_defect=False)
-    assert section.defect > 1e-7
+    seed = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(PathDependenceError) as err:
+        recover_metric(s, seed, grid)
+    section = transport(s, seed, grid)
+    assert section.defect > recovery.LOOP_TOL
+    assert err.value.defect == section.defect
+    assert section.defect == max(section.defects.values())
 
 
 def test_reconstruct_excludes_degenerate_nodes():
@@ -151,7 +153,7 @@ def test_rk4_error_falls_fourth_order():
     res = {}
     for h, n in ((0.2, 7), (0.1, 9)):
         grid = GridSpec(center=(0.0, 0.0), h=h, n=n, substeps=1)
-        section = transport(EXP_FAMILY, seed, grid, raise_on_defect=False)
+        section = transport(EXP_FAMILY, seed, grid)
         res[h] = roundtrip_residual(reconstruct_metric(section), EXP_FAMILY)
     ratio = res[0.2] / res[0.1]
     assert ratio > 11.0
@@ -162,8 +164,8 @@ def test_substeps_refine_single_cells():
     seed = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     grid1 = GridSpec(center=(0.0, 0.0), h=0.2, n=3, substeps=1)
     grid4 = GridSpec(center=(0.0, 0.0), h=0.2, n=3, substeps=4)
-    d1 = transport(EXP_FAMILY, seed, grid1, raise_on_defect=False).defect
-    d4 = transport(EXP_FAMILY, seed, grid4, raise_on_defect=False).defect
+    d1 = transport(EXP_FAMILY, seed, grid1).defect
+    d4 = transport(EXP_FAMILY, seed, grid4).defect
     assert d4 < d1 / 50
 
 
