@@ -313,10 +313,8 @@ def cmd_check(job, mode):
 
 
 def cmd_tractor(job, mode):
-    change_src = job.data.get("change")
-    f_expr = None
-    if change_src is not None:
-        f_expr = job._parse(change_src, '"change"')
+    change = job.data.get("change")
+    f_expr = None if change is None else job._parse(change, '"change"')
     # the values are constant terms; the changed connection drops one order
     needed = STACK_ORDER if f_expr is None else STACK_ORDER + 1
     order = min(job.order, needed)
