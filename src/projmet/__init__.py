@@ -54,10 +54,7 @@ from .invariants import (
     VERDICT_DEGENERATE,
     VERDICT_INCONCLUSIVE,
     JetStructure,
-    liouville_L,
-    tresse_I1,
     nu5,
-    vector_V,
     cov_deriv,
     curvature,
     matrix_M,
@@ -100,7 +97,6 @@ from .recovery import (
     reconstruct_metric,
     roundtrip_residual,
     recover_metric,
-    solution_space_dim,
 )
 
 __version__ = "0.1.0"
@@ -118,11 +114,11 @@ __all__ = [
     "det", "rank_kernel", "RankResult",
     "VERDICT_FLAT", "VERDICT_METRISABLE", "VERDICT_NOT",
     "VERDICT_DEGENERATE", "VERDICT_INCONCLUSIVE",
-    "JetStructure", "liouville_L", "tresse_I1", "nu5", "vector_V",
-    "cov_deriv", "curvature", "matrix_M", "matrix_Mmax", "sixth_order_E",
-    "stratified_obstruction", "cartan_stabilize", "degenerate_obstruction",
-    "genericity_P", "kernel_has_nondegenerate", "PointReport",
-    "ObstructionReport", "analyze_point", "decide_metrisability",
+    "JetStructure", "nu5", "cov_deriv", "curvature", "matrix_M",
+    "matrix_Mmax", "sixth_order_E", "stratified_obstruction",
+    "cartan_stabilize", "degenerate_obstruction", "genericity_P",
+    "kernel_has_nondegenerate", "PointReport", "ObstructionReport",
+    "analyze_point", "decide_metrisability",
     "ContractionLayoutError", "AffineConnection", "schouten", "TractorData",
     "tractor_data", "theta_bar", "theta_values", "det_by_contraction",
     "projective_change", "change_connection",
@@ -130,5 +126,4 @@ __all__ = [
     "DegenerateFormError", "GridSpec", "PsiSection", "RecoveredMetric",
     "RecoveryResult", "initial_section", "connection_values", "transport",
     "reconstruct_metric", "roundtrip_residual", "recover_metric",
-    "solution_space_dim",
 ]

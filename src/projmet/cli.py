@@ -39,10 +39,7 @@ from .invariants import (
     VERDICT_NOT,
     analyze_point,
     decide_metrisability,
-    liouville_L,
-    nu5,
     matrix_M,
-    tresse_I1,
 )
 from .jets import JetError, to_scalar
 from .model import (
@@ -78,13 +75,13 @@ EXIT_INPUT = 3
 # Size caps on a job, checked before any jet work: the invariants cost
 # about order^4 jet operations and a recovery grid n^2 substeps nodes.  In
 # exact arithmetic every operation also grows with the bits of the numbers
-# it multiplies, which a point or literal brings in and a power multiplies,
-# so exponents (as a product along a chain of nested powers) and the bits
-# of an exact numerator or denominator are capped too.
+# it multiplies, which a point or literal brings in and each factor of a
+# product multiplies, so the degree of a coefficient and the bits of an
+# exact numerator or denominator are capped too.
 MAX_ORDER = 16
 MAX_GRID_N = 201
 MAX_SUBSTEPS = 64
-MAX_EXPONENT = 16
+MAX_DEGREE = 16
 MAX_EXACT_BITS = 64
 
 
@@ -141,16 +138,17 @@ def _exact_in(v, what):
 
 
 def _expr_sizes(t):
-    """The largest product of |exponents| along a chain of nested powers
-    of a tree, and the most bits of a literal's numerator or denominator."""
+    """The degree of a tree, counting a quotient's factors like a
+    product's and a function call as its argument, and the most bits of a
+    literal's numerator or denominator."""
     if isinstance(t, ex.Num):
-        return 1, _bits(t.value)
+        return 0, _bits(t.value)
     if isinstance(t, ex.Pow):
-        power, bits = _expr_sizes(t.base)
-        return abs(t.exponent) * power, bits
+        degree, bits = _expr_sizes(t.base)
+        return abs(t.exponent) * degree, bits
     if isinstance(t, ex.BinOp):
-        (p1, b1), (p2, b2) = _expr_sizes(t.left), _expr_sizes(t.right)
-        return max(p1, p2), max(b1, b2)
+        (d1, b1), (d2, b2) = _expr_sizes(t.left), _expr_sizes(t.right)
+        return (d1 + d2 if t.op in "*/" else max(d1, d2)), max(b1, b2)
     if isinstance(t, (ex.Neg, ex.Call)):
         return _expr_sizes(t.arg)
     return 1, 0
@@ -176,8 +174,15 @@ class Job:
         self.kind = data.get("kind")
         if self.kind not in ("ode", "metric", "lambda"):
             raise InputError('"kind" must be "ode", "metric", or "lambda"')
-        self.structure = self._build_structure(data)
-        self.points = self._build_points(data)
+        try:
+            structure = self._build_structure(data)
+            self.points = self._build_points(data)
+            if isinstance(structure, MetricInput):
+                structure = ode_from_metric(structure,
+                                            check_points=self.points)
+        except (NotCubicError, DegenerateMetricError) as err:
+            raise InputError(str(err)) from err
+        self.structure = structure
         self.order = data.get("order", 10)
         if not _is_int(self.order) or self.order < 5:
             raise InputError('"order" must be an integer >= 5')
@@ -200,47 +205,43 @@ class Job:
             tree = parse_expr(src)
         except ExprError as err:
             raise InputError("%s: %s" % (what, err)) from err
-        power, bits = _expr_sizes(tree)
-        if power > MAX_EXPONENT:
-            raise InputError("%s: nested powers reach exponent %d, more "
-                             "than %d" % (what, power, MAX_EXPONENT))
+        degree, bits = _expr_sizes(tree)
+        if degree > MAX_DEGREE:
+            raise InputError("%s: degree %d, more than %d"
+                             % (what, degree, MAX_DEGREE))
         if bits > MAX_EXACT_BITS:
             raise InputError("%s: a number has a numerator or denominator "
                              "of more than %d bits" % (what, MAX_EXACT_BITS))
         return tree
 
     def _build_structure(self, data):
-        try:
-            if self.kind == "ode":
-                coeffs = [
-                    self._parse(data.get(k, "0"), k)
-                    for k in ("A0", "A1", "A2", "A3")
-                ]
-                return ProjectiveStructure(*coeffs)
-            if self.kind == "metric":
-                for k in ("E", "G"):
-                    if k not in data:
-                        raise InputError(
-                            'metric jobs need "E" and "G" (and optional "F")')
-                metric = MetricInput(
-                    self._parse(data["E"], "E"),
-                    self._parse(data.get("F", "0"), "F"),
-                    self._parse(data["G"], "G"),
-                )
-                pts = self._build_points(data)
-                return ode_from_metric(metric, check_points=pts)
-            coeffs = data.get("p_coeffs")
-            if not isinstance(coeffs, list) or not coeffs:
-                raise InputError(
-                    'lambda jobs need a non-empty "p_coeffs" list')
-            lam = LambdaPoly(tuple(
-                self._parse(c, "p_coeffs[%d]" % i) if isinstance(c, str)
-                else ex.num(_exact_in(c, "p_coeffs[%d]" % i))
-                for i, c in enumerate(coeffs)
-            ))
-            return ode_from_lambda(lam)
-        except (NotCubicError, DegenerateMetricError) as err:
-            raise InputError(str(err)) from err
+        """The structure of an ode or lambda job; a metric job's metric,
+        whose ODE `__init__` derives once the points are parsed."""
+        if self.kind == "ode":
+            coeffs = [
+                self._parse(data.get(k, "0"), k)
+                for k in ("A0", "A1", "A2", "A3")
+            ]
+            return ProjectiveStructure(*coeffs)
+        if self.kind == "metric":
+            for k in ("E", "G"):
+                if k not in data:
+                    raise InputError(
+                        'metric jobs need "E" and "G" (and optional "F")')
+            return MetricInput(
+                self._parse(data["E"], "E"),
+                self._parse(data.get("F", "0"), "F"),
+                self._parse(data["G"], "G"),
+            )
+        coeffs = data.get("p_coeffs")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise InputError('lambda jobs need a non-empty "p_coeffs" list')
+        lam = LambdaPoly(tuple(
+            self._parse(c, "p_coeffs[%d]" % i) if isinstance(c, str)
+            else ex.num(_exact_in(c, "p_coeffs[%d]" % i))
+            for i, c in enumerate(coeffs)
+        ))
+        return ode_from_lambda(lam)
 
     def _build_points(self, data):
         pts = data.get("points")
@@ -281,19 +282,17 @@ def cmd_invariants(job, mode):
     order = min(job.order, MATRIX_M_ORDER)  # every value is a constant term
     points = []
     for p in job.points:
-        js = JetStructure.at(job.structure, p, order, mode)
-        l1, l2 = liouville_L(js)
-        m = matrix_M(js)
+        r = analyze_point(job.structure, p, order, job.tolerance, mode)
         points.append({
             "point": [p[0], p[1]],
-            "mode": "exact" if js.exact else "float",
-            "L1": l1.value,
-            "L2": l2.value,
-            "I1_coeffs": [-6 * l1.value, -6 * l2.value],
-            "I1_at_slope": tresse_I1(js, slope),
-            "nu5": nu5(js),
-            "V": [row_entry for row_entry in m[0]],
-            "det_M": linalg.det(m),
+            "mode": r.mode,
+            "L1": r.l1,
+            "L2": r.l2,
+            "I1_coeffs": r.i1_coeffs,
+            "I1_at_slope": r.i1_coeffs[0] + r.i1_coeffs[1] * slope,
+            "nu5": r.nu5,
+            "V": r.v_row,
+            "det_M": r.det_m,
         })
     report = {
         "command": "invariants",
@@ -492,7 +491,7 @@ def cmd_selftest(_job, _mode):
     # flat structure: everything vanishes
     flat = ProjectiveStructure.flat()
     js = JetStructure.at(flat, (0, 0), 8)
-    l1, l2 = liouville_L(js)
+    l1, l2 = js.liouville()
     assert l1.is_zero() and l2.is_zero()
     assert linalg.det(matrix_M(js)) == 0
     checks += 1
@@ -570,9 +569,7 @@ def main(argv=None):
         job = load_job(args.input) if getattr(args, "input", None) else None
         mode = args.mode or (job.arithmetic if job else "auto")
         report, code = COMMANDS[args.command](job, mode)
-    except InputError as err:
-        report, code = {"error": str(err)}, EXIT_INPUT
-    except (ExprError, JetError, NotCubicError,
+    except (InputError, ExprError, JetError, NotCubicError,
             DegenerateMetricError) as err:
         report, code = {"error": str(err)}, EXIT_INPUT
     report["version"] = __version__

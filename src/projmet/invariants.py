@@ -175,17 +175,6 @@ def _liouville_L(a):
     return (l1, l2)
 
 
-def liouville_L(js):
-    return js.liouville()
-
-
-def tresse_I1(js, slope):
-    """Value of the lowest point invariant at the given slope: it is linear
-    in the slope with coefficients (-6 L1, -6 L2)."""
-    l1, l2 = js.liouville()
-    return -6 * l1.value - 6 * l2.value * slope
-
-
 def nu5(js):
     """Fifth-order relative invariant whose vanishing (on top of a rank-3
     degeneracy) signals the Liouville-type branch."""
@@ -224,10 +213,6 @@ def _vector_V(js):
         -5 * l1,
         js._zero(m),
     )
-
-
-def vector_V(js):
-    return js.row("")
 
 
 # Derivative words of the coefficients that the connection formulas read,

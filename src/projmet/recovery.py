@@ -36,8 +36,6 @@ from .expressions import compile_derivatives
 from .invariants import (
     CONNECTION_FLOATS,
     CONNECTION_WORDS,
-    JetStructure,
-    cartan_stabilize,
     connection_formula,
 )
 from .jets import SingularEvaluationError
@@ -340,11 +338,3 @@ def recover_metric(structure, witness, grid):
     metric = reconstruct_metric(section)
     return RecoveryResult(section, metric,
                           roundtrip_residual(metric, structure))
-
-
-def solution_space_dim(structure, point, order=10, mode="auto"):
-    """Dimension of the space of compatible metrics at a point, by rank
-    stabilisation; None when the ranks do not stabilise in the available
-    order."""
-    js = JetStructure.at(structure, point, order, mode)
-    return cartan_stabilize(js).s_dim

@@ -38,10 +38,9 @@ from projmet import (
     theta_bar,
     theta_values,
     tractor_data,
-    tresse_I1,
 )
+from projmet import cli
 from projmet import expressions as ex
-from projmet.invariants import liouville_L, vector_V
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -359,7 +358,7 @@ def test_prolonged_curvature_concentrates_in_the_last_row():
               Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
         js = JetStructure.at(s, pt, 5, "rational")
         f = curvature(js)
-        v = vector_V(js)
+        v = js.row("")
         for i in range(5):
             assert all(e.is_zero() for e in f[i])
         for j in range(6):
@@ -381,7 +380,7 @@ def test_commutator_of_transport_derivatives_is_v_weighted():
         pt = (Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1)))
         js = JetStructure.at(s, pt, 7, "rational")
         o1, o2 = js.connection()
-        v = vector_V(js)
+        v = js.row("")
         n = o1[0][0].order
         o1t = [[e.truncated(n - 1) for e in row] for row in o1]
         o2t = [[e.truncated(n - 1) for e in row] for row in o2]
@@ -593,20 +592,25 @@ def _tresse_oracle(js):
 
 
 def test_lowest_invariant_matches_classical_route():
+    """The `invariants` report's I1 against the classical route, at a
+    nonzero slope."""
     rng = random.Random(123)
     for _ in range(20):
-        s = ProjectiveStructure.from_exprs(
-            *(rand_poly(rng, 2, -3, 3) for _ in range(4)))
+        coeffs = dict(zip(("A0", "A1", "A2", "A3"),
+                          (rand_poly(rng, 2, -3, 3) for _ in range(4))))
         pt = (Fraction(rng.randint(-2, 2), 2),
               Fraction(rng.randint(-2, 2), 2))
         slope = Fraction(rng.randint(-6, 6), 3)
-        js = JetStructure.at(s, pt, 6, "rational")
-        coeffs = _tresse_oracle(js)
-        l1, l2 = liouville_L(js)
-        assert coeffs[0] == -6 * l1.value
-        assert coeffs[1] == -6 * l2.value
-        assert all(c == 0 for c in coeffs[2:])  # linear in the slope
-        assert tresse_I1(js, slope) == coeffs[0] + coeffs[1] * slope
+        job = cli.Job(dict(coeffs, kind="ode", order=6,
+                           points=[[str(pt[0]), str(pt[1])]],
+                           slope=str(slope)))
+        oracle = _tresse_oracle(JetStructure.at(job.structure, pt, 6,
+                                                "rational"))
+        assert all(c == 0 for c in oracle[2:])  # linear in the slope
+        report, _ = cli.cmd_invariants(job, "rational")
+        got = report["points"][0]
+        assert tuple(got["I1_coeffs"]) == tuple(oracle[:2])
+        assert got["I1_at_slope"] == oracle[0] + oracle[1] * slope
 
 
 def test_solution_space_dimensions_across_the_suite():

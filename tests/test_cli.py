@@ -222,14 +222,19 @@ SELFTEST_ODE_EXACT = {"kind": "ode", "A0": "x^2*y", "A1": "y^2", "A2": "x*y",
 
 @pytest.mark.parametrize("data, error", [
     ({"kind": "metric", "E": "1+x^100000", "G": "1", "points": [[2, 0]]},
-     "E: nested powers reach exponent 100000, more than 16"),
+     "E: degree 100000, more than 16"),
+    # a product of powers inside the old cap on nested exponents ran 36 s
+    (dict(SELFTEST_ODE_EXACT, A0="x^16*x^16*x^16*x^16*y",
+          points=[["%d/%d" % (2 ** 64 - 1, 2 ** 63 + 1)] * 2], order=16),
+     "A0: degree 65, more than 16"),
     (dict(SELFTEST_ODE_EXACT, points=[["1e1000", 1]]),
      "point x: '1e1000' has a numerator or denominator of more than 64 "
      "bits"),
     (dict(SELFTEST_ODE_EXACT, points=[["1e10000", 1]]),
      "point x: '1e10000' has a numerator or denominator of more than 64 "
      "bits"),
-], ids=["metric-power", "point-1e1000", "point-1e10000"])
+], ids=["metric-power", "product-degree", "point-1e1000",
+        "point-1e10000"])
 def test_oversized_exact_input_exits_three_before_jet_work(
         tmp_path, capsys, monkeypatch, data, error):
     def no_jets(*args, **kwargs):
@@ -245,10 +250,69 @@ def test_oversized_exact_input_exits_three_before_jet_work(
 
 def test_a_job_at_the_size_caps_is_accepted():
     at_cap = "%d/%d" % (2 ** cli.MAX_EXACT_BITS - 1, 3)
-    nested = "(x^2)^%d" % (cli.MAX_EXPONENT // 2)
+    half = cli.MAX_DEGREE // 2
+    nested = "(x^2)^%d" % half
+    product = "x^%d*y^%d/(x-y)^%d" % (half, half - 1, 1)
     job = cli.Job({"kind": "ode", "A0": "%s - %s" % (nested, at_cap),
-                   "points": [[at_cap, 0]]})
+                   "A1": product, "points": [[at_cap, 0]]})
     assert job.points == [(Fraction(at_cap), 0)]
+
+
+def test_a_metric_job_parses_its_points_once(monkeypatch):
+    calls = []
+    build_points = cli.Job._build_points
+
+    def counted(self, data):
+        calls.append(data)
+        return build_points(self, data)
+
+    monkeypatch.setattr(cli.Job, "_build_points", counted)
+    job = cli.Job(json.loads((INPUTS / "liouville-metric.json").read_text()))
+    assert len(calls) == 1
+    assert job.points == [(1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"kind": "metric", "E": "x+", "G": "1", "points": []}, "E: "),
+    ({"kind": "metric", "E": "x", "G": "0", "points": [[0]]},
+     "each point must be a two-element list"),
+    ({"kind": "metric", "E": "x", "G": "0", "points": [[1, 0]]},
+     "degenerate"),
+    ({"kind": "ode", "A0": 1, "points": []}, "A0 must be"),
+    ({"kind": "lambda", "p_coeffs": [], "points": []}, "p_coeffs"),
+], ids=["metric-E", "metric-point", "metric-degenerate", "ode-A0",
+        "lambda-p_coeffs"])
+def test_a_job_with_several_faults_reports_the_first(data, error):
+    with pytest.raises(cli.InputError, match=error):
+        cli.Job(data)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("slope, want", [
+    ("2/7", Fraction(45, 28)), (0.5, Fraction(9, 8)), (-3, Fraction(9)),
+])
+def test_invariants_at_a_nonzero_slope(tmp_path, capsys, mode, slope, want):
+    # L1 = -3/8, L2 = 3/8 at (1, 1): I1 = 9/4 - 9/4 slope
+    data = json.loads((INPUTS / "liouville-metric.json").read_text())
+    data["slope"] = slope
+    code, report = run_cli(capsys, "invariants", "--input",
+                           _write_job(tmp_path, data), "--mode", mode)
+    assert code == 0
+    for p in report["points"]:
+        c0, c1 = (_number(c) for c in p["I1_coeffs"])
+        got = _number(p["I1_at_slope"])
+        assert got == c0 + c1 * _number(slope)
+        assert got != c0  # the slope term counts
+    got = _number(report["points"][0]["I1_at_slope"])
+    if mode == "rational" and not isinstance(slope, float):
+        assert got == want
+    else:
+        assert isinstance(got, float) and abs(got - want) < 1e-12
+
+
+def _number(v):
+    """A report number: exact values are rational strings."""
+    return Fraction(v) if isinstance(v, str) else v
 
 
 def test_recover_refuses_a_bad_witness_before_any_analysis(
@@ -535,7 +599,9 @@ BAD_INPUTS = [
     ("recover", _exp_family(grid={"center": ["1/0", 0]}), "grid.center"),
     ("recover", _exp_family(witness=[1, "1/0", 1, 0, 0, 0]), "witness"),
     ("check", {"kind": "ode", "A0": "((x^2)^3)^3", "points": [[0, 0]]},
-     "exponent 18"),
+     "degree 18"),
+    ("check", {"kind": "ode", "A0": "1/(x^9*y^8)", "points": [[1, 1]]},
+     "degree 17"),
     ("check", {"kind": "ode", "A0": "x/%d" % 2 ** 64, "points": [[0, 0]]},
      "A0: a number"),
     ("invariants", _exp_family(slope=2 ** 64), "slope"),
@@ -552,7 +618,7 @@ BAD_INPUTS = [
     "substeps-bool", "substeps-string", "tolerance-bool", "tolerance-string",
     "order-bool", "order-float", "change-number", "point-over-zero",
     "slope-over-zero", "centre-over-zero", "witness-over-zero",
-    "nested-exponent", "literal-bits", "slope-bits", "p_coeffs-bits"])
+    "nested-degree", "quotient-degree", "literal-bits", "slope-bits", "p_coeffs-bits"])
 def test_bad_input_exits_three_naming_the_field(tmp_path, capsys, command,
                                                 data, field):
     code, report = run_cli(capsys, command, "--input",

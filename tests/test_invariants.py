@@ -25,13 +25,10 @@ from projmet.invariants import (
     degenerate_obstruction,
     genericity_P,
     kernel_has_nondegenerate,
-    liouville_L,
     matrix_M,
     matrix_Mmax,
     nu5,
     sixth_order_E,
-    tresse_I1,
-    vector_V,
 )
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
@@ -54,37 +51,37 @@ def _random_structure(rng):
 
 def test_painleve_liouville_values():
     js = JetStructure.at(PAINLEVE, ORIGIN, 8)
-    l1, l2 = liouville_L(js)
+    l1, l2 = js.liouville()
     assert l1.value == -12
     assert l2.value == 0
 
 
 def test_painleve_slope_invariant():
-    js = JetStructure.at(PAINLEVE, ORIGIN, 8)
-    assert tresse_I1(js, Fraction(5)) == 72
-    assert tresse_I1(js, Fraction(0)) == 72  # no slope dependence here
+    r = analyze_point(PAINLEVE, ORIGIN, 8)
+    assert r.i1_coeffs == (72, 0)  # no slope dependence here
 
 
-def test_slope_invariant_is_affine_in_slope():
+def test_slope_invariant_coefficients_are_minus_six_liouville():
     rng = random.Random(5)
     s = _random_structure(rng)
-    js = JetStructure.at(s, (Fraction(1), Fraction(2)), 8)
-    l1, l2 = liouville_L(js)
-    for slope in (Fraction(0), Fraction(1), Fraction(-3, 2)):
-        assert tresse_I1(js, slope) == -6 * l1.value - 6 * l2.value * slope
+    pt = (Fraction(1), Fraction(2))
+    l1, l2 = JetStructure.at(s, pt, 8).liouville()
+    r = analyze_point(s, pt, 8)
+    assert r.i1_coeffs == (-6 * l1.value, -6 * l2.value)
+    assert (r.l1, r.l2) == (l1.value, l2.value)
 
 
 def test_flat_structure_all_invariants_vanish():
     js = JetStructure.at(ProjectiveStructure.flat(), ORIGIN, 9)
-    l1, l2 = liouville_L(js)
+    l1, l2 = js.liouville()
     assert l1.is_zero() and l2.is_zero()
     assert nu5(js) == 0
-    assert all(v.is_zero() for v in vector_V(js))
+    assert all(v.is_zero() for v in js.row(""))
 
 
 def test_painleve_v_row():
     js = JetStructure.at(PAINLEVE, ORIGIN, 8)
-    v = vector_V(js)
+    v = js.row("")
     assert tuple(e.value for e in v) == (0, 0, 0, 0, 60, 0)
 
 
@@ -100,7 +97,7 @@ def test_nu5_matches_componentwise_formula():
         s = _random_structure(rng)
         pt = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
         js = JetStructure.at(s, pt, 8)
-        l1j, l2j = liouville_L(js)
+        l1j, l2j = js.liouville()
         l1, l2 = l1j.value, l2j.value
         l1x, l1y = l1j.partial(1, 0), l1j.partial(0, 1)
         l2x, l2y = l2j.partial(1, 0), l2j.partial(0, 1)
@@ -139,7 +136,7 @@ def test_curvature_rows_vanish_and_sixth_is_v():
         pt = (Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1)))
         js = JetStructure.at(s, pt, 7)
         f = curvature(js)
-        v = vector_V(js)
+        v = js.row("")
         for i in range(5):
             assert all(e.is_zero() for e in f[i])
         for j in range(6):
@@ -153,7 +150,7 @@ def test_commutator_on_random_rows():
     pt = (Fraction(1), Fraction(-1))
     js = JetStructure.at(s, pt, 9)
     o1, o2 = js.connection()
-    v = vector_V(js)
+    v = js.row("")
     n = o1[0][0].order  # connection entries sit at order - 2
     for _ in range(5):
         w = [
@@ -184,11 +181,11 @@ def test_cov_deriv_matches_finite_differences():
     pt = (0.7, -0.3)
     h = 1e-4
     js = JetStructure.at(s, pt, 8, mode="float")
-    v = vector_V(js)
+    v = js.row("")
     o1, _ = js.connection()
     dv = cov_deriv(v, o1, "x")
-    vp = vector_V(JetStructure.at(s, (pt[0] + h, pt[1]), 8, mode="float"))
-    vm = vector_V(JetStructure.at(s, (pt[0] - h, pt[1]), 8, mode="float"))
+    vp = JetStructure.at(s, (pt[0] + h, pt[1]), 8, mode="float").row("")
+    vm = JetStructure.at(s, (pt[0] - h, pt[1]), 8, mode="float").row("")
     for j in range(6):
         fd = (vp[j].value - vm[j].value) / (2 * h)
         correction = sum(v[i].value * o1[i][j].value for i in range(6))
@@ -324,7 +321,7 @@ def test_word_rows_are_iterated_derivatives():
                          (Fraction(1), Fraction(-1, 2)), 8)
     omega = dict(zip("xy", js.connection()))
     for word in ("xxx", "yyy", "xy", "yx", "xyy", "yxx"):
-        row = vector_V(js)
+        row = js.row("")
         for ch in word:
             row = cov_deriv(row, omega[ch], ch)
         assert js.row(word) == row
@@ -354,7 +351,7 @@ def test_symmetrised_levels_match_iterated_derivatives():
     s = _random_structure(rng)
     js = JetStructure.at(s, (Fraction(1), Fraction(2)), 9)
     o1, o2 = js.connection()
-    v = vector_V(js)
+    v = js.row("")
 
     def tr(mat, m):
         return [[e.truncated(m) for e in row] for row in mat]

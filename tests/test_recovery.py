@@ -22,7 +22,6 @@ from projmet.recovery import (
     reconstruct_metric,
     recover_metric,
     roundtrip_residual,
-    solution_space_dim,
     transport,
 )
 
@@ -167,12 +166,6 @@ def test_substeps_refine_single_cells():
     d1 = transport(EXP_FAMILY, seed, grid1).defect
     d4 = transport(EXP_FAMILY, seed, grid4).defect
     assert d4 < d1 / 50
-
-
-def test_solution_space_dim_wrapper():
-    assert solution_space_dim(FLAT, (Fraction(0), Fraction(0))) == 6
-    pain = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
-    assert solution_space_dim(pain, (Fraction(0), Fraction(0))) == 1
 
 
 def _jet_connection_values(structure, point):

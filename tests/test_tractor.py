@@ -8,7 +8,7 @@ import pytest
 
 from projmet import expressions as ex
 from projmet import linalg, tractor
-from projmet.invariants import JetStructure, liouville_L
+from projmet.invariants import JetStructure
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.tractor import (
@@ -87,7 +87,7 @@ def test_schouten_is_symmetric():
 def test_y1_is_minus_liouville():
     js, conn = _conn(PAINLEVE, (Fraction(1), Fraction(2)), order=10)
     td = tractor_data(conn)
-    l1, l2 = liouville_L(js)
+    l1, l2 = js.liouville()
     m = td.y1[0].order
     assert td.y1[0] == -(l1.truncated(m))
     assert td.y1[1] == -(l2.truncated(m))
@@ -96,7 +96,7 @@ def test_y1_is_minus_liouville():
 def test_y1_is_minus_liouville_generic():
     js, conn = _conn(GENERIC, (Fraction(1), Fraction(1)), order=10)
     td = tractor_data(conn)
-    l1, l2 = liouville_L(js)
+    l1, l2 = js.liouville()
     m = td.y1[0].order
     assert td.y1[0] == -(l1.truncated(m))
     assert td.y1[1] == -(l2.truncated(m))
