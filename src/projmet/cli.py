@@ -139,13 +139,14 @@ def _exact_in(v, what):
 
 def _expr_sizes(t):
     """The degree of a tree, counting a quotient's factors like a
-    product's and a function call as its argument, and the most bits of a
-    literal's numerator or denominator."""
+    product's, a function call as its argument and a power of a constant
+    as its exponent, and the most bits of a literal's numerator or
+    denominator."""
     if isinstance(t, ex.Num):
         return 0, _bits(t.value)
     if isinstance(t, ex.Pow):
         degree, bits = _expr_sizes(t.base)
-        return abs(t.exponent) * degree, bits
+        return abs(t.exponent) * max(degree, 1), bits
     if isinstance(t, ex.BinOp):
         (d1, b1), (d2, b2) = _expr_sizes(t.left), _expr_sizes(t.right)
         return (d1 + d2 if t.op in "*/" else max(d1, d2)), max(b1, b2)
@@ -569,8 +570,7 @@ def main(argv=None):
         job = load_job(args.input) if getattr(args, "input", None) else None
         mode = args.mode or (job.arithmetic if job else "auto")
         report, code = COMMANDS[args.command](job, mode)
-    except (InputError, ExprError, JetError, NotCubicError,
-            DegenerateMetricError) as err:
+    except (InputError, ExprError, JetError) as err:
         report, code = {"error": str(err)}, EXIT_INPUT
     report["version"] = __version__
     if job is not None:

@@ -227,13 +227,22 @@ SELFTEST_ODE_EXACT = {"kind": "ode", "A0": "x^2*y", "A1": "y^2", "A2": "x*y",
     (dict(SELFTEST_ODE_EXACT, A0="x^16*x^16*x^16*x^16*y",
           points=[["%d/%d" % (2 ** 64 - 1, 2 ** 63 + 1)] * 2], order=16),
      "A0: degree 65, more than 16"),
+    # a power of a constant has the degree of its exponent, so exact
+    # evaluation of a huge literal power is refused too
+    ({"kind": "ode", "A0": "2^1000000000", "points": [[0, 0]]},
+     "A0: degree 1000000000, more than 16"),
+    (dict(SELFTEST_ODE_EXACT, A1="x*3^100000000", points=[[1, 1]]),
+     "A1: degree 100000001, more than 16"),
+    ({"kind": "metric", "E": "(2^16)^16", "G": "1", "points": [[0, 0]]},
+     "E: degree 256, more than 16"),
     (dict(SELFTEST_ODE_EXACT, points=[["1e1000", 1]]),
      "point x: '1e1000' has a numerator or denominator of more than 64 "
      "bits"),
     (dict(SELFTEST_ODE_EXACT, points=[["1e10000", 1]]),
      "point x: '1e10000' has a numerator or denominator of more than 64 "
      "bits"),
-], ids=["metric-power", "product-degree", "point-1e1000",
+], ids=["metric-power", "product-degree", "constant-power",
+        "constant-factor-power", "nested-constant-power", "point-1e1000",
         "point-1e10000"])
 def test_oversized_exact_input_exits_three_before_jet_work(
         tmp_path, capsys, monkeypatch, data, error):
@@ -252,7 +261,8 @@ def test_a_job_at_the_size_caps_is_accepted():
     at_cap = "%d/%d" % (2 ** cli.MAX_EXACT_BITS - 1, 3)
     half = cli.MAX_DEGREE // 2
     nested = "(x^2)^%d" % half
-    product = "x^%d*y^%d/(x-y)^%d" % (half, half - 1, 1)
+    product = "x^%d*y^%d/(x-y)^%d + 2^%d" % (half, half - 1, 1,
+                                              cli.MAX_DEGREE)
     job = cli.Job({"kind": "ode", "A0": "%s - %s" % (nested, at_cap),
                    "A1": product, "points": [[at_cap, 0]]})
     assert job.points == [(Fraction(at_cap), 0)]
