@@ -7,8 +7,12 @@ Each file under `tests/golden/` is named `<input>.<command>.<mode>.exit<code>
 change `"change": "x*y/3 - y^2/5"` added, and `code` is what `main` returned.
 The `check`, `invariants` and `tractor` files were rendered that way before
 exact jets moved to integer tables, the `recover` files before the transport
-lost its `raise_on_defect` switch, and none was edited since. Inputs with
-transcendental calls keep their exit-3 reports in rational mode.
+lost its `raise_on_defect` switch, and the `auto` files and those of
+`mixed-exactness` before covariant derivatives moved to fused kernels; none
+was edited since. Inputs with transcendental calls keep their exit-3 reports
+in rational mode. In `auto` mode `mixed-exactness` evaluates its
+transcendental A0 in floats and A1-A3 exactly, so its jets mix nonzero exact
+and float coefficients.
 
 Jet products run through a loop or a compiled kernel (`jets._convolve`);
 the reports are also rendered with every product on one of the two paths.
@@ -37,7 +41,7 @@ def test_every_input_command_and_mode_has_a_golden_report():
         "%s.%s.%s" % (name, command, mode)
         for name in inputs
         for command in ("check", "invariants", "tractor", "recover")
-        for mode in ("rational", "float")
+        for mode in ("rational", "float", "auto")
     )
     assert sorted(c.rsplit(".", 2)[0] for c in CASES) == expected
 
