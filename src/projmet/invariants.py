@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .jets import Jet, InsufficientOrderError
+from .jets import Jet, InsufficientOrderError, mul_sub
 from .expressions import eval_jet
 
 F13 = Fraction(1, 3)
@@ -61,6 +61,7 @@ class JetStructure:
         self._conn = None
         self._levels = None
         self._rows = {}
+        self._columns = {}
 
     @classmethod
     def at(cls, structure, point, order, mode="auto"):
@@ -95,6 +96,14 @@ class JetStructure:
             self._conn = _connection_matrices(self.a, self._zero)
         return self._conn
 
+    def columns(self, var, order):
+        """O_x or O_y truncated to `order`, as `Columns`."""
+        key = (var, order)
+        if key not in self._columns:
+            o1, o2 = self.connection()
+            self._columns[key] = Columns.of(o1 if var == "x" else o2, order)
+        return self._columns[key]
+
     def levels(self, depth):
         """Symmetrised covariant derivative rows of V up to `depth`,
         x-count-major inside each level."""
@@ -103,10 +112,11 @@ class JetStructure:
             raise InsufficientOrderError(depth + 3, self.order)
         if self._levels is None:
             self._levels = [[_vector_V(self)]]
-        o1, o2 = self.connection()
         while len(self._levels) <= depth:
             k = len(self._levels)
             prev = self._levels[k - 1]
+            o1 = self.columns("x", self.order - 3 - k)
+            o2 = self.columns("y", self.order - 3 - k)
             cur = []
             for j in range(k, -1, -1):  # j = number of x-derivatives
                 parts = []
@@ -140,10 +150,10 @@ class JetStructure:
                 level = self.levels(k)[k]
                 self._rows[word] = level[k] if word[:1] == "y" else level[0]
             else:
-                o1, o2 = self.connection()
                 ch = word[-1]
                 self._rows[word] = cov_deriv(
-                    self.row(word[:-1]), o1 if ch == "x" else o2, ch)
+                    self.row(word[:-1]), self.columns(ch, self.order - 3 - k),
+                    ch)
         return self._rows[word]
 
 
@@ -318,22 +328,30 @@ def connection_formula(derivs, z, one, rationals=CONNECTION_RATIONALS):
 
 
 def cov_deriv(row, omega, var):
-    """Covariant derivative of a row vector: D_a V = dV/da - V . O_a."""
-    k = row[0].order
-    if k < 1:
+    """Covariant derivative of a row vector: D_a V = dV/da - V . O_a.
+    `omega` is O_a, either as a 6x6 matrix of jets or as the `Columns` of
+    its truncation to the row's order less one, which `JetStructure`
+    memoises."""
+    m = row[0].order - 1
+    if m < 0:
         raise InsufficientOrderError(1, 0)
-    m = k - 1
+    if not isinstance(omega, Columns):
+        omega = Columns.of(omega, m)
     rt = [e.truncated(m) for e in row]
-    out = []
-    for j in range(6):
-        acc = row[j].diff(var)
-        for i in range(6):
-            entry = omega[i][j]
-            if entry.is_zero():
-                continue
-            acc = acc - rt[i] * entry.truncated(m)
-        out.append(acc)
-    return tuple(out)
+    return tuple(mul_sub(row[j].diff(var), [(rt[i], e) for i, e in column])
+                 for j, column in enumerate(omega))
+
+
+class Columns(tuple):
+    """A 6x6 connection matrix truncated to one order, column by column:
+    column j holds the pairs (i, O[i][j]) whose entry is not zero, in the
+    order of i."""
+
+    @classmethod
+    def of(cls, omega, m):
+        return cls(tuple((i, omega[i][j].truncated(m)) for i in range(6)
+                         if not omega[i][j].is_zero())
+                   for j in range(6))
 
 
 def curvature(js):

@@ -36,6 +36,18 @@ recomputed by the loop.  Compiling costs about 5 us per term (about 1 ms
 at order 5 and 3 ms at order 8) and happens once per order and process,
 never at import: a one-shot run that multiplies a few jets pays nothing,
 and a process that runs many jobs pays it once.
+
+A covariant derivative subtracts products from a derivative, and
+`mul_sub(head, pairs)` computes head - a1*b1 - a2*b2 - ... on the raw
+tables, without the chain's intermediate jets.  Pairs with a zero operand
+are dropped.  The rest follow the same KERNEL_AT rule and count as
+products: until an order has had 31, they are multiplied and subtracted
+one by one; after that, one compiled kernel per order runs them all.  It
+keeps each output cell in a local and subtracts from it each pair's
+product cell, summed from 0 exactly as the product kernel sums it, so
+float cells are the chain's bit for bit, and a non-finite table is
+recomputed pair by pair.  Exact pairs are summed over one common
+denominator and reduced once.
 """
 
 from __future__ import annotations
@@ -185,7 +197,8 @@ class Jet:
     def to_float(self):
         if self._den is None:
             return self
-        return _jet(self.base, self.order, _float_rows(self), None)
+        rows = _float_rows(self._rows, self._den)
+        return _jet(self.base, self.order, rows, None)
 
     def truncated(self, order):
         if order > self.order:
@@ -230,12 +243,11 @@ class Jet:
     def _termwise(self, other, op):
         """Coefficientwise `op` (add or sub) of self and other."""
         other = self._coerce(other)
-        da, db = self._den, other._den
+        a, da, b, db = self._rows, self._den, other._rows, other._den
         if da is None or db is None:
             rows = [tuple(map(op, ra, rb)) for ra, rb
-                    in zip(_float_rows(self), _float_rows(other))]
+                    in zip(_float_rows(a, da), _float_rows(b, db))]
             return _jet(self.base, self.order, rows, None)
-        a, b = self._rows, other._rows
         if da != db:
             g = gcd(da, db)
             a = _scaled(a, db // g)
@@ -271,7 +283,7 @@ class Jet:
             rows = _zero_rows(self.order, 0.0)
         else:
             rows = [tuple([0.0 + a * c if a else 0.0 for a in row])
-                    for row in _float_rows(self)]
+                    for row in _float_rows(self._rows, self._den)]
         return _jet(self.base, self.order, rows, None)
 
     def __mul__(self, other):
@@ -279,11 +291,11 @@ class Jet:
             return self._scale(to_scalar(other))
         other = self._coerce(other)
         n = self.order
-        if self._den is None or other._den is None:
-            rows = _convolve(_float_rows(self), _float_rows(other), n, 0.0)
+        a, da, b, db = self._rows, self._den, other._rows, other._den
+        if da is None or db is None:
+            rows = _convolve(_float_rows(a, da), _float_rows(b, db), n, 0.0)
             return _jet(self.base, n, rows, None)
-        rows = _convolve(self._rows, other._rows, n, 0)
-        return _reduced(self.base, n, rows, self._den * other._den)
+        return _reduced(self.base, n, _convolve(a, b, n, 0), da * db)
 
     __rmul__ = __mul__
 
@@ -298,15 +310,16 @@ class Jet:
                 "division by a jet with zero constant term", self.base
             )
         n = self.order
-        if self._den is None or other._den is None:
-            rows = _quotient(_float_rows(self), _float_rows(other), n, 1,
+        a, da, b, db = self._rows, self._den, other._rows, other._den
+        if da is None or db is None:
+            rows = _quotient(_float_rows(a, da), _float_rows(b, db), n, 1,
                              truediv)
             return _jet(self.base, n, rows, None)
         # a / b = (db / da) * (A / B) over the numerator tables A, B; the
         # recurrence yields A / B times b0^(n+1), b0 = B's constant term.
-        scale = other._rows[0][0] ** (n + 1)
-        rows = _quotient(self._rows, other._rows, n, scale, floordiv)
-        num, den = other._den, self._den * scale
+        scale = b[0][0] ** (n + 1)
+        rows = _quotient(a, b, n, scale, floordiv)
+        num, den = db, da * scale
         if den < 0:
             num, den = -num, -den
         return _reduced(self.base, n, _scaled(rows, num), den)
@@ -400,11 +413,11 @@ def _constant(v, base, order):
     return _jet(base, order, rows, None)
 
 
-def _float_rows(jet):
-    den = jet._den
+def _float_rows(rows, den):
+    """A table as floats: an exact one's numerators divided by `den`."""
     if den is None:
-        return jet._rows
-    return [tuple([c / den for c in row]) for row in jet._rows]
+        return rows
+    return [tuple([c / den for c in row]) for row in rows]
 
 
 def _scaled(rows, m):
@@ -447,8 +460,79 @@ def _convolve(a, b, n, zero):
     return rows
 
 
+def mul_sub(head, pairs):
+    """head - a1*b1 - a2*b2 - ... for the pairs (a, b) of jets in `pairs`,
+    which share head's base point and are read truncated to its order.
+
+    The result is the chain of jet products and differences, bit for bit
+    and exactly, without its intermediate jets.  An exact head takes the
+    chain's leading exact pairs over one common denominator and is reduced
+    once.  The chain turns float at its first pair with a float operand,
+    and from there on a pair of exact jets is multiplied exactly and its
+    product rounded, as the chain does."""
+    n = head.order
+    rows, den = head._rows, head._den
+    exact, run = [], []
+    for a, b in pairs:
+        da, db = a._den, b._den
+        a, b = _rows_at(a, n), _rows_at(b, n)
+        if da is None or db is None:
+            if den is not None:
+                rows, den = _exact_mul_sub(rows, den, exact, n)
+                rows, den = _float_rows(rows, den), None
+            run.append((_float_rows(a, da), _float_rows(b, db)))
+        elif den is not None:
+            exact.append((a, da * db, b))
+        else:
+            product = _float_rows(_convolve(a, b, n, 0), da * db)
+            rows = [tuple(map(sub, r, p)) for r, p
+                    in zip(_mul_sub(rows, run, n, 0.0), product)]
+            run = []
+    if den is not None:
+        return _reduced(head.base, n, *_exact_mul_sub(rows, den, exact, n))
+    return _jet(head.base, n, _mul_sub(rows, run, n, 0.0), None)
+
+
+def _exact_mul_sub(rows, den, links, n):
+    """rows / den minus the products a * b / d of `links` (a, d, b), as a
+    table over one common denominator and that denominator."""
+    common = math.lcm(den, *(d for _, d, _ in links))
+    rows = _mul_sub(_scaled(rows, common // den),
+                    [(_scaled(a, common // d), b) for a, d, b in links], n, 0)
+    return rows, common
+
+
+def _rows_at(jet, n):
+    """The table of `jet` truncated to order n <= jet.order, unreduced."""
+    rows = jet._rows
+    if len(rows) == n + 1:
+        return rows
+    if len(rows) < n + 1:
+        raise InsufficientOrderError(n, jet.order)
+    return [row[: n - i + 1] for i, row in enumerate(rows[: n + 1])]
+
+
+def _mul_sub(c, links, n, zero):
+    """c - a1*b1 - a2*b2 - ... over tables of one kind, accumulated into
+    `zero`.  Links with a zero operand, which subtract the zero table, are
+    dropped.  Until `_convolve` has counted KERNEL_AT - 1 products at the
+    order, the rest run as a chain of `_convolve` products and differences;
+    from then on they run the order's accumulating `_product_kernel`, and a
+    float table it leaves non-finite runs the chain again."""
+    links = [(a, b) for a, b in links if (a[0][0] or any(map(any, a)))
+             and (b[0][0] or any(map(any, b)))]
+    if links and _loop_products.get(n, 0) + 1 >= KERNEL_AT:
+        rows = _product_kernel(n, True)(c, links, zero)
+        if not isinstance(zero, float) or math.isfinite(sum(map(sum, rows))):
+            return rows
+    for a, b in links:
+        c = [tuple(map(sub, r, p))
+             for r, p in zip(c, _convolve(a, b, n, zero))]
+    return c
+
+
 @functools.cache
-def _product_kernel(n):
+def _product_kernel(n, accumulate=False):
     """`product(a, b, zero)`: the order-n Cauchy product as straight-line
     code.  It unpacks both tables into locals and returns each cell (p, q)
     as zero + a0_0*b{p}_{q} + a0_1*b{p}_{q-1} + ..., the terms in the
@@ -456,10 +540,16 @@ def _product_kernel(n):
     The loop skips a zero factor; the kernel adds its product, +-0.0 for a
     finite float, to an accumulator that starts at +0.0 and so never
     becomes -0.0, which leaves every finite cell unchanged.  Integer
-    tables are exact either way."""
-    def table(t):
+    tables are exact either way.
+
+    With `accumulate`, `mul_sub(c, links, zero)`: c - a1*b1 - a2*b2 - ...
+    for the pairs (a, b) of `links`, as one loop over the links whose body
+    is that straight-line code.  Each cell of c is a local, and each link
+    takes the product's cell from it, c{p}_{q} = c{p}_{q} - (zero + ...),
+    which is the chain of products and differences link by link."""
+    def table(t, row="[%s]"):
         return "[%s]" % ", ".join(
-            "[%s]" % ", ".join("%s%d_%d" % (t, i, j) for j in range(n - i + 1))
+            row % ", ".join("%s%d_%d" % (t, i, j) for j in range(n - i + 1))
             for i in range(n + 1))
 
     def cell(p, q):
@@ -467,14 +557,25 @@ def _product_kernel(n):
             "a%d_%d*b%d_%d" % (i, j, p - i, q - j)
             for i in range(p + 1) for j in range(q + 1)])
 
-    rows = ", ".join(
-        "(%s,)" % ", ".join(cell(p, q) for q in range(n - p + 1))
-        for p in range(n + 1))
-    source = "def product(a, b, zero):\n    %s = a\n    %s = b\n" \
-        "    return [%s]\n" % (table("a"), table("b"), rows)
+    if accumulate:
+        name = "mul_sub"
+        source = "def mul_sub(c, links, zero):\n    %s = c\n" \
+            "    for a, b in links:\n        %s = a\n        %s = b\n" % (
+                table("c"), table("a"), table("b"))
+        source += "".join(
+            "        c%d_%d = c%d_%d - (%s)\n" % (p, q, p, q, cell(p, q))
+            for p in range(n + 1) for q in range(n - p + 1))
+        source += "    return %s\n" % table("c", "(%s,)")
+    else:
+        name = "product"
+        rows = ", ".join(
+            "(%s,)" % ", ".join(cell(p, q) for q in range(n - p + 1))
+            for p in range(n + 1))
+        source = "def product(a, b, zero):\n    %s = a\n    %s = b\n" \
+            "    return [%s]\n" % (table("a"), table("b"), rows)
     namespace = {"__builtins__": {}}
-    exec(compile(source, "<product kernel %d>" % n, "exec"), namespace)
-    return namespace["product"]
+    exec(compile(source, "<%s kernel %d>" % (name, n), "exec"), namespace)
+    return namespace[name]
 
 
 def _loop_convolve(a, b, n, zero):

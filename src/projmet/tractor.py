@@ -35,7 +35,7 @@ from itertools import product
 from operator import itemgetter
 
 from . import jets as jetlib
-from .jets import Jet, InsufficientOrderError
+from .jets import Jet, InsufficientOrderError, mul_sub
 
 _VARS = ("x", "y")
 _PAIRS = ((0, 0), (0, 1), (1, 1))
@@ -89,13 +89,10 @@ def _truncated(t, m):
 
 
 def _covd1(t, g):
-    m = t[0].order - 1
-    tt = _truncated(t, m)
-    gg = _truncated(g, m)
     return [
         [
-            t[b].diff(_VARS[a])
-            - gg[0][a][b] * tt[0] - gg[1][a][b] * tt[1]
+            mul_sub(t[b].diff(_VARS[a]),
+                    [(g[0][a][b], t[0]), (g[1][a][b], t[1])])
             for b in (0, 1)
         ]
         for a in (0, 1)
@@ -103,15 +100,12 @@ def _covd1(t, g):
 
 
 def _covd2(t, g):
-    m = t[0][0].order - 1
-    tt = _truncated(t, m)
-    gg = _truncated(g, m)
     return [
         [
             [
-                t[b][c].diff(_VARS[a])
-                - gg[0][a][b] * tt[0][c] - gg[1][a][b] * tt[1][c]
-                - gg[0][a][c] * tt[b][0] - gg[1][a][c] * tt[b][1]
+                mul_sub(t[b][c].diff(_VARS[a]),
+                        [(g[0][a][b], t[0][c]), (g[1][a][b], t[1][c]),
+                         (g[0][a][c], t[b][0]), (g[1][a][c], t[b][1])])
                 for c in (0, 1)
             ]
             for b in (0, 1)
@@ -121,27 +115,23 @@ def _covd2(t, g):
 
 
 def _covd3(t, g):
-    m = t[0][0][0].order - 1
-    tt = _truncated(t, m)
-    gg = _truncated(g, m)
-    out = []
-    for a in (0, 1):
-        plane = []
-        for b in (0, 1):
-            row = []
-            for c in (0, 1):
-                entry = []
-                for dd in (0, 1):
-                    acc = t[b][c][dd].diff(_VARS[a])
-                    for e in (0, 1):
-                        acc = acc - gg[e][a][b] * tt[e][c][dd]
-                        acc = acc - gg[e][a][c] * tt[b][e][dd]
-                        acc = acc - gg[e][a][dd] * tt[b][c][e]
-                    entry.append(acc)
-                row.append(entry)
-            plane.append(row)
-        out.append(plane)
-    return out
+    return [
+        [
+            [
+                [
+                    mul_sub(t[b][c][dd].diff(_VARS[a]), [
+                        link for e in (0, 1) for link in (
+                            (g[e][a][b], t[e][c][dd]),
+                            (g[e][a][c], t[b][e][dd]),
+                            (g[e][a][dd], t[b][c][e]))])
+                    for dd in (0, 1)
+                ]
+                for c in (0, 1)
+            ]
+            for b in (0, 1)
+        ]
+        for a in (0, 1)
+    ]
 
 
 def schouten(conn):

@@ -76,13 +76,20 @@ def test_report_is_byte_identical_on_one_product_path(
 
 
 def test_import_compiles_no_product_kernel():
-    # a fresh interpreter, so that no earlier test has multiplied jets
+    # a fresh interpreter, so that no earlier test has multiplied jets; the
+    # fused multiply-subtract kernels share the product kernels' cache, as
+    # the forced `mul_sub` at the end shows
     probe = ("import projmet, projmet.cli\n"
              "from projmet import jets, tractor\n"
              "print(jets._product_kernel.cache_info().currsize,"
-             " tractor._contraction_plan.cache_info().currsize)")
+             " len(jets._loop_products),"
+             " tractor._contraction_plan.cache_info().currsize)\n"
+             "jets.KERNEL_AT = 0\n"
+             "x = jets.Jet.variable('x', (1, 2), 3)\n"
+             "jets.mul_sub(x, [(x, x)])\n"
+             "print(jets._product_kernel.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))
                          ).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0", "1"]

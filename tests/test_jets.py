@@ -632,3 +632,87 @@ def test_an_orders_kernel_is_compiled_at_its_32nd_product(monkeypatch):
     assert jets._product_kernel.cache_info().currsize == 1
     y * y
     assert jets._product_kernel.cache_info().currsize == 2
+
+
+# ---------------- the fused multiply-subtract ----------------
+#
+# `jets.mul_sub(head, pairs)` must give the chain head - a1*b1 - a2*b2 - ...
+# of jet products and differences bit for bit, signed zeros, infinities and
+# nans included, exactly for exact jets, and with the chain's exactness:
+# the chain turns float at its first pair with a float operand, and after
+# that a pair of exact jets is multiplied exactly before it is rounded.
+# Pairs may be of a higher order than head and are read truncated.
+
+_FUSED_KINDS = {"exact": (_exact_coeff, Fraction(0)),
+                "float": (_kernel_finite, 0.0),
+                "wild": (_kernel_any, 0.0)}
+
+
+@st.composite
+def mul_sub_cases(draw):
+    n = draw(st.integers(0, 10))
+
+    def jet(extra=0):
+        kind = draw(st.sampled_from(sorted(_FUSED_KINDS)))
+        coeff, zero = _FUSED_KINDS[kind]
+        order = n + draw(st.integers(0, extra))
+        return Jet(ORACLE_BASE, order, draw(kernel_tables(order, coeff, zero)))
+
+    head = jet()
+    return head, [(jet(2), jet(2)) for _ in range(draw(st.integers(0, 6)))]
+
+
+def _chain(head, pairs):
+    n = head.order
+    for a, b in pairs:
+        head = head - a.truncated(n) * b.truncated(n)
+    return head
+
+
+def _jet_bits(jet):
+    return jet.exact, _table_bits(jet.coeffs)
+
+
+def _assert_mul_sub_is_the_chain(head, pairs):
+    chain = _jet_bits(_chain(head, pairs))
+    for kernel_at in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "KERNEL_AT", kernel_at)
+            assert _jet_bits(jets.mul_sub(head, pairs)) == chain
+
+
+def _const(v):
+    return Jet(ORACLE_BASE, 0, [[v]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mul_sub_cases())
+def test_mul_sub_is_the_chain_bit_for_bit(case):
+    _assert_mul_sub_is_the_chain(*case)
+
+
+def test_mul_sub_turns_float_where_the_chain_does():
+    # h - a*b rounds once while the chain is still exact at that pair, and
+    # the exact product a*b rounds once after the chain turned float; both
+    # differ in the last bit from float arithmetic on rounded operands.
+    h, a, b = Fraction(5, 9), Fraction(2, 3), Fraction(3, 11)
+    jh, ja, jb, tenth, one = map(_const, (h, a, b, 0.1, 1.0))
+    exact_first = jets.mul_sub(jh, [(ja, jb), (tenth, one)])
+    float_first = jets.mul_sub(jh, [(tenth, one), (ja, jb)])
+    assert exact_first.value == float(h - a * b) - 0.1 != \
+        float(h) - float(a) * float(b) - 0.1
+    assert float_first.value == float(h) - 0.1 - float(a * b) != \
+        float(h) - 0.1 - float(a) * float(b)
+    assert not exact_first.exact and not float_first.exact
+    for pairs in ([(ja, jb), (tenth, one)], [(tenth, one), (ja, jb)],
+                  [(ja, jb), (ja, jb)], [(ja, tenth), (jb, jb)]):
+        _assert_mul_sub_is_the_chain(jh, pairs)
+        _assert_mul_sub_is_the_chain(_const(float(h)), pairs)
+
+
+def test_mul_sub_reads_pairs_truncated_and_refuses_lower_orders():
+    x = jet_x(ORACLE_BASE, 4)
+    head = Jet.constant(1, ORACLE_BASE, 2)
+    assert jets.mul_sub(head, [(x, x)]) == head - (x * x).truncated(2)
+    with pytest.raises(InsufficientOrderError):
+        jets.mul_sub(Jet.constant(1, ORACLE_BASE, 5), [(x, x)])
