@@ -269,7 +269,7 @@ def test_base_mismatch_rejected():
 # it bit for bit, signed zeros included.  Scalars are lifted to constant
 # tables, as `c * jet` means the product with the constant jet c.
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 
 def _is_exact_table(t):
@@ -685,8 +685,22 @@ def _const(v):
     return Jet(ORACLE_BASE, 0, [[v]])
 
 
+def _fused(order, head, *pairs):
+    def jet(rows):
+        return Jet(ORACLE_BASE, order, rows)
+    return jet(head), [(jet(a), jet(b)) for a, b in pairs]
+
+
 @settings(max_examples=150, deadline=None)
 @given(mul_sub_cases())
+# 1 - (0 + 4e-17 + 4e-17) rounds down, but 1 - 4e-17 - 4e-17 is 1
+@example(_fused(1, [[0.0, 1.0], [0.0]],
+                ([[1.0, 1.0], [0.0]], [[4e-17, 4e-17], [0.0]])))
+# the product's cell (1, 1) sums 1 + 1e-16 + 1e-16 - 1 in a's order to 0,
+# and in b's order to 2**-52
+@example(_fused(2, [[0.0] * 3, [0.0] * 2, [0.0]],
+                ([[1.0, 1.0, 0.0], [1.0, -1.0], [0.0]],
+                 [[1.0, 1e-16, 0.0], [1e-16, 1.0], [0.0]])))
 def test_mul_sub_is_the_chain_bit_for_bit(case):
     _assert_mul_sub_is_the_chain(*case)
 
