@@ -730,3 +730,102 @@ def test_mul_sub_reads_pairs_truncated_and_refuses_lower_orders():
     assert jets.mul_sub(head, [(x, x)]) == head - (x * x).truncated(2)
     with pytest.raises(InsufficientOrderError):
         jets.mul_sub(Jet.constant(1, ORACLE_BASE, 5), [(x, x)])
+
+
+# ---------------- elementary functions ----------------
+#
+# exp, log, sin, cos and sqrt convert the jet to float, take the univariate
+# Taylor tower t_0 .. t_n of the function at its constant term c0, and
+# compose it with a - c0 by Horner steps: start from the constant t_n, then
+# r * (a - c0) + t_k for k = n - 1 down to 0.  Their tables must equal those
+# steps through the reference operations bit for bit.  A tower that leaves
+# the float range, and a log or sqrt of a non-positive constant term, must
+# raise SingularEvaluationError with the same message.
+
+
+def _ref_sqrt_tower(c0, n):
+    tower = [math.sqrt(c0)]
+    for k in range(1, n + 1):
+        tower.append(tower[-1] * (0.5 - (k - 1)) / (k * c0))
+    return tower
+
+
+REF_TOWERS = {
+    "exp": lambda c0, n: [math.exp(c0) / math.factorial(k)
+                          for k in range(n + 1)],
+    "log": lambda c0, n: [math.log(c0)] + [(-1.0) ** (k + 1) / (k * c0**k)
+                                           for k in range(1, n + 1)],
+    "sin": lambda c0, n: [math.sin(c0 + k * math.pi / 2) / math.factorial(k)
+                          for k in range(n + 1)],
+    "cos": lambda c0, n: [math.cos(c0 + k * math.pi / 2) / math.factorial(k)
+                          for k in range(n + 1)],
+    "sqrt": _ref_sqrt_tower,
+}
+
+
+def ref_elementary(name, a):
+    """The table of `name` applied to the table a, or the message of the
+    SingularEvaluationError it raises at ORACLE_BASE."""
+    n = len(a) - 1
+    where = " (base point (1/3, -2))"
+    if name in ("log", "sqrt") and a[0][0] <= 0:
+        return "%s of a non-positive constant term" % name + where
+    a = [[float(c) for c in row] for row in a]
+    c0 = a[0][0]
+    try:
+        tower = REF_TOWERS[name](c0, n)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return "the Taylor tower of %s leaves the float range" % name + where
+    u = ref_sub(a, ref_const(c0, n))
+    result = ref_const(tower[n], n)
+    for k in range(n - 1, -1, -1):
+        result = ref_add(ref_mul(result, u), ref_const(tower[k], n))
+    return result
+
+
+# constant terms whose towers overflow, underflow to a zero divisor, or
+# leave the domain
+_tower_edges = st.sampled_from([
+    Fraction(800), Fraction(-800), 710.0, 1e200, 1e-200, 1e-300, 5e-324,
+    -0.0, 0.0, Fraction(0), Fraction(-1, 3), math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def elementary_cases(draw):
+    kind = draw(st.sampled_from(sorted(_FUSED_KINDS)))
+    coeff, zero = _FUSED_KINDS[kind]
+    a = draw(kernel_tables(draw(st.integers(0, 10)), coeff, zero))
+    shift = draw(st.sampled_from(["none", "positive", "edge"]))
+    if shift == "positive":  # inside the domain of log and sqrt
+        a[0][0] = abs(a[0][0]) + 1
+    elif shift == "edge":
+        c0 = draw(_tower_edges)
+        if kind == "exact" and isinstance(c0, float):
+            a = [[float(c) for c in row] for row in a]
+        a[0][0] = c0
+    return draw(st.sampled_from(sorted(REF_TOWERS))), a
+
+
+@settings(max_examples=120, deadline=None)
+@given(elementary_cases())
+# (1/3) / c0**3 and 1 / (3 * c0**3) round differently
+@example(("log", [[0.7, 0.25, -1.0, 0.5], [1.0, 0.0, 2.0], [0.0, 1.5],
+                  [-0.5]]))
+@example(("sqrt", [[Fraction(1, 7), Fraction(2), Fraction(0)],
+                   [Fraction(-3, 4), Fraction(0)], [Fraction(5)]]))
+@example(("exp", [[Fraction(800), Fraction(1)], [Fraction(0)]]))
+@example(("log", [[1e-300, 1.0], [0.0]]))
+def test_elementary_functions_match_reference_bit_for_bit(case):
+    name, a = case
+    want = ref_elementary(name, a)
+    for kernel_at in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "KERNEL_AT", kernel_at)
+            if isinstance(want, str):
+                with pytest.raises(SingularEvaluationError) as err:
+                    getattr(jets, name)(jet_of(a))
+                assert str(err.value) == want
+            else:
+                got = getattr(jets, name)(jet_of(a))
+                assert not got.exact
+                assert _table_bits(got.coeffs) == _table_bits(want)

@@ -9,7 +9,7 @@ import pytest
 from projmet import expressions as ex
 from projmet import linalg, tractor
 from projmet.invariants import JetStructure
-from projmet.jets import InsufficientOrderError
+from projmet.jets import InsufficientOrderError, Jet
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.tractor import (
     AffineConnection,
@@ -288,3 +288,68 @@ def test_change_connection_is_float_for_an_exact_connection():
     assert entries == expected
     assert changed.s == by_hand.s
     assert changed.order == conn.order - 1
+
+
+# The change acts by unit block-triangular operations on the slots
+# (scalar 0, vector 1 + c, tensor (c, d)): the result is L(w) theta R(w).
+# In L, vector row 1 + c subtracts 2 w_c times row 0, and tensor row (c, d)
+# subtracts (w_c row 1 + d + w_d row 1 + c) / 2 and adds w_c w_d row 0.
+# R is the mirror image on columns.  Exact entries make the check entrywise
+# and independent of summation order; a stack with a zero corner keeps it.
+
+F12 = Fraction(1, 2)
+_TENSOR_SLOTS = ((3, 0, 0), (4, 0, 1), (5, 1, 1))
+
+
+def _change_matrices(w, zero, one):
+    left = [[one if i == j else zero for j in range(6)] for i in range(6)]
+    for c in (0, 1):
+        left[1 + c][0] = -2 * w[c]
+    for r, c, d in _TENSOR_SLOTS:
+        left[r][0] = w[c] * w[d]
+        left[r][1 + d] = left[r][1 + d] - F12 * w[c]
+        left[r][1 + c] = left[r][1 + c] - F12 * w[d]
+    right = [[left[j][i] for j in range(6)] for i in range(6)]
+    return left, right
+
+
+def _matmul(a, b, zero):
+    return [[sum((a[i][k] * b[k][j] for k in range(6)), zero)
+             for j in range(6)] for i in range(6)]
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _assert_change_is_block_product(theta, w, zero, one):
+    left, right = _change_matrices(w, zero, one)
+    want = _matmul(_matmul(left, theta, zero), right, zero)
+    got = projective_change(theta, w)
+    for i in range(6):
+        for j in range(6):
+            assert got[i][j] == want[i][j], (i, j)
+
+
+def test_projective_change_is_the_block_product_on_fractions():
+    rng = random.Random(131)
+    for _ in range(30):
+        theta = [[_random_rational(rng) for _ in range(6)] for _ in range(6)]
+        theta[0][0] = Fraction(0)
+        w = (_random_rational(rng), _random_rational(rng))
+        _assert_change_is_block_product(theta, w, Fraction(0), Fraction(1))
+
+
+def test_projective_change_is_the_block_product_on_exact_jets():
+    rng = random.Random(137)
+    base = (Fraction(1, 2), Fraction(-1))
+
+    def jet():
+        return Jet(base, 2, [[_random_rational(rng) for _ in range(3 - i)]
+                             for i in range(3)])
+
+    zero, one = Jet.constant(0, base, 2), Jet.constant(1, base, 2)
+    for _ in range(5):
+        theta = [[jet() for _ in range(6)] for _ in range(6)]
+        theta[0][0] = zero
+        _assert_change_is_block_product(theta, (jet(), jet()), zero, one)
