@@ -117,25 +117,14 @@ class JetStructure:
             prev = self._levels[k - 1]
             o1 = self.columns("x", self.order - 3 - k)
             o2 = self.columns("y", self.order - 3 - k)
-            cur = []
-            for j in range(k, -1, -1):  # j = number of x-derivatives
-                parts = []
-                if j > 0:
-                    parts.append(
-                        (Fraction(j, k), cov_deriv(prev[k - j], o1, "x"))
-                    )
-                if j < k:
-                    parts.append(
-                        (Fraction(k - j, k), cov_deriv(prev[k - 1 - j], o2, "y"))
-                    )
-                row = parts[0][1]
-                if parts[0][0] != 1:
-                    row = tuple(parts[0][0] * e for e in row)
-                for coef, extra in parts[1:]:
-                    row = tuple(
-                        a + coef * b for a, b in zip(row, extra)
-                    )
-                cur.append(row)
+            # all-x row, mixed rows by decreasing x-count j, all-y row
+            cur = [cov_deriv(prev[0], o1, "x")]
+            for j in range(k - 1, 0, -1):
+                dx = cov_deriv(prev[k - j], o1, "x")
+                dy = cov_deriv(prev[k - 1 - j], o2, "y")
+                cur.append(tuple(Fraction(j, k) * a + Fraction(k - j, k) * b
+                                 for a, b in zip(dx, dy)))
+            cur.append(cov_deriv(prev[k - 1], o2, "y"))
             self._levels.append(cur)
         return self._levels[: depth + 1]
 
@@ -429,20 +418,18 @@ def sixth_order_E(js, tol=1e-9):
         e2 = linalg.det(base + [rows[9]])
         return EResult(e1, e2, False)
     chosen = []
-    for i in range(len(rows)):
+    for i, row in enumerate(rows):
         if len(chosen) == 5:
-            tops = [j for j in range(i, len(rows)) if j not in chosen][:2]
             break
-        trial = [rows[j] for j in chosen] + [rows[i]]
-        if linalg.rank_kernel(trial, tol).rank == len(trial):
-            chosen.append(i)
+        if linalg.rank_kernel(chosen + [row], tol).rank == len(chosen) + 1:
+            chosen.append(row)
     else:
         return EResult(None, None, True)
+    tops = rows[i:i + 2]
     if len(tops) < 2:
         return EResult(None, None, True)
-    base = [rows[j] for j in chosen]
-    e1 = linalg.det(base + [rows[tops[0]]])
-    e2 = linalg.det(base + [rows[tops[1]]])
+    e1 = linalg.det(chosen + [tops[0]])
+    e2 = linalg.det(chosen + [tops[1]])
     return EResult(e1, e2, True)
 
 
@@ -659,20 +646,16 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
 
     order7 = order8 = None
     strat_rows = ()
-    if rank_m == 4 and js.order >= 7:
-        sres = stratified_obstruction(js, 4, tol)
+    if rank_m in (3, 4) and js.order >= 11 - rank_m:
+        sres = stratified_obstruction(js, rank_m, tol)
         if sres is None:
-            notes.append("rank-4 stack closed at lower rank")
+            notes.append("rank-%d stack closed at lower rank" % rank_m)
         else:
-            order7 = sres.value
             strat_rows = sres.rows_used
-    if rank_m == 3 and js.order >= 8:
-        sres = stratified_obstruction(js, 3, tol)
-        if sres is None:
-            notes.append("rank-3 stack closed at lower rank")
-        else:
-            order8 = sres.value
-            strat_rows = sres.rows_used
+            if rank_m == 4:
+                order7 = sres.value
+            else:
+                order8 = sres.value
 
     rank_mmax = None
     kernel = []

@@ -626,8 +626,18 @@ def _quotient(a, b, n, scale, divide):
 # by the ring operations and integer powers.
 
 
-def _compose(a, tower):
+def _elementary(name, a, terms):
+    """`name` of the jet a: its float Taylor tower `terms(c0, n)` at a's
+    constant term c0, composed with a - c0 by Horner steps.  A tower that
+    leaves the float range is a singular evaluation."""
+    a = a.to_float()
     n = a.order
+    try:
+        tower = terms(a.value, n)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise SingularEvaluationError(
+            "the Taylor tower of %s leaves the float range" % name, a.base
+        ) from None
     u = a - a.value
     result = Jet.constant(tower[n], a.base, n)
     for k in range(n - 1, -1, -1):
@@ -635,24 +645,11 @@ def _compose(a, tower):
     return result
 
 
-def _tower(name, a, terms):
-    """The float Taylor tower `terms(c0)` of `name` at a's constant term; a
-    tower that leaves the float range is a singular evaluation."""
-    try:
-        return terms(a.value)
-    except (OverflowError, ZeroDivisionError, ValueError):
-        raise SingularEvaluationError(
-            "the Taylor tower of %s leaves the float range" % name, a.base
-        ) from None
-
-
 def exp(a):
-    a = a.to_float()
-
-    def terms(c0):
+    def terms(c0, n):
         e0 = math.exp(c0)
-        return [e0 / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, _tower("exp", a, terms))
+        return [e0 / math.factorial(k) for k in range(n + 1)]
+    return _elementary("exp", a, terms)
 
 
 def log(a):
@@ -660,32 +657,20 @@ def log(a):
         raise SingularEvaluationError(
             "log of a non-positive constant term", a.base
         )
-    a = a.to_float()
-
-    def terms(c0):
-        tower = [math.log(c0)]
-        for k in range(1, a.order + 1):
-            tower.append((-1.0) ** (k + 1) / (k * c0**k))
-        return tower
-    return _compose(a, _tower("log", a, terms))
+    return _elementary("log", a, lambda c0, n: [math.log(c0)] + [
+        (-1.0) ** (k + 1) / (k * c0**k) for k in range(1, n + 1)])
 
 
 def sin(a):
-    a = a.to_float()
-
-    def terms(c0):
-        return [math.sin(c0 + k * math.pi / 2) / math.factorial(k)
-                for k in range(a.order + 1)]
-    return _compose(a, _tower("sin", a, terms))
+    return _elementary("sin", a, lambda c0, n: [
+        math.sin(c0 + k * math.pi / 2) / math.factorial(k)
+        for k in range(n + 1)])
 
 
 def cos(a):
-    a = a.to_float()
-
-    def terms(c0):
-        return [math.cos(c0 + k * math.pi / 2) / math.factorial(k)
-                for k in range(a.order + 1)]
-    return _compose(a, _tower("cos", a, terms))
+    return _elementary("cos", a, lambda c0, n: [
+        math.cos(c0 + k * math.pi / 2) / math.factorial(k)
+        for k in range(n + 1)])
 
 
 def sqrt(a):
@@ -693,11 +678,10 @@ def sqrt(a):
         raise SingularEvaluationError(
             "sqrt of a non-positive constant term", a.base
         )
-    a = a.to_float()
 
-    def terms(c0):
+    def terms(c0, n):
         tower = [math.sqrt(c0)]
-        for k in range(1, a.order + 1):
+        for k in range(1, n + 1):
             tower.append(tower[-1] * (0.5 - (k - 1)) / (k * c0))
         return tower
-    return _compose(a, _tower("sqrt", a, terms))
+    return _elementary("sqrt", a, terms)

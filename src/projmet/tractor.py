@@ -391,63 +391,37 @@ def _contraction_plan():
 
 def projective_change(theta, omega):
     """Row and column operations realising grad -> grad + omega on the
-    stacked matrix.  Entries may be jets or plain scalars; omega is the
-    pair (omega_x, omega_y) of matching values.  The determinant is
+    stacked matrix, block by block over its scalar slot 0, vector slots
+    1 + c and tensor slots (c, d).  Entries may be jets or plain scalars;
+    omega is the pair (w_x, w_y) of matching values.
+
+    Rows: vector row 1 + c subtracts 2 w_c row 0, and tensor row (c, d)
+    subtracts (w_c row 1+d + w_d row 1+c) / 2 and adds w_c w_d row 0.
+    Columns: the mirror image, with the entry on the left of each product.
+    No term is formed from the structural zero corner.  The determinant is
     untouched (all operations add multiples of earlier block rows/columns).
     """
     w = omega
-
-    # row stage: rows pick up multiples of earlier block rows
+    top = theta[0]
     mid = [list(row) for row in theta]
     for c in (0, 1):
-        for a in (0, 1):
-            mid[1 + c][1 + a] = S(theta, c, a) - 2 * w[c] * P(theta, a)
-        for (a, b) in _PAIRS:
-            mid[1 + c][3 + _IDX2[(a, b)]] = (
-                T(theta, c, a, b) - 2 * w[c] * Q(theta, a, b)
-            )
-    for (c, d) in _PAIRS:
-        r = 3 + _IDX2[(c, d)]
-        mid[r][0] = (U(theta, c, d)
-                     - F12 * (w[c] * R(theta, d) + w[d] * R(theta, c)))
-        for a in (0, 1):
-            mid[r][1 + a] = (
-                V(theta, c, d, a)
-                - F12 * (w[c] * S(theta, d, a) + w[d] * S(theta, c, a))
-                + w[c] * w[d] * P(theta, a)
-            )
-        for (a, b) in _PAIRS:
-            mid[r][3 + _IDX2[(a, b)]] = (
-                X(theta, c, d, a, b)
-                - F12 * (w[c] * T(theta, d, a, b) + w[d] * T(theta, c, a, b))
-                + w[c] * w[d] * Q(theta, a, b)
-            )
+        row = theta[1 + c]
+        for j in range(1, 6):
+            mid[1 + c][j] = row[j] - 2 * w[c] * top[j]
+    for r, (c, d) in enumerate(_PAIRS, 3):
+        row, vc, vd = theta[r], theta[1 + c], theta[1 + d]
+        for j in range(6):
+            e = row[j] - F12 * (w[c] * vd[j] + w[d] * vc[j])
+            mid[r][j] = e + w[c] * w[d] * top[j] if j else e
 
-    # column stage: columns pick up multiples of earlier block columns
     out = [list(row) for row in mid]
-    for (a, b) in _PAIRS:
-        out[0][3 + _IDX2[(a, b)]] = (
-            Q(mid, a, b) - F12 * (P(mid, a) * w[b] + P(mid, b) * w[a])
-        )
-    for c in (0, 1):
-        for a in (0, 1):
-            out[1 + c][1 + a] = S(mid, c, a) - 2 * R(mid, c) * w[a]
-        for (a, b) in _PAIRS:
-            out[1 + c][3 + _IDX2[(a, b)]] = (
-                T(mid, c, a, b)
-                - F12 * (S(mid, c, a) * w[b] + S(mid, c, b) * w[a])
-                + R(mid, c) * w[a] * w[b]
-            )
-    for (c, d) in _PAIRS:
-        r = 3 + _IDX2[(c, d)]
-        for a in (0, 1):
-            out[r][1 + a] = V(mid, c, d, a) - 2 * U(mid, c, d) * w[a]
-        for (a, b) in _PAIRS:
-            out[r][3 + _IDX2[(a, b)]] = (
-                X(mid, c, d, a, b)
-                - F12 * (V(mid, c, d, a) * w[b] + V(mid, c, d, b) * w[a])
-                + U(mid, c, d) * w[a] * w[b]
-            )
+    for i, row in enumerate(mid):
+        for k, (a, b) in enumerate(_PAIRS, 3):
+            e = row[k] - F12 * (row[1 + a] * w[b] + row[1 + b] * w[a])
+            out[i][k] = e + row[0] * w[a] * w[b] if i else e
+        if i:
+            for a in (0, 1):
+                out[i][1 + a] = row[1 + a] - 2 * row[0] * w[a]
     return out
 
 
