@@ -415,13 +415,13 @@ def projective_change(theta, omega):
             mid[r][j] = e + w[c] * w[d] * top[j] if j else e
 
     out = [list(row) for row in mid]
-    for i, row in enumerate(mid):
-        for k, (a, b) in enumerate(_PAIRS, 3):
+    for a in (0, 1):
+        for i in range(1, 6):
+            out[i][1 + a] = mid[i][1 + a] - 2 * mid[i][0] * w[a]
+    for k, (a, b) in enumerate(_PAIRS, 3):
+        for i, row in enumerate(mid):
             e = row[k] - F12 * (row[1 + a] * w[b] + row[1 + b] * w[a])
             out[i][k] = e + row[0] * w[a] * w[b] if i else e
-        if i:
-            for a in (0, 1):
-                out[i][1 + a] = row[1 + a] - 2 * row[0] * w[a]
     return out
 
 
