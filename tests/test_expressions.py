@@ -1,13 +1,19 @@
 """Expression parsing, printing, differentiation, and the two evaluators."""
 
+import importlib.util
+import json
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 
+from projmet import cli, jets
 from projmet import expressions as ex
-from projmet.jets import SingularEvaluationError
+from projmet.jets import Jet, SingularEvaluationError
 from projmet.expressions import (
     ExactModeError,
     ExprSyntaxError,
@@ -291,3 +297,137 @@ def test_compiled_sqrt_derivative_at_zero_is_singular():
     assert f(4.0, 0.0) == (2.0, 0.25)
     with pytest.raises(SingularEvaluationError):
         f(0.0, 0.0)
+
+
+# ---------------- eval_jet against an unshared reference ----------------
+#
+# `_reference_eval_jet` evaluates every node of a tree on its own, in the
+# order eval_jet visits them, with the same jet operations.  eval_jet must
+# give its jets bit for bit, and its exceptions with the same type and
+# message, on the coefficients of every committed input and of the
+# metric-derived benchmark jobs, whose trees repeat many subtrees.
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _reference_eval_jet(e, base, order, mode):
+    if mode == "rational" and ex.has_transcendental(e):
+        raise ExactModeError(
+            "exact evaluation requested for a tree with transcendental calls")
+    want_float = mode == "float"
+
+    def rec(t):
+        if isinstance(t, ex.Num):
+            v = float(t.value) if want_float else t.value
+            return Jet.constant(v, base, order)
+        if isinstance(t, ex.Var):
+            j = Jet.variable(t.name, base, order)
+            return j.to_float() if want_float else j
+        if isinstance(t, ex.Neg):
+            return -rec(t.arg)
+        if isinstance(t, ex.BinOp):
+            a = rec(t.left)
+            b = rec(t.right)
+            return {"+": add, "-": sub, "*": mul, "/": truediv}[t.op](a, b)
+        if isinstance(t, ex.Pow):
+            return rec(t.base) ** t.exponent
+        return getattr(jets, t.func)(rec(t.arg))
+
+    return rec(e)
+
+
+def _table_bits(rows):
+    return [[(type(c).__name__, c.hex() if isinstance(c, float) else c)
+             for c in row] for row in rows]
+
+
+def _outcome(evaluate, *args):
+    """A jet's exactness, base, order and bits, or an exception's type and
+    message."""
+    try:
+        jet = evaluate(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return jet.exact, jet.base, jet.order, _table_bits(jet.coeffs)
+
+
+def _load_bench_jobs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_jobs", ROOT / "bench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    # `dataclass` looks its class's module up while the module runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _evaluator_cases():
+    """(name, structure, points) of every committed input, and of every
+    metric-derived job of decide-exact and decide-float, seeds 0-2."""
+    cases = []
+    for path in sorted((ROOT / "inputs").glob("*.json")):
+        job = cli.Job(json.loads(path.read_text()))
+        cases.append((path.stem, job.structure, job.points))
+    bench_jobs = _load_bench_jobs()
+    committed = {name: json.loads((ROOT / "inputs" / (name + ".json"))
+                                  .read_text())
+                 for name in bench_jobs.COMMITTED_ALL}
+    frozen = json.loads((ROOT / "bench" / "frozen.json").read_text())
+    for seed in range(3):
+        for workload, specs in (
+                ("decide-exact", bench_jobs.decide_exact(seed, committed)),
+                ("decide-float",
+                 bench_jobs.decide_float(seed, committed, frozen))):
+            for spec in specs:
+                if spec.data.get("kind") == "metric" and \
+                        spec.name not in committed:
+                    job = cli.Job(spec.data)
+                    cases.append(("%s-%d-%s" % (workload, seed, spec.name),
+                                  job.structure, job.points))
+    return cases
+
+
+EVALUATOR_CASES = _evaluator_cases()
+
+
+@pytest.mark.parametrize("mode", ("rational", "float", "auto"))
+@pytest.mark.parametrize("name, structure, points", EVALUATOR_CASES,
+                         ids=[c[0] for c in EVALUATOR_CASES])
+def test_eval_jet_matches_the_unshared_reference(name, structure, points,
+                                                 mode):
+    for point in points:
+        for order in range(11):
+            for tree in structure.coefficients:
+                want = _outcome(_reference_eval_jet, tree, point, order, mode)
+                assert _outcome(eval_jet, tree, point, order, mode) == want
+
+
+SINGULAR_TREES = (
+    # the shared subtree x - 1 is harmless until the third tree divides by it
+    ("x - 1", "(x - 1)*y", "y/(x - 1)", "x"),
+    # the singular subtree 1/(x - 1) itself repeats, in the third and fourth
+    ("x*y", "y", "1/(x - 1) + 1/(x - 1)", "x/(x - 1)"),
+    ("exp(x - 1)", "x - 1", "log(x - 1)*exp(x - 1)", "log(x - 1)"),
+    ("sqrt(x - 1)", "x", "y", "1"),
+)
+
+
+@pytest.mark.parametrize("srcs", SINGULAR_TREES)
+@pytest.mark.parametrize("mode", ("float", "auto"))
+def test_singular_subtrees_raise_as_the_reference_does(srcs, mode):
+    trees = [parse_expr(s) for s in srcs]
+    point = (Fraction(1), Fraction(2))
+    want = [_outcome(_reference_eval_jet, t, point, 4, mode) for t in trees]
+    assert any(isinstance(w[0], type) for w in want)
+    assert [_outcome(eval_jet, t, point, 4, mode) for t in trees] == want
+
+
+def test_calls_without_a_memo_share_nothing():
+    tree = parse_expr("exp(x*y) + x*y")
+    point = (0.5, 0.25)
+    first, second = (eval_jet(tree, point, 4, "float") for _ in range(2))
+    assert first == second
+    assert first is not second
