@@ -346,10 +346,9 @@ def cmd_tractor(job, mode):
 
 def _change_block(js, theta, det_theta, f_expr, point):
     target = theta[0][0].order
-    wx = ex.eval_jet(ex.differentiate(f_expr, "x"), point, target,
-                     "float" if not js.exact else "auto")
-    wy = ex.eval_jet(ex.differentiate(f_expr, "y"), point, target,
-                     "float" if not js.exact else "auto")
+    mode, memo = "float" if not js.exact else "auto", {}
+    wx, wy = (ex.eval_jet(ex.differentiate(f_expr, v), point, target, mode,
+                          memo) for v in "xy")
     theta_a = projective_change(theta, (wx, wy))
     det_a = linalg.det(theta_values(theta_a))
 

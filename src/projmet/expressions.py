@@ -11,6 +11,7 @@ independent evaluators: `eval_jet` (truncated Taylor arithmetic) and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -453,13 +454,27 @@ _JET_FUNCS = {
     "sqrt": jets.sqrt,
 }
 
+_JET_BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
 
-def eval_jet(e, base, order, mode="auto"):
+
+def eval_jet(e, base, order, mode="auto", memo=None):
     """Evaluate a tree to a Jet at `base`.
 
     mode "rational" insists on exact arithmetic and rejects trees with
     transcendental calls; "float" converts everything to float up front;
     "auto" stays exact as long as the operations allow.
+
+    Each distinct subtree is evaluated once, hash-consed as `_float_source`
+    names them: a node is looked up by identity, then by its kind and its
+    children's jets.  Trees evaluated at one base, order and mode may share
+    a dict `memo`, which then holds the jets of all their subtrees; a memo
+    filled at another base, order or mode raises ValueError.  Without one,
+    nothing outlives the call.
     """
     if mode not in ("auto", "rational", "float"):
         raise ValueError("mode must be 'auto', 'rational', or 'float'")
@@ -468,31 +483,49 @@ def eval_jet(e, base, order, mode="auto"):
             "exact evaluation requested for a tree with transcendental calls"
         )
     want_float = mode == "float"
+    point = tuple(map(to_scalar, base))
+    context = (point, tuple(map(type, point)), order, mode)
+    if memo is None:
+        memo = {}
+    if memo.setdefault(None, context) != context:
+        raise ValueError("memo was filled at another base, order or mode")
+
+    def variable(name):
+        j = Jet.variable(name, base, order)
+        return j.to_float() if want_float else j
+
+    def shared(key, op, *args):
+        jet = memo.get(key)
+        if jet is None:
+            jet = memo[key] = op(*args)
+        return jet
 
     def rec(t):
+        # keeping t alive keeps its id from naming another node
+        seen = memo.get(id(t))
+        if seen is not None:
+            return seen[1]
         if isinstance(t, Num):
             v = float(t.value) if want_float else t.value
-            return Jet.constant(v, base, order)
-        if isinstance(t, Var):
-            j = Jet.variable(t.name, base, order)
-            return j.to_float() if want_float else j
-        if isinstance(t, Neg):
-            return -rec(t.arg)
-        if isinstance(t, BinOp):
-            a = rec(t.left)
-            b = rec(t.right)
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            return a / b
-        if isinstance(t, Pow):
-            return rec(t.base) ** t.exponent
-        if isinstance(t, Call):
-            return _JET_FUNCS[t.func](rec(t.arg))
-        raise TypeError("not an expression: %r" % (t,))
+            jet = shared(("num", t.value), Jet.constant, v, base, order)
+        elif isinstance(t, Var):
+            jet = shared(("var", t.name), variable, t.name)
+        elif isinstance(t, Neg):
+            a = rec(t.arg)
+            jet = shared(("neg", id(a)), operator.neg, a)
+        elif isinstance(t, BinOp) and t.op in _JET_BINOPS:
+            a, b = rec(t.left), rec(t.right)
+            jet = shared((t.op, id(a), id(b)), _JET_BINOPS[t.op], a, b)
+        elif isinstance(t, Pow):
+            a = rec(t.base)
+            jet = shared(("pow", id(a), t.exponent), pow, a, t.exponent)
+        elif isinstance(t, Call):
+            a = rec(t.arg)
+            jet = shared((t.func, id(a)), _JET_FUNCS[t.func], a)
+        else:
+            raise TypeError("not an expression: %r" % (t,))
+        memo[id(t)] = (t, jet)
+        return jet
 
     return rec(e)
 

@@ -65,8 +65,9 @@ class JetStructure:
 
     @classmethod
     def at(cls, structure, point, order, mode="auto"):
+        memo = {}
         return cls(tuple(
-            eval_jet(c, point, order, mode)
+            eval_jet(c, point, order, mode, memo)
             for c in structure.coefficients
         ))
 
@@ -92,8 +93,11 @@ class JetStructure:
         return self._L
 
     def connection(self):
+        """(O1, O2) at order max(N-4, 0), the highest order `columns` is
+        asked for: derivative level k >= 1 of V reads order N-3-k."""
         if self._conn is None:
-            self._conn = _connection_matrices(self.a, self._zero)
+            self._conn = _connection_matrices(self.a, self._zero,
+                                              max(self.order - 4, 0))
         return self._conn
 
     def columns(self, var, order):
@@ -224,18 +228,20 @@ CONNECTION_RATIONALS = (F13, F23, F43, F89, F169, F49, F29, F83, F203)
 CONNECTION_FLOATS = tuple(float(c) for c in CONNECTION_RATIONALS)
 
 
-def _connection_matrices(a, zero_at):
+def _connection_matrices(a, zero_at, m):
     """The pair (O1, O2) of 6x6 connection matrices of the prolonged
-    system, as jets of order N-2."""
+    system, as jets of order m <= N-2.  The coefficients' derivatives are
+    truncated to m before the formula, which gives the order-(N-2) pair
+    truncated to m bit for bit: a product's cell sums the same terms in the
+    same order at every truncation."""
     n = a[0].order
-    if n < 2:
-        raise InsufficientOrderError(2, n)
-    m = n - 2
+    if n < m + 2:
+        raise InsufficientOrderError(m + 2, n)
     derivs = []
     for j in a:
         jx, jy = j.diff("x"), j.diff("y")
-        derivs.append((j.truncated(m), jx.truncated(m), jy.truncated(m),
-                       jx.diff("x"), jx.diff("y"), jy.diff("y")))
+        derivs.append(tuple(d.truncated(m) for d in (
+            j, jx, jy, jx.diff("x"), jx.diff("y"), jy.diff("y"))))
     z = zero_at(m)
     return connection_formula(derivs, z, z + 1)
 
@@ -350,7 +356,7 @@ def curvature(js):
     if n < 3:
         raise InsufficientOrderError(3, n)
     m = n - 3
-    o1, o2 = js.connection()
+    o1, o2 = _connection_matrices(js.a, js._zero, n - 2)
     o1t = [[e.truncated(m) for e in row] for row in o1]
     o2t = [[e.truncated(m) for e in row] for row in o2]
     out = []

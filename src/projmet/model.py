@@ -212,9 +212,11 @@ def liouville_residual(psi, structure, point, order=1, mode="auto"):
     """
     if order < 1:
         raise ValueError("residual evaluation needs jets of order >= 1")
-    p1, p2, p3 = (eval_jet(as_expr(p), point, order, mode) for p in psi)
+    memo = {}
+    p1, p2, p3 = (eval_jet(as_expr(p), point, order, mode, memo)
+                  for p in psi)
     a0, a1, a2, a3 = (
-        eval_jet(c, point, order, mode) for c in structure.coefficients
+        eval_jet(c, point, order, mode, memo) for c in structure.coefficients
     )
     m = order - 1
     p1d, p2d, p3d = p1.truncated(m), p2.truncated(m), p3.truncated(m)

@@ -12,6 +12,7 @@ from operator import add, mul, sub, truediv
 import pytest
 
 from projmet import cli, jets
+from projmet.invariants import JetStructure
 from projmet import expressions as ex
 from projmet.jets import Jet, SingularEvaluationError
 from projmet.expressions import (
@@ -400,9 +401,12 @@ def test_eval_jet_matches_the_unshared_reference(name, structure, points,
                                                  mode):
     for point in points:
         for order in range(11):
+            memo = {}
             for tree in structure.coefficients:
                 want = _outcome(_reference_eval_jet, tree, point, order, mode)
                 assert _outcome(eval_jet, tree, point, order, mode) == want
+                assert _outcome(eval_jet, tree, point, order, mode,
+                                memo) == want
 
 
 SINGULAR_TREES = (
@@ -423,6 +427,9 @@ def test_singular_subtrees_raise_as_the_reference_does(srcs, mode):
     want = [_outcome(_reference_eval_jet, t, point, 4, mode) for t in trees]
     assert any(isinstance(w[0], type) for w in want)
     assert [_outcome(eval_jet, t, point, 4, mode) for t in trees] == want
+    memo = {}
+    assert [_outcome(eval_jet, t, point, 4, mode, memo)
+            for t in trees] == want
 
 
 def test_calls_without_a_memo_share_nothing():
@@ -431,3 +438,46 @@ def test_calls_without_a_memo_share_nothing():
     first, second = (eval_jet(tree, point, 4, "float") for _ in range(2))
     assert first == second
     assert first is not second
+
+
+def test_a_memo_serves_one_base_order_and_mode():
+    tree = parse_expr("x*y + 1")
+    point = (Fraction(1), Fraction(2))
+    memo = {}
+    eval_jet(tree, point, 4, "auto", memo)
+    assert eval_jet(tree, point, 4, "auto", memo) is \
+        eval_jet(parse_expr("x*y + 1"), point, 4, "auto", memo)
+    for base, order, mode in ((point, 5, "auto"), (point, 4, "float"),
+                              ((Fraction(1), Fraction(3)), 4, "auto"),
+                              ((1.0, 2.0), 4, "auto")):
+        with pytest.raises(ValueError, match="memo"):
+            eval_jet(tree, base, order, mode, memo)
+
+
+def _exp_subtrees(t, out):
+    """Append every exp call of a tree, once per occurrence."""
+    if isinstance(t, ex.Call) and t.func == "exp":
+        out.append(t)
+    for child in vars(t).values():
+        if isinstance(child, (ex.Num, ex.Var, ex.BinOp, ex.Pow, ex.Neg,
+                              ex.Call)):
+            _exp_subtrees(child, out)
+    return out
+
+
+def test_each_distinct_exp_subtree_of_a_metric_runs_once(monkeypatch):
+    job = cli.Job({"kind": "metric", "E": "3 + exp(x*y/2)",
+                   "F": "sin(x)/5", "G": "4 + x^2 + exp(y/3)",
+                   "points": [[0.3, -0.2]]})
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return jets.exp(a)
+
+    monkeypatch.setitem(ex._JET_FUNCS, "exp", counted)
+    occurrences = []
+    for tree in job.structure.coefficients:
+        _exp_subtrees(tree, occurrences)
+    JetStructure.at(job.structure, job.points[0], 10, "float")
+    assert len(calls) == len(set(occurrences)) < len(occurrences)

@@ -8,6 +8,7 @@ import pytest
 
 from projmet import expressions as ex
 from projmet import invariants
+from projmet import jets
 from projmet import linalg
 from projmet.cli import load_job
 from projmet.invariants import (
@@ -151,7 +152,7 @@ def test_commutator_on_random_rows():
     js = JetStructure.at(s, pt, 9)
     o1, o2 = js.connection()
     v = js.row("")
-    n = o1[0][0].order  # connection entries sit at order - 2
+    n = o1[0][0].order  # connection entries sit at order - 4
     for _ in range(5):
         w = [
             ex.eval_jet(
@@ -315,6 +316,40 @@ def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, calls):
     assert count[0] == calls
 
 
+def _jet_bits(jet):
+    return jet.exact, [[c.hex() if isinstance(c, float) else c for c in row]
+                       for row in jet.coeffs]
+
+
+CONNECTION_CASES = {
+    "exact": (GENERIC, (Fraction(1), Fraction(1)), "rational"),
+    "float": (ode_from_metric(MetricInput.from_exprs(
+        "3 + exp(x*y/2)", "sin(x)/5", "4 + x^2 + exp(y/3)")),
+        (0.3, -0.2), "float"),
+    "mixed-exactness": (load_job(str(INPUTS / "mixed-exactness.json"))
+                        .structure, (Fraction(1, 3), Fraction(1, 5)), "auto"),
+}
+
+
+@pytest.mark.parametrize("path", (0, float("inf")))
+@pytest.mark.parametrize("case", sorted(CONNECTION_CASES))
+def test_connection_is_the_order_n_minus_2_pair_truncated(
+        case, path, monkeypatch):
+    """`connection` builds (O1, O2) at order N-4, the highest its covariant
+    derivatives read; that must be the order-(N-2) pair truncated, bit for
+    bit, on the loop and on the kernel product path."""
+    monkeypatch.setattr(jets, "KERNEL_AT", path)
+    structure, point, mode = CONNECTION_CASES[case]
+    for order in range(4, 11):
+        js = JetStructure.at(structure, point, order, mode)
+        full = invariants._connection_matrices(js.a, js._zero, order - 2)
+        for got, want in zip(js.connection(), full):
+            for got_row, want_row in zip(got, want):
+                for g, w in zip(got_row, want_row):
+                    assert g.order == order - 4
+                    assert _jet_bits(g) == _jet_bits(w.truncated(order - 4))
+
+
 def test_word_rows_are_iterated_derivatives():
     rng = random.Random(56)
     js = JetStructure.at(_random_structure(rng),
@@ -357,8 +392,8 @@ def test_symmetrised_levels_match_iterated_derivatives():
         return [[e.truncated(m) for e in row] for row in mat]
 
     n = v[0].order
-    dx = cov_deriv(v, tr(o1, n), "x")
-    dy = cov_deriv(v, tr(o2, n), "y")
+    dx = cov_deriv(v, tr(o1, n - 1), "x")
+    dy = cov_deriv(v, tr(o2, n - 1), "y")
     dxy = cov_deriv(dx, tr(o2, n - 1), "y")
     dyx = cov_deriv(dy, tr(o1, n - 1), "x")
     sym = [(a + b) * Fraction(1, 2) for a, b in zip(dxy, dyx)]
