@@ -346,7 +346,8 @@ def cmd_tractor(job, mode):
 
 def _change_block(js, theta, det_theta, f_expr, point):
     target = theta[0][0].order
-    mode, memo = "float" if not js.exact else "auto", {}
+    mode = "float" if not js.exact else "auto"
+    memo = {}
     wx, wy = (ex.eval_jet(ex.differentiate(f_expr, v), point, target, mode,
                           memo) for v in "xy")
     theta_a = projective_change(theta, (wx, wy))
