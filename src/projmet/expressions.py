@@ -11,7 +11,6 @@ independent evaluators: `eval_jet` (truncated Taylor arithmetic) and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -454,13 +453,6 @@ _JET_FUNCS = {
     "sqrt": jets.sqrt,
 }
 
-_JET_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
 
 def eval_jet(e, base, order, mode="auto", memo=None):
     """Evaluate a tree to a Jet at `base`.
@@ -469,12 +461,9 @@ def eval_jet(e, base, order, mode="auto", memo=None):
     transcendental calls; "float" converts everything to float up front;
     "auto" stays exact as long as the operations allow.
 
-    Each distinct subtree is evaluated once, hash-consed as `_float_source`
-    names them: a node is looked up by identity, then by its kind and its
-    children's jets.  Trees evaluated at one base, order and mode may share
-    a dict `memo`, which then holds the jets of all their subtrees; a memo
-    filled at another base, order or mode raises ValueError.  Without one,
-    nothing outlives the call.
+    Each distinct subtree is evaluated once, looked up by identity, then by
+    its kind and its children's jets.  Trees at one base, order and mode may
+    share a dict `memo`; one filled at another raises ValueError.
     """
     if mode not in ("auto", "rational", "float"):
         raise ValueError("mode must be 'auto', 'rational', or 'float'")
@@ -490,40 +479,57 @@ def eval_jet(e, base, order, mode="auto", memo=None):
     if memo.setdefault(None, context) != context:
         raise ValueError("memo was filled at another base, order or mode")
 
-    def variable(name):
-        j = Jet.variable(name, base, order)
-        return j.to_float() if want_float else j
-
-    def shared(key, op, *args):
-        jet = memo.get(key)
-        if jet is None:
-            jet = memo[key] = op(*args)
-        return jet
-
     def rec(t):
         # keeping t alive keeps its id from naming another node
         seen = memo.get(id(t))
         if seen is not None:
             return seen[1]
         if isinstance(t, Num):
-            v = float(t.value) if want_float else t.value
-            jet = shared(("num", t.value), Jet.constant, v, base, order)
+            key = ("num", t.value)
+            jet = memo.get(key)
+            if jet is None:
+                v = float(t.value) if want_float else t.value
+                jet = Jet.constant(v, base, order)
         elif isinstance(t, Var):
-            jet = shared(("var", t.name), variable, t.name)
+            key = ("var", t.name)
+            jet = memo.get(key)
+            if jet is None:
+                jet = Jet.variable(t.name, base, order)
+                jet = jet.to_float() if want_float else jet
         elif isinstance(t, Neg):
             a = rec(t.arg)
-            jet = shared(("neg", id(a)), operator.neg, a)
-        elif isinstance(t, BinOp) and t.op in _JET_BINOPS:
+            key = ("neg", id(a))
+            jet = memo.get(key)
+            if jet is None:
+                jet = -a
+        elif isinstance(t, BinOp):
             a, b = rec(t.left), rec(t.right)
-            jet = shared((t.op, id(a), id(b)), _JET_BINOPS[t.op], a, b)
+            key = (t.op, id(a), id(b))
+            jet = memo.get(key)
+            if jet is None:
+                if t.op == "+":
+                    jet = a + b
+                elif t.op == "-":
+                    jet = a - b
+                elif t.op == "*":
+                    jet = a * b
+                else:
+                    jet = a / b
         elif isinstance(t, Pow):
             a = rec(t.base)
-            jet = shared(("pow", id(a), t.exponent), pow, a, t.exponent)
+            key = ("pow", id(a), t.exponent)
+            jet = memo.get(key)
+            if jet is None:
+                jet = a ** t.exponent
         elif isinstance(t, Call):
             a = rec(t.arg)
-            jet = shared((t.func, id(a)), _JET_FUNCS[t.func], a)
+            key = (t.func, id(a))
+            jet = memo.get(key)
+            if jet is None:
+                jet = _JET_FUNCS[t.func](a)
         else:
             raise TypeError("not an expression: %r" % (t,))
+        memo[key] = jet
         memo[id(t)] = (t, jet)
         return jet
 

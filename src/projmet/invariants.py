@@ -93,8 +93,7 @@ class JetStructure:
         return self._L
 
     def connection(self):
-        """(O1, O2) at order max(N-4, 0), the highest order `columns` is
-        asked for: derivative level k >= 1 of V reads order N-3-k."""
+        """(O1, O2) at order max(N-4, 0), the highest `columns` reads."""
         if self._conn is None:
             self._conn = _connection_matrices(self.a, self._zero,
                                               max(self.order - 4, 0))

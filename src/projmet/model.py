@@ -213,8 +213,7 @@ def liouville_residual(psi, structure, point, order=1, mode="auto"):
     if order < 1:
         raise ValueError("residual evaluation needs jets of order >= 1")
     memo = {}
-    p1, p2, p3 = (eval_jet(as_expr(p), point, order, mode, memo)
-                  for p in psi)
+    p1, p2, p3 = (eval_jet(as_expr(p), point, order, mode, memo) for p in psi)
     a0, a1, a2, a3 = (
         eval_jet(c, point, order, mode, memo) for c in structure.coefficients
     )
