@@ -11,7 +11,7 @@ from operator import add, mul, sub, truediv
 
 import pytest
 
-from projmet import cli, jets
+from projmet import cli, invariants, jets
 from projmet.invariants import JetStructure
 from projmet import expressions as ex
 from projmet.jets import Jet, SingularEvaluationError
@@ -407,6 +407,80 @@ def test_eval_jet_matches_the_unshared_reference(name, structure, points,
                 assert _outcome(eval_jet, tree, point, order, mode) == want
                 assert _outcome(eval_jet, tree, point, order, mode,
                                 memo) == want
+
+
+def _reference_float_source(trees):
+    """The compiled evaluator's source as its own hash-consing walk writes
+    it: one line per distinct subtree, keyed by the children's names."""
+    lines, by_id, by_key = [], {}, {}
+
+    def name(t):
+        hit = by_id.get(id(t))
+        if hit is not None:
+            return hit
+        if isinstance(t, ex.Var):
+            if t.name not in ("x", "y"):
+                raise TypeError("not an expression: %r" % (t,))
+            out = t.name
+        else:
+            if isinstance(t, ex.Num):
+                try:
+                    key, text = ("num", t.value), repr(float(t.value))
+                except OverflowError:
+                    raise ex.ExprError(
+                        "literal %s is out of float range" % t.value) from None
+            elif isinstance(t, ex.Neg):
+                a = name(t.arg)
+                key, text = ("neg", a), "-" + a
+            elif isinstance(t, ex.BinOp) and t.op in "+-*/":
+                a, b = name(t.left), name(t.right)
+                key, text = (t.op, a, b), "%s %s %s" % (a, t.op, b)
+            elif isinstance(t, ex.Pow):
+                a, k = name(t.base), int(t.exponent)
+                key = ("pow", a, k)
+                text = ("%s ** %d" % (a, k) if k >= 0
+                        else "_negative_power(%s, %d)" % (a, k))
+            elif isinstance(t, ex.Call) and t.func in ex._FLOAT_FUNCS:
+                a = name(t.arg)
+                helper = ex._FLOAT_FUNCS[t.func][0]
+                key, text = (t.func, a), "%s(%s)" % (helper, a)
+            else:
+                raise TypeError("not an expression: %r" % (t,))
+            out = by_key.get(key)
+            if out is None:
+                out = "t%d" % len(lines)
+                lines.append("    %s = %s" % (out, text))
+                by_key[key] = out
+        by_id[id(t)] = out
+        return out
+
+    results = [name(t) for t in trees]
+    return "\n".join(
+        ["def _evaluate(x, y):"] + lines
+        + ["    return (%s)" % "".join(r + ", " for r in results)]
+    ) + "\n"
+
+
+def _source_outcome(write, trees):
+    try:
+        return write(trees)
+    except (ex.ExprError, TypeError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name, structure, points", EVALUATOR_CASES,
+                         ids=[c[0] for c in EVALUATOR_CASES])
+def test_float_source_matches_the_reference_walk(name, structure, points,
+                                                 monkeypatch):
+    """The compiled source, text for text, for the coefficients and for the
+    derivative trees `recover` compiles."""
+    monkeypatch.setattr(ex, "compile_float", list)
+    derived = ex.compile_derivatives(structure.coefficients,
+                                     invariants.CONNECTION_WORDS)
+    for trees in (structure.coefficients, derived,
+                  derived + list(structure.coefficients)):
+        want = _source_outcome(_reference_float_source, trees)
+        assert _source_outcome(ex._float_source, trees) == want
 
 
 SINGULAR_TREES = (

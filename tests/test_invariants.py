@@ -350,6 +350,41 @@ def test_connection_is_the_order_n_minus_2_pair_truncated(
                     assert _jet_bits(g) == _jet_bits(w.truncated(order - 4))
 
 
+def _truncated_cov_deriv(row, omega, var):
+    """D_a row with the row and O_a truncated to one order below the row's
+    before they are multiplied."""
+    m = row[0].order - 1
+    return tuple(jets.mul_sub(row[j].diff(var), [
+        (row[i].truncated(m), omega[i][j].truncated(m))
+        for i in range(6) if not omega[i][j].is_zero()]) for j in range(6))
+
+
+def _deriv_outcome(derive, row, omega, var):
+    try:
+        return [_jet_bits(e) for e in derive(row, omega, var)]
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("path", (0, float("inf")))
+@pytest.mark.parametrize("case", sorted(CONNECTION_CASES))
+def test_cov_deriv_reads_its_row_and_pair_truncated(case, path, monkeypatch):
+    """Given every level row and the order-(N-2) pair, `cov_deriv` gives
+    the derivative of the row and pair truncated to its own order, bit for
+    bit, on the loop and on the kernel product path."""
+    monkeypatch.setattr(jets, "KERNEL_AT", path)
+    structure, point, mode = CONNECTION_CASES[case]
+    for order in range(6, 11):
+        js = JetStructure.at(structure, point, order, mode)
+        full = invariants._connection_matrices(js.a, js._zero, order - 2)
+        for level in js.levels(order - 3):
+            for row in level:
+                for var, omega in zip("xy", full):
+                    want = _deriv_outcome(_truncated_cov_deriv, row, omega,
+                                          var)
+                    assert _deriv_outcome(cov_deriv, row, omega, var) == want
+
+
 def test_word_rows_are_iterated_derivatives():
     rng = random.Random(56)
     js = JetStructure.at(_random_structure(rng),
