@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import expressions as ex
+from . import invariants
 from . import linalg
 from .expressions import ExprError, parse_expr
 from .invariants import (
@@ -37,7 +38,6 @@ from .invariants import (
     VERDICT_INCONCLUSIVE,
     VERDICT_METRISABLE,
     VERDICT_NOT,
-    analyze_point,
     decide_metrisability,
     matrix_M,
 )
@@ -280,10 +280,11 @@ def _verdict_exit(verdict):
 
 def cmd_invariants(job, mode):
     slope = _exact_in(job.data.get("slope", 0), "slope")
-    order = min(job.order, MATRIX_M_ORDER)  # every value is a constant term
     points = []
     for p in job.points:
-        r = analyze_point(job.structure, p, order, job.tolerance, mode)
+        # every value is a constant term
+        r = invariants.analyze_point(job.structure, p, MATRIX_M_ORDER,
+                                     job.tolerance, mode)
         points.append({
             "point": [p[0], p[1]],
             "mode": r.mode,
@@ -316,8 +317,7 @@ def cmd_tractor(job, mode):
     change = job.data.get("change")
     f_expr = None if change is None else job._parse(change, '"change"')
     # the values are constant terms; the changed connection drops one order
-    needed = STACK_ORDER if f_expr is None else STACK_ORDER + 1
-    order = min(job.order, needed)
+    order = STACK_ORDER if f_expr is None else STACK_ORDER + 1
     points = []
     for p in job.points:
         js = JetStructure.at(job.structure, p, order, mode)
@@ -412,8 +412,8 @@ def _centre_witness(job, mode, rep, centre):
     at = next((r for r in rep.points
                if (float(r.point[0]), float(r.point[1])) == centre), None)
     if at is None:
-        at = analyze_point(job.structure, centre, job.order, job.tolerance,
-                           mode)
+        at = invariants.analyze_point(job.structure, centre, job.order,
+                                      job.tolerance, mode)
     if at.witness is None:
         # flat below order 8: every vector is parallel, pick a definite one
         return (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -499,7 +499,7 @@ def cmd_selftest(_job, _mode):
 
     # the canonical degenerate example: rank facts and kernel vector
     pain = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
-    repp = analyze_point(pain, (0, 0), order=10)
+    repp = invariants.analyze_point(pain, (0, 0), order=10)
     assert repp.l1 == -12 and repp.l2 == 0
     assert repp.rank_m == 3 and repp.det_m == 0
     assert repp.verdict == VERDICT_DEGENERATE

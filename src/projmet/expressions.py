@@ -454,6 +454,39 @@ _JET_FUNCS = {
 }
 
 
+def _shared(t, build, memo):
+    """The value `build(node, child_values)` gives tree t, with each
+    distinct subtree built once.  A node is looked up by identity, then by
+    its kind, its own fields and the identities of its children's values,
+    so `build` must read only the node's own fields, never its children.
+    `memo` keeps every node it has seen alive, so an id cannot come to name
+    another node while it lives."""
+    seen = memo.get(id(t))
+    if seen is not None:
+        return seen[1]
+    if isinstance(t, BinOp):
+        own, children = t.op, (t.left, t.right)
+    elif isinstance(t, Num):
+        own, children = t.value, ()
+    elif isinstance(t, Var):
+        own, children = t.name, ()
+    elif isinstance(t, Pow):
+        own, children = t.exponent, (t.base,)
+    elif isinstance(t, Neg):
+        own, children = None, (t.arg,)
+    elif isinstance(t, Call):
+        own, children = t.func, (t.arg,)
+    else:
+        raise TypeError("not an expression: %r" % (t,))
+    args = [_shared(c, build, memo) for c in children]
+    key = (type(t), own, *map(id, args))
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(t, args)
+    memo[id(t)] = (t, value)
+    return value
+
+
 def eval_jet(e, base, order, mode="auto", memo=None):
     """Evaluate a tree to a Jet at `base`.
 
@@ -461,9 +494,9 @@ def eval_jet(e, base, order, mode="auto", memo=None):
     transcendental calls; "float" converts everything to float up front;
     "auto" stays exact as long as the operations allow.
 
-    Each distinct subtree is evaluated once, looked up by identity, then by
-    its kind and its children's jets.  Trees at one base, order and mode may
-    share a dict `memo`; one filled at another raises ValueError.
+    Each distinct subtree is evaluated once (`_shared`).  Trees at one
+    base, order and mode may share a dict `memo`; one filled at another
+    raises ValueError.
     """
     if mode not in ("auto", "rational", "float"):
         raise ValueError("mode must be 'auto', 'rational', or 'float'")
@@ -479,61 +512,29 @@ def eval_jet(e, base, order, mode="auto", memo=None):
     if memo.setdefault(None, context) != context:
         raise ValueError("memo was filled at another base, order or mode")
 
-    def rec(t):
-        # keeping t alive keeps its id from naming another node
-        seen = memo.get(id(t))
-        if seen is not None:
-            return seen[1]
+    def build(t, args):
+        if isinstance(t, BinOp):
+            a, b = args
+            if t.op == "+":
+                return a + b
+            if t.op == "-":
+                return a - b
+            if t.op == "*":
+                return a * b
+            return a / b
         if isinstance(t, Num):
-            key = ("num", t.value)
-            jet = memo.get(key)
-            if jet is None:
-                v = float(t.value) if want_float else t.value
-                jet = Jet.constant(v, base, order)
-        elif isinstance(t, Var):
-            key = ("var", t.name)
-            jet = memo.get(key)
-            if jet is None:
-                jet = Jet.variable(t.name, base, order)
-                jet = jet.to_float() if want_float else jet
-        elif isinstance(t, Neg):
-            a = rec(t.arg)
-            key = ("neg", id(a))
-            jet = memo.get(key)
-            if jet is None:
-                jet = -a
-        elif isinstance(t, BinOp):
-            a, b = rec(t.left), rec(t.right)
-            key = (t.op, id(a), id(b))
-            jet = memo.get(key)
-            if jet is None:
-                if t.op == "+":
-                    jet = a + b
-                elif t.op == "-":
-                    jet = a - b
-                elif t.op == "*":
-                    jet = a * b
-                else:
-                    jet = a / b
-        elif isinstance(t, Pow):
-            a = rec(t.base)
-            key = ("pow", id(a), t.exponent)
-            jet = memo.get(key)
-            if jet is None:
-                jet = a ** t.exponent
-        elif isinstance(t, Call):
-            a = rec(t.arg)
-            key = (t.func, id(a))
-            jet = memo.get(key)
-            if jet is None:
-                jet = _JET_FUNCS[t.func](a)
-        else:
-            raise TypeError("not an expression: %r" % (t,))
-        memo[key] = jet
-        memo[id(t)] = (t, jet)
-        return jet
+            v = float(t.value) if want_float else t.value
+            return Jet.constant(v, base, order)
+        if isinstance(t, Var):
+            jet = Jet.variable(t.name, base, order)
+            return jet.to_float() if want_float else jet
+        if isinstance(t, Pow):
+            return args[0] ** t.exponent
+        if isinstance(t, Neg):
+            return -args[0]
+        return _JET_FUNCS[t.func](args[0])
 
-    return rec(e)
+    return _shared(e, build, memo)
 
 
 def eval_scalar(e, x, y):
@@ -633,52 +634,39 @@ _FLOAT_FUNCS = {
 
 
 def _float_source(trees):
-    """Source of `_evaluate(x, y)`, which returns the trees' float values."""
+    """Source of `_evaluate(x, y)`, which returns the trees' float values:
+    one line per distinct subtree (`_shared`), named by its line."""
     lines = []
-    by_id = {}
-    by_key = {}
 
-    def name(t):
-        hit = by_id.get(id(t))
-        if hit is not None:
-            return hit
+    def build(t, args):
         if isinstance(t, Var):
             if t.name not in ("x", "y"):
                 raise TypeError("not an expression: %r" % (t,))
-            out = t.name
+            return t.name
+        if isinstance(t, Num):
+            try:
+                text = repr(float(t.value))
+            except OverflowError:
+                raise ExprError(
+                    "literal %s is out of float range" % t.value) from None
+        elif isinstance(t, Neg):
+            text = "-" + args[0]
+        elif isinstance(t, BinOp) and t.op in _PREC:
+            text = "%s %s %s" % (args[0], t.op, args[1])
+        elif isinstance(t, Pow):
+            k = int(t.exponent)
+            text = ("%s ** %d" % (args[0], k) if k >= 0
+                    else "_negative_power(%s, %d)" % (args[0], k))
+        elif isinstance(t, Call) and t.func in _FLOAT_FUNCS:
+            text = "%s(%s)" % (_FLOAT_FUNCS[t.func][0], args[0])
         else:
-            if isinstance(t, Num):
-                try:
-                    key, text = ("num", t.value), repr(float(t.value))
-                except OverflowError:
-                    raise ExprError(
-                        "literal %s is out of float range" % t.value) from None
-            elif isinstance(t, Neg):
-                a = name(t.arg)
-                key, text = ("neg", a), "-" + a
-            elif isinstance(t, BinOp) and t.op in _PREC:
-                a, b = name(t.left), name(t.right)
-                key, text = (t.op, a, b), "%s %s %s" % (a, t.op, b)
-            elif isinstance(t, Pow):
-                a, k = name(t.base), int(t.exponent)
-                key = ("pow", a, k)
-                text = ("%s ** %d" % (a, k) if k >= 0
-                        else "_negative_power(%s, %d)" % (a, k))
-            elif isinstance(t, Call) and t.func in _FLOAT_FUNCS:
-                a = name(t.arg)
-                helper = _FLOAT_FUNCS[t.func][0]
-                key, text = (t.func, a), "%s(%s)" % (helper, a)
-            else:
-                raise TypeError("not an expression: %r" % (t,))
-            out = by_key.get(key)
-            if out is None:
-                out = "t%d" % len(lines)
-                lines.append("    %s = %s" % (out, text))
-                by_key[key] = out
-        by_id[id(t)] = out
+            raise TypeError("not an expression: %r" % (t,))
+        out = "t%d" % len(lines)
+        lines.append("    %s = %s" % (out, text))
         return out
 
-    results = [name(t) for t in trees]
+    memo = {}
+    results = [_shared(t, build, memo) for t in trees]
     return "\n".join(
         ["def _evaluate(x, y):"] + lines
         + ["    return (%s)" % "".join(r + ", " for r in results)]

@@ -59,9 +59,9 @@ class JetStructure:
         self.a = (a0, a1, a2, a3)
         self._L = None
         self._conn = None
+        self._columns = None
         self._levels = None
         self._rows = {}
-        self._columns = {}
 
     @classmethod
     def at(cls, structure, point, order, mode="auto"):
@@ -93,19 +93,19 @@ class JetStructure:
         return self._L
 
     def connection(self):
-        """(O1, O2) at order max(N-4, 0), the highest `columns` reads."""
+        """(O1, O2) at order max(N-4, 0), the highest order a covariant
+        derivative of V reads; each reads it truncated to its own."""
         if self._conn is None:
             self._conn = _connection_matrices(self.a, self._zero,
                                               max(self.order - 4, 0))
         return self._conn
 
-    def columns(self, var, order):
-        """O_x or O_y truncated to `order`, as `Columns`."""
-        key = (var, order)
-        if key not in self._columns:
-            o1, o2 = self.connection()
-            self._columns[key] = Columns.of(o1 if var == "x" else o2, order)
-        return self._columns[key]
+    def columns(self, var):
+        """O_x or O_y as `Columns`."""
+        if self._columns is None:
+            self._columns = dict(zip("xy", map(Columns.of,
+                                               self.connection())))
+        return self._columns[var]
 
     def levels(self, depth):
         """Symmetrised covariant derivative rows of V up to `depth`,
@@ -118,8 +118,7 @@ class JetStructure:
         while len(self._levels) <= depth:
             k = len(self._levels)
             prev = self._levels[k - 1]
-            o1 = self.columns("x", self.order - 3 - k)
-            o2 = self.columns("y", self.order - 3 - k)
+            o1, o2 = self.columns("x"), self.columns("y")
             # all-x row, mixed rows by decreasing x-count j, all-y row
             cur = [cov_deriv(prev[0], o1, "x")]
             for j in range(k - 1, 0, -1):
@@ -143,9 +142,8 @@ class JetStructure:
                 self._rows[word] = level[k] if word[:1] == "y" else level[0]
             else:
                 ch = word[-1]
-                self._rows[word] = cov_deriv(
-                    self.row(word[:-1]), self.columns(ch, self.order - 3 - k),
-                    ch)
+                self._rows[word] = cov_deriv(self.row(word[:-1]),
+                                             self.columns(ch), ch)
         return self._rows[word]
 
 
@@ -322,28 +320,24 @@ def connection_formula(derivs, z, one, rationals=CONNECTION_RATIONALS):
 
 
 def cov_deriv(row, omega, var):
-    """Covariant derivative of a row vector: D_a V = dV/da - V . O_a.
-    `omega` is O_a, either as a 6x6 matrix of jets or as the `Columns` of
-    its truncation to the row's order less one, which `JetStructure`
-    memoises."""
-    m = row[0].order - 1
-    if m < 0:
-        raise InsufficientOrderError(1, 0)
+    """Covariant derivative of a row vector: D_a V = dV/da - V . O_a, one
+    order below the row.  `omega` is O_a at that order or above, as a 6x6
+    matrix of jets or as its `Columns`; the products read the row and O_a
+    truncated."""
     if not isinstance(omega, Columns):
-        omega = Columns.of(omega, m)
-    rt = [e.truncated(m) for e in row]
-    return tuple(mul_sub(row[j].diff(var), [(rt[i], e) for i, e in column])
+        omega = Columns.of(omega)
+    return tuple(mul_sub(row[j].diff(var), [(row[i], e) for i, e in column])
                  for j, column in enumerate(omega))
 
 
 class Columns(tuple):
-    """A 6x6 connection matrix truncated to one order, column by column:
+    """The nonzero pattern of a 6x6 connection matrix, column by column:
     column j holds the pairs (i, O[i][j]) whose entry is not zero, in the
     order of i."""
 
     @classmethod
-    def of(cls, omega, m):
-        return cls(tuple((i, omega[i][j].truncated(m)) for i in range(6)
+    def of(cls, omega):
+        return cls(tuple((i, omega[i][j]) for i in range(6)
                          if not omega[i][j].is_zero())
                    for j in range(6))
 

@@ -18,8 +18,8 @@ from projmet import cli, jets, recovery
 from projmet.model import ProjectiveStructure
 from projmet.recovery import GridSpec
 
-TRACING = (pathlib.Path(__file__).resolve().parent.parent
-           / "bench" / "tracing.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -110,3 +110,19 @@ def test_every_span_target_is_called_by_small_jobs(tmp_path, capsys):
     uncalled = {name for _, _, name in tracing.SPAN_TARGETS
                 if name not in summary}
     assert uncalled == UNCALLED
+
+
+def test_invariants_spans_one_analyze_point_per_point(tmp_path, capsys):
+    tracing = _load_tracing()
+    data = json.loads((ROOT / "inputs" / "painleve1.json").read_text())
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(data))
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["invariants", "--input", str(job)]) == 0
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    summary = recorder.summary()
+    assert summary["invariants.analyze_point"]["calls"] == len(data["points"])

@@ -350,6 +350,27 @@ def test_connection_is_the_order_n_minus_2_pair_truncated(
                     assert _jet_bits(g) == _jet_bits(w.truncated(order - 4))
 
 
+def test_one_columns_per_connection_matrix(monkeypatch):
+    """An order-10 point builds the nonzero pattern of O1 and of O2 once,
+    for every level through 7 and every stratified word."""
+    calls = []
+    of = invariants.Columns.of.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return of(cls, *args)
+
+    monkeypatch.setattr(invariants.Columns, "of", classmethod(counted))
+    swap = str.maketrans("xy", "yx")
+    words = ("xxxxx", "xy", "xxxx", "y", "yy", "yyyy")
+    js = JetStructure.at(GENERIC, (Fraction(1), Fraction(1)), 10)
+    js.levels(7)
+    for w in words:
+        js.row(w)
+        js.row(w.translate(swap))
+    assert len(calls) == 2
+
+
 def _truncated_cov_deriv(row, omega, var):
     """D_a row with the row and O_a truncated to one order below the row's
     before they are multiplied."""
