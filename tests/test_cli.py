@@ -568,7 +568,8 @@ def test_recover_takes_the_witness_of_the_centre_sample_point(
     _, checked = run_cli(capsys, "check", "--input", job)
     second = checked["report"]["points"][1]["witness"]
 
-    analyze, analysed = cli.invariants.analyze_point, []
+    analyze = cli.invariants.analyze_point
+    analysed = []
 
     def counted(structure, point, *args):
         analysed.append(point)
