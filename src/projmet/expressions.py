@@ -581,9 +581,9 @@ def eval_scalar(e, x, y):
                     )
                 return math.log(v)
             if t.func == "sqrt":
-                if v < 0:
+                if v <= 0:
                     raise SingularEvaluationError(
-                        "sqrt of a negative value", (xv, yv)
+                        "sqrt of a non-positive value", (xv, yv)
                     )
                 return math.sqrt(v)
             return getattr(math, t.func)(v)
@@ -613,8 +613,8 @@ def _checked_log(v):
 
 
 def _checked_sqrt(v):
-    if v < 0:
-        raise _OutOfDomain("sqrt of a negative value")
+    if v <= 0:
+        raise _OutOfDomain("sqrt of a non-positive value")
     return math.sqrt(v)
 
 
@@ -676,10 +676,9 @@ def _float_source(trees):
 def compile_float(trees):
     """One float function (x, y) -> tuple of the trees' values.
 
-    Outside the domain (division by zero, log of a value <= 0, sqrt of a
-    negative value, zero to a negative power, overflow in `**` or an
-    elementary function) it raises SingularEvaluationError naming the
-    point.  `+`, `-`, `*` and `/` overflow to inf or nan without raising."""
+    Outside the domain (division by zero, log or sqrt of a value <= 0, zero
+    to a negative power, overflow in `**` or an elementary function) it
+    raises SingularEvaluationError naming the point.  `+`, `-`, `*` and `/` overflow to inf or nan without raising."""
     namespace = {"__builtins__": {}, "_negative_power": _negative_power}
     namespace.update(_FLOAT_FUNCS.values())
     exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)

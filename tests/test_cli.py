@@ -191,6 +191,36 @@ def test_recover_singular_node_exits_three(tmp_path, capsys):
     assert report["error"] == "division by zero (base point (0.125, 0.0))"
 
 
+SQRT_GRID = {"points": [[0.4, 1]],
+             "grid": {"center": [0.4, 1], "n": 9, "h": 0.1}}
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "ode", "A0": "sqrt(x)", "A1": "0", "A2": "0", "A3": "0"},
+    {"kind": "metric", "E": "1+sqrt(x)", "F": "0", "G": "1"},
+], ids=["ode", "metric"])
+def test_recover_refuses_sqrt_at_zero(tmp_path, capsys, data):
+    """The grid's left column lies on x = 0, where sqrt(x) is 0: the node
+    fails on the sqrt itself, as a jet at x = 0 does, not on a later
+    division by it."""
+    job = _write_job(tmp_path, dict(data, **SQRT_GRID))
+    code, report = run_cli(capsys, "recover", "--input", job)
+    assert code == 3
+    assert report["error"] == (
+        "sqrt of a non-positive value (base point (0.0, 1.0))")
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "tractor"])
+def test_sqrt_at_zero_exits_three_on_every_command(tmp_path, capsys,
+                                                   command):
+    job = _write_job(tmp_path, {"kind": "ode", "A0": "sqrt(x)",
+                                "points": [[0, 1]]})
+    code, report = run_cli(capsys, command, "--input", job)
+    assert code == 3
+    assert report["error"] == (
+        "sqrt of a non-positive constant term (base point (0, 1))")
+
+
 @pytest.mark.parametrize("field, value, cap", [
     ("order", cli.MAX_ORDER + 1, "order"),
     ("n", cli.MAX_GRID_N + 1, "n <="),

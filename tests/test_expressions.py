@@ -105,6 +105,22 @@ def test_eval_scalar_basics():
     assert abs(got - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("point", [(0, 0), (Fraction(-1, 4), 0)])
+def test_eval_scalar_sqrt_domain_is_the_jet_domain(point):
+    """sqrt refuses a value <= 0 on every path: a scalar, a compiled float
+    and a jet constant term."""
+    tree = parse_expr("1 + sqrt(x)")
+    with pytest.raises(SingularEvaluationError,
+                       match="sqrt of a non-positive value"):
+        eval_scalar(tree, *point)
+    with pytest.raises(SingularEvaluationError,
+                       match="sqrt of a non-positive value"):
+        ex.compile_float([tree])(*map(float, point))
+    with pytest.raises(SingularEvaluationError,
+                       match="sqrt of a non-positive constant term"):
+        eval_jet(tree, point, 3, "float")
+
+
 def test_eval_jet_matches_scalar_value():
     tree = parse_expr("(x+2*y)^3 - x*y")
     j = eval_jet(tree, (Fraction(1), Fraction(1)), 3, "rational")
@@ -280,7 +296,8 @@ def test_compiled_source_is_flat_and_holds_no_input_text():
     ("1/(x-1/8)", (0.125, 0.0), "division by zero"),
     ("log(x)", (0.0, 1.0), "log of a non-positive value"),
     ("log(x)", (-2.0, 1.0), "log of a non-positive value"),
-    ("sqrt(y)", (1.0, -0.5), "sqrt of a negative value"),
+    ("sqrt(y)", (1.0, -0.5), "sqrt of a non-positive value"),
+    ("sqrt(y)", (1.0, 0.0), "sqrt of a non-positive value"),
     ("(x-y)^(-2)", (0.5, 0.5), "zero raised to a negative power"),
     ("exp(x)", (1000.0, 0.0), "value out of float range"),
 ])
