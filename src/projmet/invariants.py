@@ -60,7 +60,6 @@ class JetStructure:
         self._L = None
         self._conn = None
         self._columns = None
-        self._levels = None
         self._rows = {}
 
     @classmethod
@@ -108,42 +107,24 @@ class JetStructure:
         return self._columns[var]
 
     def levels(self, depth):
-        """Symmetrised covariant derivative rows of V up to `depth`,
-        x-count-major inside each level."""
-        max_depth = self.order - 3
-        if depth > max_depth:
+        """Covariant derivative rows of V up to `depth`: level k holds the
+        words x^(k-j) y^j by increasing j."""
+        if depth > self.order - 3:
             raise InsufficientOrderError(depth + 3, self.order)
-        if self._levels is None:
-            self._levels = [[_vector_V(self)]]
-        while len(self._levels) <= depth:
-            k = len(self._levels)
-            prev = self._levels[k - 1]
-            o1, o2 = self.columns("x"), self.columns("y")
-            # all-x row, mixed rows by decreasing x-count j, all-y row
-            cur = [cov_deriv(prev[0], o1, "x")]
-            for j in range(k - 1, 0, -1):
-                dx = cov_deriv(prev[k - j], o1, "x")
-                dy = cov_deriv(prev[k - 1 - j], o2, "y")
-                cur.append(tuple(Fraction(j, k) * a + Fraction(k - j, k) * b
-                                 for a, b in zip(dx, dy)))
-            cur.append(cov_deriv(prev[k - 1], o2, "y"))
-            self._levels.append(cur)
-        return self._levels[: depth + 1]
+        return [[self.row("x" * (k - j) + "y" * j) for j in range(k + 1)]
+                for k in range(depth + 1)]
 
     def row(self, word):
         """Covariant derivative row D_word V, letters applied left to right
-        ("" is V itself).  A pure word is the symmetrised level row, which
-        equals the iterated derivative; a mixed word extends its memoised
-        prefix by one covariant derivative."""
+        ("" is V itself), memoised by word: each word extends its prefix by
+        one covariant derivative."""
         if word not in self._rows:
-            k = len(word)
-            if len(set(word)) <= 1:
-                level = self.levels(k)[k]
-                self._rows[word] = level[k] if word[:1] == "y" else level[0]
-            else:
+            if word:
                 ch = word[-1]
                 self._rows[word] = cov_deriv(self.row(word[:-1]),
                                              self.columns(ch), ch)
+            else:
+                self._rows[word] = _vector_V(self)
         return self._rows[word]
 
 
@@ -372,8 +353,8 @@ def _row_values(row):
 
 
 def _level_rows(js, depth):
-    """Values of the symmetrised derivative rows of V through `depth`, level
-    by level: the rows through level k are the first (k+1)(k+2)/2."""
+    """Values of the derivative rows of V through `depth`, level by level:
+    the rows through level k are the first (k+1)(k+2)/2."""
     return [_row_values(row) for level in js.levels(depth) for row in level]
 
 
@@ -388,7 +369,7 @@ def matrix_M(js):
 
 
 def matrix_Mmax(js):
-    """All symmetrised derivative rows of V through order five: 21 x 6."""
+    """All derivative rows of V through order five: 21 x 6."""
     return _level_rows(js, 5)
 
 
@@ -494,12 +475,12 @@ class CartanResult:
 def cartan_stabilize(js, tol=1e-9):
     """Dimension of the solution space by rank stabilisation.
 
-    Stack the symmetrised derivative rows of V level by level; as soon as
-    the rank of the stack through level K equals the rank through level
-    K+1, it has stabilised and the solution space has dimension
-    S = 6 - rank.  S = 5 never occurs for these pencils, so it is flagged.
-    The stacks through levels 2 and 5 are M and its saturation, so their
-    rank decisions are the ones `analyze_point` reports.
+    Stack the derivative rows of V level by level; as soon as the rank of
+    the stack through level K equals the rank through level K+1, it has
+    stabilised and the solution space has dimension S = 6 - rank.  S = 5
+    never occurs for these pencils, so it is flagged.  The stacks through
+    levels 2 and 5 are M and its saturation, so their rank decisions are
+    the ones `analyze_point` reports.
     """
     k_cap = js.order - 4
     if k_cap < 0:

@@ -8,11 +8,23 @@ change `"change": "x*y/3 - y^2/5"` added, and `code` is what `main` returned.
 The `check`, `invariants` and `tractor` files were rendered that way before
 exact jets moved to integer tables, the `recover` files before the transport
 lost its `raise_on_defect` switch, and the `auto` files and those of
-`mixed-exactness` before covariant derivatives moved to fused kernels; none
-was edited since. Inputs with transcendental calls keep their exit-3 reports
-in rational mode. In `auto` mode `mixed-exactness` evaluates its
-transcendental A0 in floats and A1-A3 exactly, so its jets mix nonzero exact
-and float coefficients.
+`mixed-exactness` before covariant derivatives moved to fused kernels.
+
+23 float and auto reports were re-rendered once since, when level k of the
+derivative stack of V became the ordered words x^(k-j) y^j in place of
+averages of D_x and D_y of the level below. That changes float values in
+round-off only (at most 2.0e-15 relative above 1e-8); no verdict, rank, S,
+flag, key or exit code changed, and no `rational` report changed. They are
+`exp-family-c0.check.float`; `exp-family-c1` `check` and `recover`, auto and
+float; `liouville-metric` `check`, `invariants`, `recover` and `tractor`,
+float; `mixed-exactness` and `one-parameter-ode` `check`, `invariants` and
+`tractor`, auto and float; and `single-coefficient-a.check`, auto and float.
+No other file was edited since it was rendered.
+
+Inputs with transcendental calls keep their exit-3 reports in rational
+mode. In `auto` mode `mixed-exactness` evaluates its transcendental A0 in
+floats and A1-A3 exactly, so its jets mix nonzero exact and float
+coefficients.
 
 Jet products run through a loop or a compiled kernel (`jets._convolve`);
 the reports are also rendered with every product on one of the two paths.

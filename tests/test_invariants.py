@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -300,11 +301,13 @@ def test_stratified_branches(structure, rows, field, mode):
 
 
 @pytest.mark.parametrize("structure, calls", [
-    (PAINLEVE, 56), (RANK4, 57), (RANK4_SWAPPED, 57), (PAINLEVE_SWAPPED, 56),
+    (PAINLEVE, 35), (RANK4, 35), (RANK4_SWAPPED, 36), (PAINLEVE_SWAPPED, 35),
 ], ids=["painleve", "rank4", "rank4-swapped", "painleve-swapped"])
 def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, calls):
-    """Levels 1..7 cost 2k covariant derivatives each (56 in all); the
-    stratified stacks add one per mixed word and none for pure words."""
+    """Level k holds the words x^(k-j) y^j, each one covariant derivative
+    of a level k-1 word, so levels 1..7 cost k+1 each (35 in all).  The
+    stratified stacks read level words, except the swapped rank-4 stack's
+    yx, which adds one."""
     count = [0]
 
     def counted(*args):
@@ -314,6 +317,16 @@ def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, calls):
     monkeypatch.setattr(invariants, "cov_deriv", counted)
     analyze_point(structure, ORIGIN, order=10)
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("mode", ["auto", "float"])
+def test_level_rows_are_the_memoised_word_rows(mode):
+    js = JetStructure.at(GENERIC, (Fraction(1), Fraction(1)), 10, mode)
+    levels = js.levels(7)
+    assert [len(level) for level in levels] == list(range(1, 9))
+    for k, level in enumerate(levels):
+        for j, row in enumerate(level):
+            assert row is js.row("x" * (k - j) + "y" * j)
 
 
 def _jet_bits(jet):
@@ -498,6 +511,69 @@ def test_koenigs_excluded_dimension_on_suite():
         js = JetStructure.at(s, (Fraction(1), Fraction(1)), 10)
         c = cartan_stabilize(js)
         assert c.s_dim != 5
+
+
+# ---------------- point transformations ----------------
+#
+# Metrisability is invariant under point transformations, so a changed
+# chart must give the same exact verdict and ranks.  The coefficient trees
+# are mapped on their printed form: x and y are replaced as whole words, so
+# that `exp` and other names are left alone.
+
+RATIONAL_INPUTS = ("cubic-lambda", "exp-family-c0", "flat",
+                   "liouville-metric", "painleve1")
+_COORD = re.compile(r"\b([xy])\b")
+
+# Weights of V's six entries under a dilation of the plane.
+ENTRY_WEIGHTS = (0, 0, 0, 1, 1, 2)
+
+
+def _substituted(tree, image):
+    """The printed `tree` with x and y replaced at once by `image[x]` and
+    `image[y]`."""
+    return _COORD.sub(lambda m: "(%s)" % image[m.group(1)],
+                      ex.to_string(tree))
+
+
+@pytest.mark.parametrize("name", RATIONAL_INPUTS)
+def test_dilation_scales_each_stack_entry_by_its_weight(name):
+    """(x, y) -> (lam x, lam y) maps A_k to lam A_k(lam x, lam y) and a
+    point p to p / lam.  Entry j of every derivative row at level k then
+    gains exactly the factor lam^(4 + k - w_j)."""
+    lam = Fraction(3, 7)
+    job = load_job(str(INPUTS / (name + ".json")))
+    image = {v: "%s*%s" % (lam, v) for v in "xy"}
+    dilated = ProjectiveStructure.from_exprs(*(
+        "%s*(%s)" % (lam, _substituted(a, image))
+        for a in job.structure.coefficients))
+    for x, y in job.points:
+        js = JetStructure.at(job.structure, (x, y), job.order, "rational")
+        jd = JetStructure.at(dilated, (x / lam, y / lam), job.order,
+                             "rational")
+        for k, (level, dlevel) in enumerate(zip(js.levels(5),
+                                                jd.levels(5))):
+            for row, drow in zip(level, dlevel):
+                for e, d, w in zip(row, drow, ENTRY_WEIGHTS):
+                    assert d.value == e.value * lam ** (4 + k - w)
+
+
+@pytest.mark.parametrize("name", RATIONAL_INPUTS)
+def test_swapping_x_and_y_keeps_exact_verdicts_and_ranks(name):
+    """(x, y) -> (y, x) maps A_k(x, y) to -A_{3-k}(y, x).  The level words
+    x^(k-j) y^j are not swap-symmetric, so this checks that each prefix
+    stack's span, not its choice of words, decides."""
+    job = load_job(str(INPUTS / (name + ".json")))
+    swapped = ProjectiveStructure.from_exprs(*(
+        "-(%s)" % _substituted(a, {"x": "y", "y": "x"})
+        for a in reversed(job.structure.coefficients)))
+    for x, y in job.points:
+        r = analyze_point(job.structure, (x, y), job.order, job.tolerance,
+                          "rational")
+        s = analyze_point(swapped, (y, x), job.order, job.tolerance,
+                          "rational")
+        assert ((s.verdict, s.rank_m, s.rank_mmax, s.cartan_ranks, s.s_dim)
+                == (r.verdict, r.rank_m, r.rank_mmax, r.cartan_ranks,
+                    r.s_dim))
 
 
 # ---------------- family-specific degree-8 scalar ----------------
