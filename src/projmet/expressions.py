@@ -678,7 +678,8 @@ def compile_float(trees):
 
     Outside the domain (division by zero, log or sqrt of a value <= 0, zero
     to a negative power, overflow in `**` or an elementary function) it
-    raises SingularEvaluationError naming the point.  `+`, `-`, `*` and `/` overflow to inf or nan without raising."""
+    raises SingularEvaluationError naming the point.  `+`, `-`, `*` and `/`
+    overflow to inf or nan without raising."""
     namespace = {"__builtins__": {}, "_negative_power": _negative_power}
     namespace.update(_FLOAT_FUNCS.values())
     exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)
