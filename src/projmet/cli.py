@@ -323,10 +323,10 @@ def cmd_tractor(job, mode):
         js = JetStructure.at(job.structure, p, order, mode)
         # only `change_connection` reads the extra order
         low = JetStructure(tuple(a.truncated(STACK_ORDER) for a in js.a))
+        # at STACK_ORDER the stack holds the values themselves
         theta = theta_bar(tractor_data(AffineConnection.from_structure(low)))
-        vals = theta_values(theta)
-        det_direct = linalg.det(vals)
-        contraction = det_by_contraction(vals)
+        det_direct = linalg.det(theta)
+        contraction = det_by_contraction(theta)
         entry = {
             "point": [p[0], p[1]],
             "mode": "exact" if js.exact else "float",
@@ -345,18 +345,19 @@ def cmd_tractor(job, mode):
 
 
 def _change_block(js, theta, det_theta, f_expr, point):
-    target = theta[0][0].order
+    # omega's values are read from order-0 jets, so they round as eval_jet
+    # rounds, not as eval_scalar does
     mode = "float" if not js.exact else "auto"
     memo = {}
-    wx, wy = (ex.eval_jet(ex.differentiate(f_expr, v), point, target, mode,
-                          memo) for v in "xy")
+    wx, wy = (ex.eval_jet(ex.differentiate(f_expr, v), point, 0, mode,
+                          memo).value for v in "xy")
     theta_a = projective_change(theta, (wx, wy))
-    det_a = linalg.det(theta_values(theta_a))
+    det_a = linalg.det(theta_a)
 
     conn = AffineConnection.from_structure(js)
     f_jet = ex.eval_jet(f_expr, point, conn.order, "float")
     theta_b = theta_bar(tractor_data(change_connection(conn, f_jet)))
-    det_b = linalg.det(theta_values(theta_b))
+    det_b = linalg.det(theta_b)
     fval = float(ex.eval_scalar(f_expr, point[0], point[1]))
     scale = math.exp(-18.0 * fval)
     return {

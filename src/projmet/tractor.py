@@ -185,16 +185,32 @@ def tractor_data(conn):
     return TractorData(conn, p, np_, y3, y1, ny, z)
 
 
+def _values(t):
+    """The constant terms of a jet, or of nested lists of jets."""
+    if isinstance(t, Jet):
+        return t.value
+    return [_values(e) for e in t]
+
+
 def theta_bar(td):
-    """The stacked 6x6 matrix of jets, all truncated to a common order
-    (connection order minus STACK_ORDER)."""
+    """The stacked 6x6 matrix at the connection order minus STACK_ORDER.
+
+    Above target order 0 its entries are jets truncated to that order.  At
+    target 0, where every caller reads only constant terms, the block
+    formulas run on the tensors' values, and the entries are plain
+    Fractions or floats: the order-0 jets' values, bit for bit.
+    """
     g = td.conn.gamma
     target = td.conn.order - STACK_ORDER
     nz = _covd2(td.z, g)
     nny = _covd2(td.ny, g)
     nnz = _covd3(nz, g)
-    p, np_, y3, y1, ny, z, nzt, nnyt, nnzt = _truncated(
-        [td.p, td.np, td.y3, td.y1, td.ny, td.z, nz, nny, nnz], target)
+    tensors = _truncated(
+        [td.p, td.np, td.y3, td.y1, td.ny, td.z, nz, nny, nnz, td.conn.s],
+        target)
+    if target == 0:
+        tensors = _values(tensors)
+    p, np_, y3, y1, ny, z, nzt, nnyt, nnzt, s = tensors
 
     def block_t(c, a, b):
         return (
@@ -220,8 +236,8 @@ def theta_bar(td):
             + 5 * (y1[a] * ysym(b) + y1[b] * ysym(a))
         )
 
-    zero = td.conn.s.truncated(target) * 0
-    theta = [[zero] * 6 for _ in range(6)]
+    # s - s is a zero of the stack's kind; s * 0 is -0.0 for a float s < 0
+    theta = [[s - s] * 6 for _ in range(6)]
     for a in (0, 1):
         theta[0][1 + a] = 60 * y1[a]
     for (a, b) in _PAIRS:
@@ -247,7 +263,9 @@ def theta_bar(td):
 
 
 def theta_values(theta):
-    return [[e.value for e in row] for row in theta]
+    """The constant terms of a stack of jets; a stack of scalars as it is."""
+    return [[e.value if isinstance(e, Jet) else e for e in row]
+            for row in theta]
 
 
 # ---------------- block accessors ----------------

@@ -1,17 +1,19 @@
 """The independent 6x6 tractor pipeline and its invariance properties."""
 
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from projmet import expressions as ex
-from projmet import linalg, tractor
+from projmet import cli, linalg, tractor
 from projmet.invariants import JetStructure
-from projmet.jets import InsufficientOrderError, Jet
+from projmet.jets import InsufficientOrderError, Jet, JetError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.tractor import (
+    STACK_ORDER,
     AffineConnection,
     ContractionLayoutError,
     change_connection,
@@ -353,3 +355,115 @@ def test_projective_change_is_the_block_product_on_exact_jets():
         theta = [[jet() for _ in range(6)] for _ in range(6)]
         theta[0][0] = zero
         _assert_change_is_block_product(theta, (jet(), jet()), zero, one)
+
+
+# ---------------- the stack at its constant term ----------------
+#
+# Every command reads the stack at target order 0, where theta_bar runs its
+# block formulas on values.  Those must be the constant terms of the jet
+# route bit for bit: the same type, and the same float down to the sign of
+# a zero.
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CHANGE = "x*y/3 - y^2/5"
+
+
+def _same_scalar(a, b):
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def _input_structures():
+    for path in sorted((ROOT / "inputs").glob("*.json")):
+        job = cli.load_job(str(path))
+        for p in job.points:
+            for mode in ("rational", "float", "auto"):
+                try:
+                    js = JetStructure.at(job.structure, p, STACK_ORDER + 1,
+                                         mode)
+                except (ex.ExprError, JetError):
+                    continue  # transcendental coefficients in rational mode
+                yield "%s %s %s" % (path.stem, p, mode), p, js
+
+
+def test_values_route_is_the_jet_route_bit_for_bit():
+    f = ex.parse_expr(CHANGE)
+    seen = 0
+    for label, p, js in _input_structures():
+        low = JetStructure(tuple(a.truncated(STACK_ORDER) for a in js.a))
+        vals = theta_bar(tractor_data(AffineConnection.from_structure(low)))
+        jets = theta_bar(tractor_data(AffineConnection.from_structure(js)))
+        assert jets[0][0].order == 1
+        mode = "auto" if js.exact else "float"
+        omega_jets = [ex.eval_jet(ex.differentiate(f, v), p, 1, mode)
+                      for v in "xy"]
+        omega_vals = [ex.eval_jet(ex.differentiate(f, v), p, 0, mode).value
+                      for v in "xy"]
+        changed_vals = projective_change(vals, omega_vals)
+        changed_jets = projective_change(jets, omega_jets)
+        for want, got in ((jets, vals), (changed_jets, changed_vals)):
+            for i in range(6):
+                for j in range(6):
+                    assert _same_scalar(got[i][j], want[i][j].value), \
+                        (label, i, j, got[i][j], want[i][j].value)
+                    seen += 1
+    assert seen >= 2000
+
+
+def test_values_route_keeps_the_sign_of_zero():
+    # plain products of zeros with negatives are -0.0 where jet products
+    # are 0.0 + a * b; no entry may show it, the corner included
+    rng = random.Random(149)
+    cells = (-0.0, 0.0, 0.0, -1.5, 2.0, 0.5)
+    base = (Fraction(0), Fraction(0))
+
+    def jet(n, table):
+        return Jet(base, n, [row[:n - i + 1] for i, row in
+                             enumerate(table[:n + 1])])
+
+    for _ in range(40):
+        n = STACK_ORDER + 1
+        tables = [[[rng.choice(cells) for _ in range(n - i + 1)]
+                   for i in range(n + 1)] for _ in range(7)]
+        tables[6][0][0] = rng.choice((1.0, -2.0))
+        omega = [[[rng.choice(cells), rng.choice(cells)], [rng.choice(cells)]]
+                 for _ in range(2)]
+        stacks = []
+        for m in (STACK_ORDER, n):
+            a, b, c, d, e, f, s = (jet(m, t) for t in tables)
+            conn = AffineConnection((((a, b), (b, c)), ((d, e), (e, f))), s)
+            theta = theta_bar(tractor_data(conn))
+            w = [jet(m - STACK_ORDER, t) for t in omega]
+            if m == STACK_ORDER:
+                w = [wi.value for wi in w]
+            stacks.append((theta, projective_change(theta, w)))
+        for got, want in zip(stacks[0], stacks[1]):
+            for i in range(6):
+                for j in range(6):
+                    assert _same_scalar(got[i][j], want[i][j].value), (i, j)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_stack_at_stack_order_holds_scalars(mode):
+    js = JetStructure.at(GENERIC, (Fraction(1, 2), Fraction(-1, 3)),
+                         STACK_ORDER, mode)
+    vals = theta_bar(tractor_data(AffineConnection.from_structure(js)))
+    cells = [e for row in vals for e in row]
+    scalar = Fraction if mode == "rational" else float
+    assert all(type(e) is scalar for e in cells)
+    assert _same_scalar(vals[0][0], scalar(0))
+    assert theta_values(vals) == vals
+    assert all(a is b for a, b in zip(
+        (e for row in theta_values(vals) for e in row), cells))
+    if mode == "rational":
+        det = det_by_contraction(vals)
+        assert isinstance(det, Fraction)
+        assert det == linalg.det(vals)
+
+
+def test_theta_values_reads_a_jet_stack():
+    js, conn = _conn(GENERIC, (Fraction(1), Fraction(1)), order=STACK_ORDER + 2)
+    theta = theta_bar(tractor_data(conn))
+    assert theta[0][0].order == 2
+    assert theta_values(theta) == [[e.value for e in row] for row in theta]
