@@ -41,7 +41,7 @@ from .invariants import (
     decide_metrisability,
     matrix_M,
 )
-from .jets import JetError, to_scalar
+from .jets import JetError, SingularEvaluationError, to_scalar
 from .model import (
     DegenerateMetricError,
     LambdaPoly,
@@ -359,7 +359,12 @@ def _change_block(js, theta, det_theta, f_expr, point):
     theta_b = theta_bar(tractor_data(change_connection(conn, f_jet)))
     det_b = linalg.det(theta_b)
     fval = float(ex.eval_scalar(f_expr, point[0], point[1]))
-    scale = math.exp(-18.0 * fval)
+    try:
+        scale = math.exp(-18.0 * fval)
+    except OverflowError:
+        raise SingularEvaluationError(
+            "the change's scale exp(-18 f) leaves the float range",
+            point) from None
     return {
         "f": ex.to_string(f_expr),
         "det_after_ops": det_a,

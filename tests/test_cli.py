@@ -389,6 +389,17 @@ def test_float_exp_overflow_exits_three(tmp_path, capsys):
         "the Taylor tower of exp leaves the float range (base point (1, 0))")
 
 
+def test_overflowing_change_scale_exits_three(tmp_path, capsys):
+    # exp(-3 f) = exp(120) is finite, the scale exp(-18 f) = exp(720) is not
+    data = json.loads((INPUTS / "painleve1.json").read_text())
+    job = _write_job(tmp_path, dict(data, change="-40*x", points=[[1, 0]]))
+    code, report = run_cli(capsys, "tractor", "--input", job)
+    assert code == 3
+    assert report["error"] == (
+        "the change's scale exp(-18 f) leaves the float range "
+        "(base point (1, 0))")
+
+
 def test_float_log_tower_underflow_exits_three(tmp_path, capsys):
     job = _write_job(tmp_path, {
         "kind": "ode", "A0": "log(x)", "points": [[1e-200, 1]],
