@@ -88,50 +88,30 @@ def _truncated(t, m):
     return [_truncated(e, m) for e in t]
 
 
-def _covd1(t, g):
-    return [
-        [
-            mul_sub(t[b].diff(_VARS[a]),
-                    [(g[0][a][b], t[0]), (g[1][a][b], t[1])])
-            for b in (0, 1)
-        ]
-        for a in (0, 1)
-    ]
+@functools.cache
+def _covd_links(rank):
+    """For each index tuple of a rank-r tensor, in order, its links
+    (i_k, e, position of the tuple with i_k replaced by e): slot by slot,
+    and e = 0, 1 within each slot."""
+    idxs = list(product((0, 1), repeat=rank))
+    return [[(i, e, idxs.index(idx[:k] + (e,) + idx[k + 1:]))
+             for k, i in enumerate(idx) for e in (0, 1)] for idx in idxs]
 
 
-def _covd2(t, g):
-    return [
-        [
-            [
-                mul_sub(t[b][c].diff(_VARS[a]),
-                        [(g[0][a][b], t[0][c]), (g[1][a][b], t[1][c]),
-                         (g[0][a][c], t[b][0]), (g[1][a][c], t[b][1])])
-                for c in (0, 1)
-            ]
-            for b in (0, 1)
-        ]
-        for a in (0, 1)
-    ]
-
-
-def _covd3(t, g):
-    return [
-        [
-            [
-                [
-                    mul_sub(t[b][c][dd].diff(_VARS[a]), [
-                        link for e in (0, 1) for link in (
-                            (g[e][a][b], t[e][c][dd]),
-                            (g[e][a][c], t[b][e][dd]),
-                            (g[e][a][dd], t[b][c][e]))])
-                    for dd in (0, 1)
-                ]
-                for c in (0, 1)
-            ]
-            for b in (0, 1)
-        ]
-        for a in (0, 1)
-    ]
+def _covd(t, g):
+    """grad_a t_{i1...ir} for a tensor t of jets nested r lists deep: each
+    entry's derivative minus gamma^e_{a ik} t_{...e...} over its links, in
+    one `mul_sub`."""
+    leaves, rank = [t], 0
+    while not isinstance(leaves[0], Jet):
+        leaves, rank = [u[i] for u in leaves for i in (0, 1)], rank + 1
+    out = [mul_sub(u.diff(_VARS[a]),
+                   [(g[e][a][i], leaves[n]) for i, e, n in links])
+           for a in (0, 1) for u, links in zip(leaves, _covd_links(rank))]
+    # the entries run over (a, i1, ..., ir) in lexicographic order
+    for _ in range(rank):
+        out = [out[j:j + 2] for j in range(0, len(out), 2)]
+    return out
 
 
 def schouten(conn):
@@ -175,21 +155,14 @@ def tractor_data(conn):
         raise InsufficientOrderError(STACK_ORDER, conn.order)
     g = conn.gamma
     p = schouten(conn)
-    np_ = _covd2(p, g)
+    np_ = _covd(p, g)
     y3 = [[[F12 * (np_[a][b][c] - np_[b][a][c]) for c in (0, 1)]
            for b in (0, 1)] for a in (0, 1)]
     st = conn.s.truncated(np_[0][0][0].order)
     y1 = [st * (np_[0][1][c] - np_[1][0][c]) for c in (0, 1)]
-    ny = _covd1(y1, g)
+    ny = _covd(y1, g)
     z = [[F12 * (ny[a][b] + ny[b][a]) for b in (0, 1)] for a in (0, 1)]
     return TractorData(conn, p, np_, y3, y1, ny, z)
-
-
-def _values(t):
-    """The constant terms of a jet, or of nested lists of jets."""
-    if isinstance(t, Jet):
-        return t.value
-    return [_values(e) for e in t]
 
 
 def theta_bar(td):
@@ -202,14 +175,14 @@ def theta_bar(td):
     """
     g = td.conn.gamma
     target = td.conn.order - STACK_ORDER
-    nz = _covd2(td.z, g)
-    nny = _covd2(td.ny, g)
-    nnz = _covd3(nz, g)
+    nz = _covd(td.z, g)
+    nny = _covd(td.ny, g)
+    nnz = _covd(nz, g)
     tensors = _truncated(
         [td.p, td.np, td.y3, td.y1, td.ny, td.z, nz, nny, nnz, td.conn.s],
         target)
     if target == 0:
-        tensors = _values(tensors)
+        tensors = theta_values(tensors)
     p, np_, y3, y1, ny, z, nzt, nnyt, nnzt, s = tensors
 
     def block_t(c, a, b):
@@ -262,10 +235,14 @@ def theta_bar(td):
     return theta
 
 
-def theta_values(theta):
-    """The constant terms of a stack of jets; a stack of scalars as it is."""
-    return [[e.value if isinstance(e, Jet) else e for e in row]
-            for row in theta]
+def theta_values(t):
+    """The constant terms of a jet, or of nested lists of jets; scalars
+    as they are."""
+    if isinstance(t, Jet):
+        return t.value
+    if isinstance(t, list):
+        return [theta_values(e) for e in t]
+    return t
 
 
 # ---------------- block accessors ----------------

@@ -19,6 +19,18 @@ flag, key or exit code changed, and no `rational` report changed. They are
 float; `liouville-metric` `check`, `invariants`, `recover` and `tractor`,
 float; `mixed-exactness` and `one-parameter-ode` `check`, `invariants` and
 `tractor`, auto and float; and `single-coefficient-a.check`, auto and float.
+
+12 tractor reports were re-rendered after that, when one covariant
+derivative `tractor._covd` took over from one function per rank. Its
+rank-3 derivative of grad Z now subtracts its products slot by slot, not
+index by index, so float sums round differently. They are
+`liouville-metric.tractor` and `painleve1.tractor`, auto, float and
+rational; and `mixed-exactness.tractor`, `one-parameter-ode.tractor` and
+`single-coefficient-a.tractor`, auto and float. In the two rational
+reports only the float `change.det_recomputed` moved. Above 1e-8 the
+largest relative change is 1.6e-15; values at or below 1e-8, the
+determinants of singular stacks, moved freely. No key, string, integer,
+boolean or exit code changed.
 No other file was edited since it was rendered.
 
 Inputs with transcendental calls keep their exit-3 reports in rational

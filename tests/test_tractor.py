@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -467,3 +468,73 @@ def test_theta_values_reads_a_jet_stack():
     theta = theta_bar(tractor_data(conn))
     assert theta[0][0].order == 2
     assert theta_values(theta) == [[e.value for e in row] for row in theta]
+
+
+# ---------------- one covariant derivative for every rank ----------------
+#
+# `tractor._covd` differentiates a tensor of any rank by one rule.  Exact
+# arithmetic does not depend on the order of its pairs, so the Leibniz rule
+# on outer products of rank-1 jets pins it down at ranks 2 and 3, and the
+# rank-1 formula pins down the factors.
+
+COVD_ORDER = 4
+
+
+def _exact_connections():
+    for path in sorted((ROOT / "inputs").glob("*.json")):
+        job = cli.load_job(str(path))
+        for p in job.points:
+            try:
+                js = JetStructure.at(job.structure, p, COVD_ORDER, "rational")
+            except (ex.ExprError, JetError):
+                continue  # transcendental coefficients
+            yield "%s %s" % (path.stem, p), p, js
+
+
+def _leaves(t, depth=0):
+    if isinstance(t, Jet):
+        yield depth, t
+    else:
+        assert len(t) == 2
+        for e in t:
+            yield from _leaves(e, depth + 1)
+
+
+def test_covd_obeys_the_leibniz_rule_exactly():
+    rng = random.Random(151)
+    n, m = COVD_ORDER, COVD_ORDER - 1
+    seen = 0
+    for label, p, js in _exact_connections():
+        g = AffineConnection.from_structure(js).gamma
+
+        def vector():
+            return [Jet(p, n, [[_random_rational(rng) for _ in range(n - i + 1)]
+                               for i in range(n + 1)]) for _ in (0, 1)]
+
+        u, v, w = vector(), vector(), vector()
+        du, dv, dw = (tractor._covd(t, g) for t in (u, v, w))
+        for a in (0, 1):
+            for b in (0, 1):
+                want = u[b].diff("xy"[a]) - sum(
+                    (g[e][a][b].truncated(m) * u[e].truncated(m)
+                     for e in (0, 1)), Jet.constant(0, p, m))
+                assert du[a][b] == want, (label, a, b)
+        uv = [[u[i] * v[j] for j in (0, 1)] for i in (0, 1)]
+        uvw = [[[u[i] * v[j] * w[k] for k in (0, 1)] for j in (0, 1)]
+               for i in (0, 1)]
+        ut, vt, wt = ([e.truncated(m) for e in t] for t in (u, v, w))
+        duv, duvw = tractor._covd(uv, g), tractor._covd(uvw, g)
+        for rank, result in ((1, du), (2, duv), (3, duvw)):
+            leaves = list(_leaves(result))
+            assert len(leaves) == 2 ** (rank + 1), (label, rank)
+            assert all(depth == rank + 1 and leaf.order == m and leaf.exact
+                       for depth, leaf in leaves), (label, rank)
+        for a, i, j in product((0, 1), repeat=3):
+            assert duv[a][i][j] == du[a][i] * vt[j] + ut[i] * dv[a][j], \
+                (label, a, i, j)
+            for k in (0, 1):
+                assert duvw[a][i][j][k] == (
+                    du[a][i] * vt[j] * wt[k] + ut[i] * dv[a][j] * wt[k]
+                    + ut[i] * vt[j] * dw[a][k]), (label, a, i, j, k)
+                seen += 1
+    assert seen >= 16 * 7  # the seven exact points of the committed inputs
