@@ -508,7 +508,8 @@ def test_covd_obeys_the_leibniz_rule_exactly():
         g = AffineConnection.from_structure(js).gamma
 
         def vector():
-            return [Jet(p, n, [[_random_rational(rng) for _ in range(n - i + 1)]
+            return [Jet(p, n, [[_random_rational(rng)
+                                for _ in range(n - i + 1)]
                                for i in range(n + 1)]) for _ in (0, 1)]
 
         u, v, w = vector(), vector(), vector()
