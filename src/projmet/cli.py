@@ -359,12 +359,15 @@ def _change_block(js, theta, det_theta, f_expr, point):
     theta_b = theta_bar(tractor_data(change_connection(conn, f_jet)))
     det_b = linalg.det(theta_b)
     fval = float(ex.eval_scalar(f_expr, point[0], point[1]))
+    # below the normal range the recomputed determinant, which carries the
+    # scale, underflows with it and the invariance check compares 0 with 0
     try:
         scale = math.exp(-18.0 * fval)
     except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:
         raise SingularEvaluationError(
-            "the change's scale exp(-18 f) leaves the float range",
-            point) from None
+            "the change's scale exp(-18 f) leaves the float range", point)
     return {
         "f": ex.to_string(f_expr),
         "det_after_ops": det_a,

@@ -389,15 +389,23 @@ def test_float_exp_overflow_exits_three(tmp_path, capsys):
         "the Taylor tower of exp leaves the float range (base point (1, 0))")
 
 
-def test_overflowing_change_scale_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("data, point", [
     # exp(-3 f) = exp(120) is finite, the scale exp(-18 f) = exp(720) is not
-    data = json.loads((INPUTS / "painleve1.json").read_text())
-    job = _write_job(tmp_path, dict(data, change="-40*x", points=[[1, 0]]))
+    (dict(json.loads((INPUTS / "painleve1.json").read_text()),
+          change="-40*x", points=[[1, 0]]), "(1, 0)"),
+    # exp(-18 f) = exp(-900) underflows to 0.0, and with it the recomputed
+    # determinant, so the invariance check would compare 0 with 0
+    ({"kind": "ode", "A0": "x^2+y", "A1": "y^2", "A2": "x*y", "A3": "x+1",
+      "points": [[1, 1]], "change": "50*x"}, "(1, 1)"),
+], ids=["overflow", "underflow"])
+def test_change_scale_outside_the_float_range_exits_three(
+        data, point, tmp_path, capsys):
+    job = _write_job(tmp_path, data)
     code, report = run_cli(capsys, "tractor", "--input", job)
     assert code == 3
     assert report["error"] == (
         "the change's scale exp(-18 f) leaves the float range "
-        "(base point (1, 0))")
+        "(base point %s)" % point)
 
 
 def test_float_log_tower_underflow_exits_three(tmp_path, capsys):
