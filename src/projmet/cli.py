@@ -330,7 +330,7 @@ def cmd_tractor(job, mode):
         entry = {
             "point": [p[0], p[1]],
             "mode": "exact" if js.exact else "float",
-            "det_M": linalg.det(matrix_M(low)),
+            "det_M": linalg.rank_kernel(matrix_M(low), job.tolerance).det,
             "det_theta": det_direct,
             "D": det_direct / 4320,
             "contraction": contraction,

@@ -609,12 +609,11 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
     flat = l1j.is_zero() and l2j.is_zero()
     nu = nu5(js)
 
-    m_rows = matrix_M(js)
-    det_m = linalg.det(m_rows)
     cres = cartan_stabilize(js, tol)
     marginal = cres.marginal
-    rank_m = cres.stacks[2].rank
-    v_row = tuple(m_rows[0])
+    # M is the level-2 stack, so its rank decision also gives det M
+    rank_m, det_m = cres.stacks[2].rank, cres.stacks[2].det
+    v_row = tuple(_row_values(js.row("")))
 
     e1 = e2 = None
     e_fallback = False

@@ -82,6 +82,26 @@ def test_tractor_agreement(capsys):
         assert entry["contraction_agrees"] is True
 
 
+@pytest.mark.parametrize("mode", ["auto", "float", "rational"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in INPUTS.glob("*.json")))
+def test_det_m_is_one_rule_across_commands(capsys, name, mode):
+    # det M comes from the elimination that decides rank M, so it is zero
+    # exactly below rank 6, and every command reports the same bytes
+    job = f"{INPUTS}/{name}.json"
+    runs = {command: run_cli(capsys, command, "--input", job, "--mode", mode)
+            for command in ("check", "invariants", "tractor")}
+    if runs["check"][0] == 3:   # transcendental input in rational mode
+        assert {code for code, _ in runs.values()} == {3}
+        return
+    points = runs["check"][1]["report"]["points"]
+    for p in points:
+        assert (Fraction(p["det_m"]) == 0) == (p["rank_m"] < 6)
+    want = [json.dumps(p["det_m"]) for p in points]
+    for command in ("invariants", "tractor"):
+        assert [json.dumps(p["det_M"])
+                for p in runs[command][1]["points"]] == want
+
+
 def test_recover_exponential_family(capsys):
     code, report = run_cli(
         capsys, "recover", "--input", f"{INPUTS}/exp-family-c1.json")

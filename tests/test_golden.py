@@ -31,6 +31,21 @@ reports only the float `change.det_recomputed` moved. Above 1e-8 the
 largest relative change is 1.6e-15; values at or below 1e-8, the
 determinants of singular stacks, moved freely. No key, string, integer,
 boolean or exit code changed.
+
+22 reports were re-rendered after that, when one float elimination
+(`linalg._eliminate_float`, pivoted Gauss-Jordan) took over float `det`
+from an LU loop and `det_m`/`det_M` came from the rank decision on M,
+0.0 below rank 6. The moved fields are `det_m`/`det_M`, `e1`/`e2`,
+`det_theta`, `D`, `det_after_ops` and `det_recomputed`. They are
+`liouville-metric` `check` and `invariants`, float, and `tractor`, auto,
+float and rational; `mixed-exactness` and `one-parameter-ode` `check`,
+`invariants` and `tractor`, auto and float; `painleve1.tractor`, auto,
+float and rational; and `single-coefficient-a.tractor`, auto and float.
+In the two rational reports only the float `change.det_recomputed`
+moved. Above 1e-8 the largest relative change is 5.2e-15; values at or
+below 1e-8 moved freely, such as `liouville-metric`'s float det M at its
+rank-2 point, -1.1e-63 -> 0.0. No verdict, rank, S, kernel, witness,
+flag, key or exit code changed.
 No other file was edited since it was rendered.
 
 Inputs with transcendental calls keep their exit-3 reports in rational

@@ -48,15 +48,44 @@ def test_float_det_close_to_exact():
     for _ in range(10):
         m = _random_exact(rng, 5)
         exact = det(m)
-        approx = det([[float(v) for v in row] for row in m])
+        fm = [[float(v) for v in row] for row in m]
+        approx = det(fm)
         assert abs(approx - float(exact)) < 1e-8 * max(1.0, abs(float(exact)))
+        # no pivot is below the threshold, so both read the same pivots
+        r = rank_kernel(fm)
+        assert r.rank == 5 and r.det == approx
 
 
-def test_det_of_singular_matrix_is_zero():
+# Float determinants whose elimination swaps rows or meets a column with no
+# pivot.  The entries are small integers, so every value is exact.
+FLOAT_DETS = [
+    ([[1.0, 2.0], [3.0, 4.0]], -2.0),
+    ([[0.0, 2.0], [3.0, 0.0]], -6.0),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], 1.0),
+    ([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]], 0.0),
+    ([[0.0, 1.0], [0.0, 2.0]], 0.0),
+]
+
+
+@pytest.mark.parametrize("m, want", FLOAT_DETS, ids=[
+    "swap", "swap-zero-diagonal", "two-swaps", "zero-column",
+    "zero-first-column"])
+def test_float_det_reads_row_swaps_and_missing_pivots(m, want):
+    got = det(m)
+    assert isinstance(got, float) and got == want
+    assert rank_kernel(m).det == want
+    assert det([[Fraction(v) for v in row] for row in m]) == want
+
+
+@pytest.mark.parametrize("n, kind", [(5, Fraction), (6, float)],
+                         ids=["exact-5x5", "float-6x6"])
+def test_det_of_singular_matrix_is_zero(n, kind):
     rng = random.Random(29)
-    m = _random_exact(rng, 5)
+    m = [[kind(v) for v in row] for row in _random_exact(rng, n)]
     m[3] = [2 * v for v in m[1]]  # force a dependent row
     assert det(m) == 0
+    r = rank_kernel(m)
+    assert r.rank == n - 1 and r.det == 0
 
 
 def test_rank_of_identity():
@@ -107,6 +136,8 @@ def test_rank_float_with_clear_gap():
     r = rank_kernel(rows, tol=1e-9)
     assert r.rank == 2
     assert not r.exact
+    # the rank decision zeroes the determinant; `det` keeps every pivot
+    assert r.det == 0.0 and det(rows) == 1e-15
     assert len(r.kernel) == 1
     v = r.kernel[0]
     assert abs(v[2]) == max(abs(c) for c in v)
@@ -137,6 +168,8 @@ def test_rectangular_input():
     assert len(r.kernel) == 2
     for v in r.kernel:
         assert all(s == 0 for s in mat_vec(rows, v))
+    assert r.det is None
+    assert rank_kernel([[float(v) for v in row] for row in rows]).det is None
 
 
 def test_bad_inputs_rejected():
@@ -207,6 +240,8 @@ def test_exact_elimination_matches_sympy_rref(a):
             assert not any(row)
     r = rank_kernel(a)
     assert r.rank == len(pivots) and r.exact and not r.marginal
+    if len(a) != len(a[0]):
+        assert r.det is None
 
 
 @ORACLE
@@ -230,3 +265,4 @@ def test_exact_det_matches_sympy_and_cofactor_expansion(a):
     d = det(a)
     assert isinstance(d, Fraction)
     assert d == _fraction(_sympy(a).det()) == cofactor_det(a)
+    assert rank_kernel(a).det == d
