@@ -1,6 +1,8 @@
 """Input routes (ODE / metric / cubic polynomial) and the residual system."""
 
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from projmet.model import (
     ode_from_metric,
     section_to_metric_exprs,
 )
+
+INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
 
 def test_flat_metric_gives_flat_ode():
@@ -58,6 +62,49 @@ def test_liouville_metric_ode_values():
     assert vals == (Fraction(1, 4), Fraction(-1, 4),
                     Fraction(1, 4), Fraction(-1, 4))
     assert s.provenance == "from-metric"
+
+
+def _committed_metric(name):
+    data = json.loads((INPUTS / ("%s.json" % name)).read_text())
+    return data["E"], data.get("F", "0"), data["G"]
+
+
+# A0..A3 of each metric's geodesic ODE as printed trees: the association
+# of every sum and product is part of what is pinned, since float
+# evaluation of a tree rounds as it is associated
+@pytest.mark.parametrize("efg, want", [
+    (_committed_metric("exp-family-c1"), (
+        "exp(x*y)*(exp(x*y)*x)/(2*exp(x*y))",
+        "exp(x*y)*y/(2*exp(x*y))",
+        "2*(exp(x*y)*x)/(2*exp(x*y))",
+        "0")),
+    (_committed_metric("liouville-metric"), (
+        "(x+y)/(2*((x+y)*(x+y)))",
+        "(x+y-2*(x+y))/(2*((x+y)*(x+y)))",
+        "(2*(x+y)-(x+y))/(2*((x+y)*(x+y)))",
+        "-(x+y)/(2*((x+y)*(x+y)))")),
+    (("1+x^2*y", "x*y", "2+y^3"), (
+        "((1+x^2*y)*x^2-2*((1+x^2*y)*y)+x*y*(2*x*y))"
+        "/(2*((1+x^2*y)*(2+y^3)-x*y*(x*y)))",
+        "(3*(x*y*x^2)+(2+y^3)*(2*x*y)-2*(x*y*y))"
+        "/(2*((1+x^2*y)*(2+y^3)-x*y*(x*y)))",
+        "(2*(x*y*x)+2*((2+y^3)*x^2)-(1+x^2*y)*(3*y^2))"
+        "/(2*((1+x^2*y)*(2+y^3)-x*y*(x*y)))",
+        "(2*((2+y^3)*x)-x*y*(3*y^2))"
+        "/(2*((1+x^2*y)*(2+y^3)-x*y*(x*y)))")),
+    (("2+sin(x)", "x*y/3", "1+y^2"), (
+        "(-(2*((2+sin(x))*(y/3)))+x*y/3*cos(x))"
+        "/(2*((2+sin(x))*(1+y^2)-x*y/3*(x*y/3)))",
+        "((1+y^2)*cos(x)-2*(x*y/3*(y/3)))"
+        "/(2*((2+sin(x))*(1+y^2)-x*y/3*(x*y/3)))",
+        "(2*(x*y/3*(x/3))-(2+sin(x))*(2*y))"
+        "/(2*((2+sin(x))*(1+y^2)-x*y/3*(x*y/3)))",
+        "(2*((1+y^2)*(x/3))-x*y/3*(2*y))"
+        "/(2*((2+sin(x))*(1+y^2)-x*y/3*(x*y/3)))")),
+], ids=["exp-family-c1", "liouville-metric", "rational", "sin"])
+def test_metric_ode_trees_are_pinned(efg, want):
+    s = ode_from_metric(MetricInput.from_exprs(*efg))
+    assert tuple(map(ex.to_string, s.coefficients)) == want
 
 
 def test_degenerate_metric_rejected_at_check_point():
