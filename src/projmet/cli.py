@@ -316,46 +316,43 @@ def cmd_check(job, mode):
 def cmd_tractor(job, mode):
     change = job.data.get("change")
     f_expr = None if change is None else job._parse(change, '"change"')
-    # the values are constant terms; the changed connection drops one order
-    order = STACK_ORDER if f_expr is None else STACK_ORDER + 1
     points = []
     for p in job.points:
-        js = JetStructure.at(job.structure, p, order, mode)
-        # only `change_connection` reads the extra order
-        low = JetStructure(tuple(a.truncated(STACK_ORDER) for a in js.a))
+        js = JetStructure.at(job.structure, p, STACK_ORDER, mode)
+        conn = AffineConnection.from_structure(js)
         # at STACK_ORDER the stack holds the values themselves
-        theta = theta_bar(tractor_data(AffineConnection.from_structure(low)))
+        theta = theta_bar(tractor_data(conn))
         det_direct = linalg.det(theta)
         contraction = det_by_contraction(theta)
         entry = {
             "point": [p[0], p[1]],
             "mode": "exact" if js.exact else "float",
-            "det_M": linalg.rank_kernel(matrix_M(low), job.tolerance).det,
+            "det_M": linalg.rank_kernel(matrix_M(js), job.tolerance).det,
             "det_theta": det_direct,
             "D": det_direct / 4320,
             "contraction": contraction,
             "contraction_agrees": _close(contraction, det_direct),
         }
         if f_expr is not None:
-            entry["change"] = _change_block(js, theta, det_direct, f_expr,
-                                            p)
+            entry["change"] = _change_block(conn, theta, det_direct,
+                                            f_expr, p)
         points.append(entry)
     report = {"command": "tractor", "order": job.order, "points": points}
     return report, EXIT_OK
 
 
-def _change_block(js, theta, det_theta, f_expr, point):
+def _change_block(conn, theta, det_theta, f_expr, point):
     # omega's values are read from order-0 jets, so they round as eval_jet
     # rounds, not as eval_scalar does
-    mode = "float" if not js.exact else "auto"
+    mode = "auto" if conn.s.exact else "float"
     memo = {}
     wx, wy = (ex.eval_jet(ex.differentiate(f_expr, v), point, 0, mode,
                           memo).value for v in "xy")
     theta_a = projective_change(theta, (wx, wy))
     det_a = linalg.det(theta_a)
 
-    conn = AffineConnection.from_structure(js)
-    f_jet = ex.eval_jet(f_expr, point, conn.order, "float")
+    # omega costs f one derivative
+    f_jet = ex.eval_jet(f_expr, point, conn.order + 1, "float")
     theta_b = theta_bar(tractor_data(change_connection(conn, f_jet)))
     det_b = linalg.det(theta_b)
     fval = float(ex.eval_scalar(f_expr, point[0], point[1]))

@@ -3,9 +3,11 @@
 Provides a small closed expression language — rational literals, x, y, the
 four ring operations, integer powers, unary minus, and the elementary
 functions exp/log/sin/cos/sqrt — together with a parser, a canonical printer
-(`parse_expr(to_string(t)) == t`), exact symbolic differentiation, and two
-independent evaluators: `eval_jet` (truncated Taylor arithmetic) and
-`eval_scalar` (plain floating/rational point evaluation).
+(`parse_expr(to_string(t)) == t`), exact symbolic differentiation, and three
+independent evaluators: `eval_jet` (truncated Taylor arithmetic),
+`eval_scalar` (plain floating/rational point evaluation) and `compile_float`
+(straight-line float code for many points).  `+ - * /` on trees build
+trees, so a formula written once also runs on jets and numbers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import jets
 from .jets import Jet, SingularEvaluationError, to_scalar
@@ -53,36 +56,65 @@ class ExactModeError(ExprError):
 # ---------------- syntax trees ----------------
 
 
+def _operator(build):
+    """A tree method: build(self, other), with an int or Fraction operand
+    lifted by `num`.  Any other operand, a bool or float included, gives
+    NotImplemented, so Python raises TypeError."""
+
+    def method(self, other):
+        if type(other) in (int, Fraction):
+            other = num(other)
+        elif not isinstance(other, _Node):
+            return NotImplemented
+        return build(self, other)
+
+    return method
+
+
+class _Node:
+    """`+ - * /` on trees build trees through the smart constructors, so
+    a formula written once runs on trees, jets and floats alike."""
+
+    __add__ = _operator(lambda a, b: add(a, b))
+    __radd__ = _operator(lambda a, b: add(b, a))
+    __sub__ = _operator(lambda a, b: sub(a, b))
+    __rsub__ = _operator(lambda a, b: sub(b, a))
+    __mul__ = _operator(lambda a, b: mul(a, b))
+    __rmul__ = _operator(lambda a, b: mul(b, a))
+    __truediv__ = _operator(lambda a, b: div(a, b))
+    __rtruediv__ = _operator(lambda a, b: div(b, a))
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: Fraction
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: object
     exponent: int
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: object
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: object
 
@@ -541,7 +573,8 @@ def eval_scalar(e, x, y):
     """Plain point evaluation, independent of the jet machinery.
 
     Rational inputs and a transcendental-free tree give an exact Fraction;
-    otherwise the result is a float.
+    otherwise the result is a float.  Outside the domain it raises as
+    `compile_float` does.
     """
     xv = to_scalar(x)
     yv = to_scalar(y)
@@ -562,34 +595,15 @@ def eval_scalar(e, x, y):
                 return a - b
             if t.op == "*":
                 return a * b
-            if b == 0:
-                raise SingularEvaluationError("division by zero", (xv, yv))
             return a / b
         if isinstance(t, Pow):
-            v = rec(t.base)
-            if v == 0 and t.exponent < 0:
-                raise SingularEvaluationError(
-                    "zero raised to a negative power", (xv, yv)
-                )
-            return v**t.exponent
+            v, k = rec(t.base), t.exponent
+            return v**k if k >= 0 else _negative_power(v, k)
         if isinstance(t, Call):
-            v = float(rec(t.arg))
-            if t.func == "log":
-                if v <= 0:
-                    raise SingularEvaluationError(
-                        "log of a non-positive value", (xv, yv)
-                    )
-                return math.log(v)
-            if t.func == "sqrt":
-                if v <= 0:
-                    raise SingularEvaluationError(
-                        "sqrt of a non-positive value", (xv, yv)
-                    )
-                return math.sqrt(v)
-            return getattr(math, t.func)(v)
+            return _FLOAT_FUNCS[t.func][1](float(rec(t.arg)))
         raise TypeError("not an expression: %r" % (t,))
 
-    return rec(e)
+    return _at_point(lambda *_: rec(e), xv, yv)
 
 
 # ---------------- compiled float evaluation ----------------
@@ -683,20 +697,21 @@ def compile_float(trees):
     namespace = {"__builtins__": {}, "_negative_power": _negative_power}
     namespace.update(_FLOAT_FUNCS.values())
     exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)
-    evaluate = namespace["_evaluate"]
+    return partial(_at_point, namespace["_evaluate"])
 
-    def at(x, y):
-        try:
-            return evaluate(x, y)
-        except _OutOfDomain as err:
-            raise SingularEvaluationError(str(err), (x, y)) from None
-        except ZeroDivisionError:
-            raise SingularEvaluationError("division by zero", (x, y)) from None
-        except OverflowError:
-            raise SingularEvaluationError(
-                "value out of float range", (x, y)) from None
 
-    return at
+def _at_point(evaluate, x, y):
+    """evaluate(x, y), with each way out of the domain raised as
+    SingularEvaluationError naming the point."""
+    try:
+        return evaluate(x, y)
+    except _OutOfDomain as err:
+        raise SingularEvaluationError(str(err), (x, y)) from None
+    except ZeroDivisionError:
+        raise SingularEvaluationError("division by zero", (x, y)) from None
+    except OverflowError:
+        raise SingularEvaluationError(
+            "value out of float range", (x, y)) from None
 
 
 def compile_derivatives(trees, words):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .jets import Jet, InsufficientOrderError, mul_sub
+from .jets import Jet, InsufficientOrderError, SingularEvaluationError, mul_sub
 from .expressions import eval_jet
 
 F13 = Fraction(1, 3)
@@ -166,11 +166,16 @@ def nu5(js):
     l1x, l1y = l1j.partial(1, 0), l1j.partial(0, 1)
     l2x, l2y = l2j.partial(1, 0), l2j.partial(0, 1)
     a0, a1, a2, a3 = (j.value for j in js.a)
-    return (
-        l2 * (l1 * l2x - l2 * l1x)
-        + l1 * (l2 * l1y - l1 * l2y)
-        + a3 * l1**3 - a2 * l1**2 * l2 + a1 * l1 * l2**2 - a0 * l2**3
-    )
+    try:
+        return (
+            l2 * (l1 * l2x - l2 * l1x)
+            + l1 * (l2 * l1y - l1 * l2y)
+            + a3 * l1**3 - a2 * l1**2 * l2 + a1 * l1 * l2**2 - a0 * l2**3
+        )
+    except OverflowError:
+        # a float ** overflows where a product would give inf
+        raise SingularEvaluationError("value out of float range",
+                                      js.base) from None
 
 
 # ---------------- the obstruction vector and its connection ----------------

@@ -126,6 +126,23 @@ def ode_from_lambda(lam):
                                "from-lambda")
 
 
+def geodesic_coefficients(efg, d_x, d_y):
+    """A0..A3 of the geodesic ODE of E dx^2 + 2F dxdy + G dy^2 from the
+    values (E, F, G) and their x and y derivatives.  The formula is written
+    once for trees, jets and floats; its association is what float
+    evaluation of `ode_from_metric`'s trees rounds by."""
+    e, f, g = efg
+    ex_, fx, gx = d_x
+    ey, fy, gy = d_y
+    den = 2 * (e * g - f * f)
+    return (
+        (e * ey - 2 * (e * fx) + f * ex_) / den,
+        (3 * (f * ey) + g * ex_ - (2 * (f * fx) + 2 * (e * gx))) / den,
+        (2 * (f * fy) + 2 * (g * ey) - (3 * (f * gx) + e * gy)) / den,
+        (2 * (g * fy) - (g * gx + f * gy)) / den,
+    )
+
+
 def ode_from_metric(metric, check_points=()):
     """Geodesic ODE of a metric, as explicit expression trees.
 
@@ -135,39 +152,10 @@ def ode_from_metric(metric, check_points=()):
         if metric.discriminant_at(p) == 0:
             raise DegenerateMetricError((p[0], p[1]))
 
-    e, f, g = metric.e, metric.f, metric.g
-    ex_, ey = differentiate(e, "x"), differentiate(e, "y")
-    fx, fy = differentiate(f, "x"), differentiate(f, "y")
-    gx, gy = differentiate(g, "x"), differentiate(g, "y")
-    two = ex.num(2)
-    three = ex.num(3)
-    den = ex.mul(two, ex.sub(ex.mul(e, g), ex.mul(f, f)))
-
-    a0 = ex.div(
-        ex.add(ex.sub(ex.mul(e, ey), ex.mul(two, ex.mul(e, fx))),
-               ex.mul(f, ex_)),
-        den,
-    )
-    a1 = ex.div(
-        ex.sub(
-            ex.add(ex.mul(three, ex.mul(f, ey)), ex.mul(g, ex_)),
-            ex.add(ex.mul(two, ex.mul(f, fx)), ex.mul(two, ex.mul(e, gx))),
-        ),
-        den,
-    )
-    a2 = ex.div(
-        ex.sub(
-            ex.add(ex.mul(two, ex.mul(f, fy)), ex.mul(two, ex.mul(g, ey))),
-            ex.add(ex.mul(three, ex.mul(f, gx)), ex.mul(e, gy)),
-        ),
-        den,
-    )
-    a3 = ex.div(
-        ex.sub(ex.mul(two, ex.mul(g, fy)),
-               ex.add(ex.mul(g, gx), ex.mul(f, gy))),
-        den,
-    )
-    return ProjectiveStructure(a0, a1, a2, a3, "from-metric")
+    efg = (metric.e, metric.f, metric.g)
+    return ProjectiveStructure(*geodesic_coefficients(
+        efg, *([differentiate(t, v) for t in efg] for v in "xy")),
+        "from-metric")
 
 
 def metric_to_section(metric):

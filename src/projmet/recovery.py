@@ -19,10 +19,11 @@ values feed the same formulas that give the connection as jets
 (`invariants.connection_formula`).  The RK4 nodes lie on the lattice of
 spacing h / (2 substeps) and are cached by integer lattice index, so each
 distinct node is evaluated once.  The round-trip residual re-derives the ODE
-coefficients from the reconstructed metric table, with its first
-derivatives taken by fourth-order central differences across the grid so
-that it measures the transport rather than restating its equations, and
-compares them with the input.
+coefficients from the reconstructed metric table, by `ode_from_metric`'s
+formula (`model.geodesic_coefficients`), with its first derivatives taken
+by fourth-order central differences across the grid so that it measures
+the transport rather than restating its equations, and compares them with
+the input.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .invariants import (
     connection_formula,
 )
 from .jets import SingularEvaluationError
+from .model import geodesic_coefficients
 
 # Largest loop defect a transport accepts; relative size of psi1 psi3 -
 # psi2^2 at or below which a node is degenerate, and a witness too.
@@ -275,19 +277,6 @@ def reconstruct_metric(section):
     return RecoveredMetric(section.grid, nodes, excluded, common)
 
 
-def _ode_values_from_metric_table(efg, dx, dy):
-    """ODE coefficients from node values and derivatives of (E, F, G)."""
-    e, f, g = efg
-    ex, fx, gx = dx
-    ey, fy, gy = dy
-    den = 2.0 * (e * g - f * f)
-    a0 = (e * ey - 2.0 * e * fx + f * ex) / den
-    a1 = (3.0 * f * ey + g * ex - 2.0 * f * fx - 2.0 * e * gx) / den
-    a2 = (2.0 * f * fy + 2.0 * g * ey - 3.0 * f * gx - e * gy) / den
-    a3 = (2.0 * g * fy - g * gx - f * gy) / den
-    return (a0, a1, a2, a3)
-
-
 def roundtrip_residual(metric, structure):
     """Largest deviation, over interior nondegenerate nodes, between the
     input ODE coefficients and the ones recomputed from the reconstructed
@@ -322,7 +311,7 @@ def roundtrip_residual(metric, structure):
         dy = stencil(key, 1)
         if dx is None or dy is None:
             continue
-        rec = _ode_values_from_metric_table(efg[key], dx, dy)
+        rec = geodesic_coefficients(efg[key], dx, dy)
         ref = [float(v) for v in structure.values_at(grid.point(*key))]
         dev = max(abs(r - s) for r, s in zip(rec, ref))
         worst = dev if worst is None else max(worst, dev)

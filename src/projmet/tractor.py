@@ -424,13 +424,12 @@ def change_connection(conn, f_jet):
     """The representative with symbols shifted by omega = df (both slots),
     with the area scale rescaled by exp(-3 f) so it stays parallel.
 
-    The exponential forces float arithmetic, so every symbol and the scale
-    are converted to float; the result drops one order (omega costs a
-    derivative).
+    omega costs a derivative, so f_jet is one order above the connection,
+    and the result is at the connection's order.  The exponential forces
+    float arithmetic, so every symbol and the scale are converted to float.
     """
-    m = conn.order - 1
-    w = (f_jet.diff("x").truncated(m), f_jet.diff("y").truncated(m))
-    g = _truncated(conn.gamma, m)
+    w = (f_jet.diff("x"), f_jet.diff("y"))
+    g = conn.gamma
     gamma = tuple(
         tuple(
             tuple(
@@ -443,5 +442,5 @@ def change_connection(conn, f_jet):
         )
         for c in (0, 1)
     )
-    s = conn.s.truncated(m).to_float() * jetlib.exp(-3 * f_jet.truncated(m))
+    s = conn.s.to_float() * jetlib.exp(-3 * f_jet.truncated(conn.order))
     return AffineConnection(gamma, s)

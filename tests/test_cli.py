@@ -398,15 +398,30 @@ def test_recover_grid_size_must_be_an_integer(tmp_path, capsys):
     assert "must be integers" in report["error"]
 
 
-def test_float_exp_overflow_exits_three(tmp_path, capsys):
-    job = _write_job(tmp_path, {
-        "kind": "ode", "A0": "exp(1000*x)", "points": [[1, 0]],
-        "arithmetic": "float",
-    })
-    code, report = run_cli(capsys, "check", "--input", job)
-    assert code == 3
-    assert report["error"] == (
-        "the Taylor tower of exp leaves the float range (base point (1, 0))")
+@pytest.mark.parametrize("data, commands, error", [
+    ({"kind": "ode", "A0": "exp(1000*x)", "points": [[1, 0]],
+      "arithmetic": "float"}, ("check",),
+     "the Taylor tower of exp leaves the float range (base point (1, 0))"),
+    # nu5's float l1**3
+    ({"kind": "ode", "A0": "exp(250*y)", "points": [[0, 1]], "order": 6},
+     ("check", "invariants", "recover"),
+     "value out of float range (base point (0, 1))"),
+    # eval_scalar in the metric's degeneracy check, as the job loads
+    ({"kind": "metric", "E": "exp(800*x)", "G": "1", "points": [[1, 0]],
+      "order": 8}, ("check", "invariants", "tractor", "recover"),
+     "value out of float range (base point (1, 0))"),
+    ({"kind": "metric", "E": "1", "G": "(exp(700))^3",
+      "points": [[0.3, 1]], "order": 8},
+     ("check", "invariants", "tractor", "recover"),
+     "value out of float range (base point (0.3, 1))"),
+], ids=["jet-tower", "nu5", "metric-exp", "metric-power"])
+def test_float_exp_overflow_exits_three(data, commands, error, tmp_path,
+                                        capsys):
+    job = _write_job(tmp_path, data)
+    for command in commands:
+        code, report = run_cli(capsys, command, "--input", job)
+        assert code == 3
+        assert report["error"] == error
 
 
 @pytest.mark.parametrize("data, point", [

@@ -233,6 +233,29 @@ def test_smart_constructors_fold_trivial_cases():
     assert ex.powi(x, 0) == ex.ONE
 
 
+def test_tree_operators_build_the_smart_constructors_trees():
+    t, u = parse_expr("x*y"), parse_expr("sin(x)")
+    third = Fraction(1, 3)
+    assert 2 * t == ex.mul(ex.num(2), t)
+    assert t * u == ex.mul(t, u)
+    assert t + third == ex.add(t, ex.num(third))
+    assert third + t == ex.add(ex.num(third), t)
+    assert t - u == ex.sub(t, u)
+    assert 1 - t == ex.sub(ex.ONE, t)
+    assert t / 3 == ex.div(t, ex.num(3))
+    assert 1 / t == ex.div(ex.ONE, t)
+    # the constructors' folding comes with them
+    assert 0 * t == ex.ZERO
+    assert t + 0 is t
+    assert ex.ZERO - t == ex.neg(t)
+    for bad in (2.0, True, "x"):
+        for op in (add, sub, mul, truediv):
+            with pytest.raises(TypeError):
+                op(t, bad)
+            with pytest.raises(TypeError):
+                op(bad, t)
+
+
 def test_as_expr_accepts_scalars_and_strings():
     assert ex.as_expr(3) == ex.Num(Fraction(3))
     assert ex.as_expr(Fraction(1, 2)) == ex.Num(Fraction(1, 2))

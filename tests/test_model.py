@@ -16,6 +16,7 @@ from projmet.model import (
     MetricInput,
     NotCubicError,
     ProjectiveStructure,
+    geodesic_coefficients,
     liouville_residual,
     metric_to_section,
     ode_from_lambda,
@@ -105,6 +106,29 @@ def _committed_metric(name):
 def test_metric_ode_trees_are_pinned(efg, want):
     s = ode_from_metric(MetricInput.from_exprs(*efg))
     assert tuple(map(ex.to_string, s.coefficients)) == want
+
+
+@pytest.mark.parametrize("efg", [
+    ("1+x^2*y", "x*y", "2+y^3"),
+    ("x+y", "0", "x+y"),
+    ("1/(1+x^2)", "x-y/2", "3+x*y^2"),
+])
+def test_geodesic_coefficients_on_jets_equal_the_trees_jets(efg):
+    """The formula on exact jets of E, F, G one order up, differentiated,
+    gives exactly the jets of `ode_from_metric`'s trees."""
+    metric = MetricInput.from_exprs(*efg)
+    trees = ode_from_metric(metric).coefficients
+    n = 4
+    for pt in ((Fraction(1), Fraction(2)), (Fraction(-1, 3), Fraction(2, 5))):
+        memo = {}
+        up = [ex.eval_jet(t, pt, n + 1, "rational", memo)
+              for t in (metric.e, metric.f, metric.g)]
+        got = geodesic_coefficients([j.truncated(n) for j in up],
+                                    [j.diff("x") for j in up],
+                                    [j.diff("y") for j in up])
+        memo = {}
+        want = [ex.eval_jet(a, pt, n, "rational", memo) for a in trees]
+        assert list(got) == want
 
 
 def test_degenerate_metric_rejected_at_check_point():

@@ -247,8 +247,9 @@ def test_change_routes_agree_entrywise():
                  ex.eval_jet(ex.differentiate(f, "y"), pt, t, "float"))
         route_a = theta_values(projective_change(theta, omega))
 
-        f_jet = ex.eval_jet(f, pt, conn.order, "float")
+        f_jet = ex.eval_jet(f, pt, conn.order + 1, "float")
         conn_b = change_connection(conn, f_jet)
+        assert conn_b.order == conn.order
         route_b = theta_values(theta_bar(tractor_data(conn_b)))
 
         factor = math.exp(-3.0 * ex.eval_scalar(f, pt[0], pt[1]))
@@ -266,7 +267,9 @@ def test_change_routes_determinant_scaling():
     theta = theta_bar(tractor_data(conn))
     d0 = linalg.det(theta_values(theta))
     f = ex.parse_expr("x+y")
-    conn_b = change_connection(conn, ex.eval_jet(f, pt, conn.order, "float"))
+    conn_b = change_connection(conn,
+                               ex.eval_jet(f, pt, conn.order + 1, "float"))
+    assert conn_b.order == conn.order
     d_b = linalg.det(theta_values(theta_bar(tractor_data(conn_b))))
     fval = ex.eval_scalar(f, pt[0], pt[1])
     want = d0 * math.exp(-18.0 * fval)
@@ -277,7 +280,7 @@ def test_change_connection_is_float_for_an_exact_connection():
     pt = (Fraction(1, 2), Fraction(-1, 4))
     js, conn = _conn(GENERIC, pt, order=8)
     assert js.exact
-    f_jet = ex.eval_jet(ex.parse_expr("x*y/3 - y^2/5"), pt, conn.order,
+    f_jet = ex.eval_jet(ex.parse_expr("x*y/3 - y^2/5"), pt, conn.order + 1,
                         "float")
     changed = change_connection(conn, f_jet)
     by_hand = change_connection(AffineConnection(
@@ -290,7 +293,7 @@ def test_change_connection_is_float_for_an_exact_connection():
     assert not any(e.exact for e in entries + [changed.s])
     assert entries == expected
     assert changed.s == by_hand.s
-    assert changed.order == conn.order - 1
+    assert changed.order == conn.order
 
 
 # The change acts by unit block-triangular operations on the slots
