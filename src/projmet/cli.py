@@ -344,10 +344,11 @@ def cmd_tractor(job, mode):
 def _change_block(conn, theta, det_theta, f_expr, point):
     # omega's values are read from order-0 jets, so they round as eval_jet
     # rounds, not as eval_scalar does
-    mode = "auto" if conn.s.exact else "float"
+    df = [ex.differentiate(f_expr, v) for v in "xy"]
+    kind = ex.choose_arithmetic(df, point,
+                                "auto" if conn.s.exact else "float")
     memo = {}
-    wx, wy = (ex.eval_jet(ex.differentiate(f_expr, v), point, 0, mode,
-                          memo).value for v in "xy")
+    wx, wy = (ex.eval_jet(t, point, 0, kind, memo).value for t in df)
     theta_a = projective_change(theta, (wx, wy))
     det_a = linalg.det(theta_a)
 
@@ -412,14 +413,15 @@ def _grid_in(job):
     return grid
 
 
-def _centre_witness(job, mode, rep, centre):
+def _centre_witness(job, rep, centre):
     """The kernel witness at the grid centre: from the report of the sample
-    point there, or from analysing the centre when no sample point is."""
+    point there, or from analysing the centre, a float point, in floats
+    when no sample point is."""
     at = next((r for r in rep.points
                if (float(r.point[0]), float(r.point[1])) == centre), None)
     if at is None:
         at = invariants.analyze_point(job.structure, centre, job.order,
-                                      job.tolerance, mode)
+                                      job.tolerance, "float")
     if at.witness is None:
         # flat below order 8: every vector is parallel, pick a definite one
         return (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -452,7 +454,7 @@ def cmd_recover(job, mode):
         }, code
 
     if witness is None:
-        witness = _centre_witness(job, mode, rep, grid.center)
+        witness = _centre_witness(job, rep, grid.center)
 
     try:
         result = recover_metric(job.structure, witness, grid)

@@ -519,26 +519,41 @@ def _shared(t, build, memo):
     return value
 
 
-def eval_jet(e, base, order, mode="auto", memo=None):
-    """Evaluate a tree to a Jet at `base`.
-
-    mode "rational" insists on exact arithmetic and rejects trees with
-    transcendental calls; "float" converts everything to float up front;
-    "auto" stays exact as long as the operations allow.
-
-    Each distinct subtree is evaluated once (`_shared`).  Trees at one
-    base, order and mode may share a dict `memo`; one filled at another
-    raises ValueError.
-    """
+def choose_arithmetic(trees, point, mode):
+    """"rational" or "float": the one arithmetic of the jets of `trees` at
+    `point` under `mode`.  "auto" is "rational" when no tree is
+    transcendental and the point is rational, else "float"; "rational"
+    refuses those two cases with ExactModeError."""
     if mode not in ("auto", "rational", "float"):
         raise ValueError("mode must be 'auto', 'rational', or 'float'")
-    if mode == "rational" and has_transcendental(e):
-        raise ExactModeError(
-            "exact evaluation requested for a tree with transcendental calls"
-        )
-    want_float = mode == "float"
+    if mode == "float":
+        return "float"
+    if any(map(has_transcendental, trees)):
+        if mode == "rational":
+            raise ExactModeError("exact evaluation requested for a tree "
+                                 "with transcendental calls")
+        return "float"
+    if all(isinstance(to_scalar(c), Fraction) for c in point):
+        return "rational"
+    if mode == "rational":
+        raise ExactModeError("exact evaluation requested at the float "
+                             "point (%s, %s)" % tuple(point))
+    return "float"
+
+
+def eval_jet(e, base, order, mode="auto", memo=None):
+    """Evaluate a tree to a Jet at `base`, in the arithmetic that
+    `choose_arithmetic` picks for the tree alone: "float" converts every
+    constant and coordinate to float up front, "rational" stays exact.
+
+    Each distinct subtree is evaluated once (`_shared`).  Trees at one
+    base and order, in one arithmetic, may share a dict `memo`; one filled
+    at another raises ValueError.
+    """
+    kind = choose_arithmetic((e,), base, mode)
+    want_float = kind == "float"
     point = tuple(map(to_scalar, base))
-    context = (point, tuple(map(type, point)), order, mode)
+    context = (point, tuple(map(type, point)), order, kind)
     if memo is None:
         memo = {}
     if memo.setdefault(None, context) != context:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import linalg
 from .jets import Jet, InsufficientOrderError, SingularEvaluationError, mul_sub
-from .expressions import eval_jet
+from .expressions import choose_arithmetic, eval_jet
 
 F13 = Fraction(1, 3)
 F23 = Fraction(2, 3)
@@ -56,6 +56,8 @@ class JetStructure:
         for a in (a1, a2, a3):
             if a.base != a0.base or a.order != a0.order:
                 raise ValueError("coefficient jets must share base and order")
+            if a.exact != a0.exact:
+                raise ValueError("coefficient jets must share one arithmetic")
         self.a = (a0, a1, a2, a3)
         self._L = None
         self._conn = None
@@ -64,9 +66,12 @@ class JetStructure:
 
     @classmethod
     def at(cls, structure, point, order, mode="auto"):
+        """The coefficients' jets at `point`, all in the one arithmetic
+        that `mode` gives the four trees there."""
+        kind = choose_arithmetic(structure.coefficients, point, mode)
         memo = {}
         return cls(tuple(
-            eval_jet(c, point, order, mode, memo)
+            eval_jet(c, point, order, kind, memo)
             for c in structure.coefficients
         ))
 
@@ -80,7 +85,7 @@ class JetStructure:
 
     @property
     def exact(self):
-        return all(j.exact for j in self.a)
+        return self.a[0].exact
 
     def _zero(self, order):
         v = Fraction(0) if self.exact else 0.0

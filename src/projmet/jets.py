@@ -17,11 +17,11 @@ integers scaled by a power of the divisor's constant numerator.  `coeffs`,
 `value` and `partial` therefore read the same reduced Fractions however the
 jet was built.  A float jet stores its float table.
 
-Mixed arithmetic promotes to float and never back: an exact coefficient
-becomes the correctly rounded integer division numerator / denominator,
-which is its Fraction's float().  The elementary transcendental functions
-(exp, log, sin, cos, sqrt) always force float.  Integer powers of exact jets
-stay exact.
+Mixed `Jet` arithmetic promotes to float: an exact coefficient becomes
+the correctly rounded division numerator / denominator.  Only direct use
+mixes; an analysis runs all of a point's jets in one arithmetic
+(`expressions.choose_arithmetic`), and `mul_sub` refuses mixed operands.
+exp, log, sin, cos and sqrt force float; integer powers stay exact.
 
 Performance.  Products are the innermost loop of every command, since each
 covariant derivative is a sum of them.  A product with a zero operand is
@@ -47,7 +47,7 @@ keeps each output cell in a local and subtracts from it each pair's
 product cell, summed from 0 exactly as the product kernel sums it, so
 float cells are the chain's bit for bit, and a non-finite table is
 recomputed pair by pair.  Exact pairs are summed over one common
-denominator and reduced once.
+denominator and reduced once.  Head and pairs share one arithmetic.
 """
 
 from __future__ import annotations
@@ -462,44 +462,27 @@ def _convolve(a, b, n, zero):
 
 def mul_sub(head, pairs):
     """head - a1*b1 - a2*b2 - ... for the pairs (a, b) of jets in `pairs`,
-    which share head's base point and are read truncated to its order.
+    which share head's base point and arithmetic and are read truncated to
+    its order; a jet of the other arithmetic raises JetError.
 
     The result is the chain of jet products and differences, bit for bit
     and exactly, without its intermediate jets.  An exact head takes the
-    chain's leading exact pairs over one common denominator and is reduced
-    once.  The chain turns float at its first pair with a float operand,
-    and from there on a pair of exact jets is multiplied exactly and its
-    product rounded, as the chain does."""
-    n = head.order
-    rows, den = head._rows, head._den
-    exact, run = [], []
+    pairs over one common denominator and is reduced once."""
+    n, den, exact = head.order, head._den, head.exact
+    links, dens = [], []
     for a, b in pairs:
-        da, db = a._den, b._den
-        a, b = _rows_at(a, n), _rows_at(b, n)
-        if da is None or db is None:
-            if den is not None:
-                rows, den = _exact_mul_sub(rows, den, exact, n)
-                rows, den = _float_rows(rows, den), None
-            run.append((_float_rows(a, da), _float_rows(b, db)))
-        elif den is not None:
-            exact.append((a, da * db, b))
-        else:
-            product = _float_rows(_convolve(a, b, n, 0), da * db)
-            rows = [tuple(map(sub, r, p)) for r, p
-                    in zip(_mul_sub(rows, run, n, 0.0), product)]
-            run = []
-    if den is not None:
-        return _reduced(head.base, n, *_exact_mul_sub(rows, den, exact, n))
-    return _jet(head.base, n, _mul_sub(rows, run, n, 0.0), None)
-
-
-def _exact_mul_sub(rows, den, links, n):
-    """rows / den minus the products a * b / d of `links` (a, d, b), as a
-    table over one common denominator and that denominator."""
-    common = math.lcm(den, *(d for _, d, _ in links))
-    rows = _mul_sub(_scaled(rows, common // den),
-                    [(_scaled(a, common // d), b) for a, d, b in links], n, 0)
-    return rows, common
+        if a.exact is not exact or b.exact is not exact:
+            raise JetError("mul_sub takes jets of one arithmetic")
+        links.append((_rows_at(a, n), _rows_at(b, n)))
+        if exact:
+            dens.append(a._den * b._den)
+    if not exact:
+        return _jet(head.base, n, _mul_sub(head._rows, links, n, 0.0), None)
+    common = math.lcm(den, *dens)
+    rows = _mul_sub(_scaled(head._rows, common // den),
+                    [(_scaled(a, common // d), b)
+                     for (a, b), d in zip(links, dens)], n, 0)
+    return _reduced(head.base, n, rows, common)
 
 
 def _rows_at(jet, n):

@@ -195,16 +195,17 @@ def liouville_residual(psi, structure, point, order=1, mode="auto"):
     """Evaluate the four residuals of the metrisability system at a point.
 
     `psi` is a triple of expressions; jets of the stated order are used for
-    the derivatives (order >= 1 required).  Returns a 4-tuple of jets
-    truncated to order - 1.
+    the derivatives (order >= 1 required), all in the one arithmetic that
+    `mode` gives psi and the coefficients at the point.  Returns a 4-tuple
+    of jets truncated to order - 1.
     """
     if order < 1:
         raise ValueError("residual evaluation needs jets of order >= 1")
+    trees = [as_expr(p) for p in psi] + list(structure.coefficients)
+    kind = ex.choose_arithmetic(trees, point, mode)
     memo = {}
-    p1, p2, p3 = (eval_jet(as_expr(p), point, order, mode, memo) for p in psi)
-    a0, a1, a2, a3 = (
-        eval_jet(c, point, order, mode, memo) for c in structure.coefficients
-    )
+    p1, p2, p3, a0, a1, a2, a3 = (
+        eval_jet(t, point, order, kind, memo) for t in trees)
     m = order - 1
     p1d, p2d, p3d = p1.truncated(m), p2.truncated(m), p3.truncated(m)
     a0d, a1d, a2d, a3d = (

@@ -636,13 +636,31 @@ def _liouville(**changes):
 
 def test_recover_takes_the_witness_at_an_off_sample_centre(tmp_path,
                                                            capsys):
-    # no sample point is the centre, so the centre itself is analysed
-    data = _liouville(grid={"center": [1.2, 1.15], "h": 0.04, "n": 7})
-    code, report = run_cli(capsys, "recover", "--input",
-                           _write_job(tmp_path, data))
-    assert code == 0
-    assert report["verdict"] == "Metrisable"
-    assert report["transport_defect"] <= 1e-7
+    # no sample point is the centre, so the centre itself is analysed, a
+    # float point, in floats whatever the mode
+    job = _write_job(tmp_path, _liouville(
+        grid={"center": [1.2, 1.15], "h": 0.04, "n": 7}))
+    witnesses = []
+    for mode in ("rational", "auto", "float"):
+        code, report = run_cli(capsys, "recover", "--input", job,
+                               "--mode", mode)
+        assert code == 0
+        assert report["verdict"] == "Metrisable"
+        assert report["transport_defect"] <= 1e-7
+        witnesses.append(report["witness"])
+    assert witnesses[0] == witnesses[1] == witnesses[2]
+
+
+@pytest.mark.parametrize("command",
+                         ["check", "invariants", "tractor", "recover"])
+def test_rational_mode_at_a_float_point_exits_three(tmp_path, capsys,
+                                                    command):
+    job = _write_job(tmp_path, SELFTEST_ODE)
+    code, report = run_cli(capsys, command, "--input", job,
+                           "--mode", "rational")
+    assert code == 3
+    assert report["error"] == \
+        "exact evaluation requested at the float point (0.5, 0.25)"
 
 
 def test_recover_takes_the_witness_of_the_centre_sample_point(

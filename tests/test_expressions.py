@@ -132,6 +132,28 @@ def test_exact_mode_rejects_transcendental():
     assert not j.exact
 
 
+def test_one_arithmetic_per_tree_set_and_point():
+    poly, trans = parse_expr("x*y + 1/3"), parse_expr("sin(x)")
+    exact, rounded = (Fraction(1), Fraction(1, 2)), (1.0, Fraction(1, 2))
+    choose = ex.choose_arithmetic
+    assert choose([poly], exact, "auto") == "rational"
+    assert choose([poly], ("1/3", 2), "rational") == "rational"
+    assert choose([poly, trans], exact, "auto") == "float"
+    assert choose([poly], rounded, "auto") == "float"
+    for trees, point in (([poly], exact), ([trans], rounded)):
+        assert choose(trees, point, "float") == "float"
+    with pytest.raises(ExactModeError, match="transcendental"):
+        choose([poly, trans], rounded, "rational")
+    with pytest.raises(ExactModeError, match=r"float point \(1.0, 1/2\)"):
+        choose([poly], rounded, "rational")
+    with pytest.raises(ValueError, match="mode must be"):
+        choose([poly], exact, "exact")
+    # every jet of a point comes out in the chosen arithmetic
+    assert not eval_jet(poly, rounded, 2, "auto").exact
+    with pytest.raises(ExactModeError):
+        eval_jet(poly, rounded, 2, "rational")
+
+
 def test_differentiate_simple():
     tree = parse_expr("x^3*y")
     dx = differentiate(tree, "x")
@@ -338,19 +360,27 @@ def test_compiled_sqrt_derivative_at_zero_is_singular():
 # ---------------- eval_jet against an unshared reference ----------------
 #
 # `_reference_eval_jet` evaluates every node of a tree on its own, in the
-# order eval_jet visits them, with the same jet operations.  eval_jet must
-# give its jets bit for bit, and its exceptions with the same type and
-# message, on the coefficients of every committed input and of the
-# metric-derived benchmark jobs, whose trees repeat many subtrees.
+# order eval_jet visits them, with the same jet operations, in the one
+# arithmetic the mode gives the tree at the point: "float" always; "auto"
+# float for a transcendental tree or a float coordinate, exact otherwise;
+# "rational" exact, refusing those two cases.  eval_jet must give its jets
+# bit for bit, and its exceptions with the same type and message, on the
+# coefficients of every committed input and of the metric-derived
+# benchmark jobs, whose trees repeat many subtrees.
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _reference_eval_jet(e, base, order, mode):
-    if mode == "rational" and ex.has_transcendental(e):
+    transcendental = ex.has_transcendental(e)
+    float_point = any(isinstance(c, float) for c in base)
+    if mode == "rational" and transcendental:
         raise ExactModeError(
             "exact evaluation requested for a tree with transcendental calls")
-    want_float = mode == "float"
+    if mode == "rational" and float_point:
+        raise ExactModeError(
+            "exact evaluation requested at the float point (%s, %s)" % base)
+    want_float = mode == "float" or transcendental or float_point
 
     def rec(t):
         if isinstance(t, ex.Num):
@@ -436,10 +466,13 @@ def test_eval_jet_matches_the_unshared_reference(name, structure, points,
                                                  mode):
     for point in points:
         for order in range(11):
-            memo = {}
+            # a memo serves one arithmetic, and "auto" runs a tree with a
+            # transcendental call in floats
+            memos = {}
             for tree in structure.coefficients:
                 want = _outcome(_reference_eval_jet, tree, point, order, mode)
                 assert _outcome(eval_jet, tree, point, order, mode) == want
+                memo = memos.setdefault(ex.has_transcendental(tree), {})
                 assert _outcome(eval_jet, tree, point, order, mode,
                                 memo) == want
 
@@ -536,8 +569,9 @@ def test_singular_subtrees_raise_as_the_reference_does(srcs, mode):
     want = [_outcome(_reference_eval_jet, t, point, 4, mode) for t in trees]
     assert any(isinstance(w[0], type) for w in want)
     assert [_outcome(eval_jet, t, point, 4, mode) for t in trees] == want
-    memo = {}
-    assert [_outcome(eval_jet, t, point, 4, mode, memo)
+    memos = {}
+    assert [_outcome(eval_jet, t, point, 4, mode,
+                     memos.setdefault(ex.has_transcendental(t), {}))
             for t in trees] == want
 
 
@@ -561,6 +595,9 @@ def test_a_memo_serves_one_base_order_and_mode():
                               ((1.0, 2.0), 4, "auto")):
         with pytest.raises(ValueError, match="memo"):
             eval_jet(tree, base, order, mode, memo)
+    # "auto" gives a transcendental tree floats, another arithmetic
+    with pytest.raises(ValueError, match="memo"):
+        eval_jet(parse_expr("exp(x)"), point, 4, "auto", memo)
 
 
 def _exp_subtrees(t, out):

@@ -46,12 +46,18 @@ moved. Above 1e-8 the largest relative change is 5.2e-15; values at or
 below 1e-8 moved freely, such as `liouville-metric`'s float det M at its
 rank-2 point, -1.1e-63 -> 0.0. No verdict, rank, S, kernel, witness,
 flag, key or exit code changed.
+
+3 reports were re-rendered after that, when `auto` came to pick one
+arithmetic per point for all of its jets, rational or float, in place of
+promoting each node to float on its own. They are `mixed-exactness`
+`check`, `invariants` and `tractor`, auto, whose transcendental A0 now
+puts the whole point in floats, so each equals its float report. The
+largest relative change is 7.8e-15; no verdict, rank, S, flag, key or
+exit code changed.
 No other file was edited since it was rendered.
 
 Inputs with transcendental calls keep their exit-3 reports in rational
-mode. In `auto` mode `mixed-exactness` evaluates its transcendental A0 in
-floats and A1-A3 exactly, so its jets mix nonzero exact and float
-coefficients.
+mode.
 
 Jet products run through a loop or a compiled kernel (`jets._convolve`);
 the reports are also rendered with every product on one of the two paths.
@@ -62,36 +68,45 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from projmet import cli, jets
+from projmet import expressions as ex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CHANGE = "x*y/3 - y^2/5"
 
 CASES = sorted(p.name for p in GOLDEN.glob("*.json"))
+INPUTS = sorted(p.stem for p in (ROOT / "inputs").glob("*.json"))
+COMMANDS = ("check", "invariants", "tractor", "recover")
 
 
 def test_every_input_command_and_mode_has_a_golden_report():
-    inputs = sorted(p.stem for p in (ROOT / "inputs").glob("*.json"))
     expected = sorted(
         "%s.%s.%s" % (name, command, mode)
-        for name in inputs
-        for command in ("check", "invariants", "tractor", "recover")
+        for name in INPUTS
+        for command in COMMANDS
         for mode in ("rational", "float", "auto")
     )
     assert sorted(c.rsplit(".", 2)[0] for c in CASES) == expected
 
 
-def _assert_golden(case, tmp_path, capsys):
-    name, command, mode, exit_tag, _ = case.split(".")
+def _render(name, command, mode, tmp_path, capsys):
+    """The exit code and stdout of `command` on the input `name`, with the
+    change added, in `mode`."""
     data = json.loads((ROOT / "inputs" / (name + ".json")).read_text())
     job = tmp_path / "job.json"
     job.write_text(json.dumps(dict(data, change=CHANGE)), encoding="utf-8")
     code = cli.main([command, "--input", str(job), "--mode", mode])
-    out = capsys.readouterr().out
+    return code, capsys.readouterr().out
+
+
+def _assert_golden(case, tmp_path, capsys):
+    name, command, mode, exit_tag, _ = case.split(".")
+    code, out = _render(name, command, mode, tmp_path, capsys)
     assert code == int(exit_tag[len("exit"):])
     assert out == (GOLDEN / case).read_text(encoding="utf-8")
 
@@ -99,6 +114,24 @@ def _assert_golden(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", CASES)
 def test_report_is_byte_identical(case, tmp_path, capsys):
     _assert_golden(case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", INPUTS)
+def test_auto_report_is_the_rational_or_the_float_report(
+        name, command, tmp_path, capsys):
+    """`auto` picks one arithmetic per point: exact when the point is
+    rational and no coefficient is transcendental, else float.  So on a
+    committed job whose points are all rational and whose coefficients
+    are not transcendental its report is the `rational` one, and on every
+    other committed job the `float` one."""
+    job = cli.Job(json.loads((ROOT / "inputs" / (name + ".json")).read_text()))
+    exact = not any(map(ex.has_transcendental,
+                        job.structure.coefficients)) and all(
+        isinstance(c, Fraction) for point in job.points for c in point)
+    auto = _render(name, command, "auto", tmp_path, capsys)
+    assert auto == _render(name, command, "rational" if exact else "float",
+                           tmp_path, capsys)
 
 
 # KERNEL_AT 0 sends every product through the compiled kernel, and a

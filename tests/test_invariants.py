@@ -363,6 +363,16 @@ def test_connection_is_the_order_n_minus_2_pair_truncated(
                     assert _jet_bits(g) == _jet_bits(w.truncated(order - 4))
 
 
+def test_the_jets_of_a_point_share_one_arithmetic():
+    mixed = load_job(str(INPUTS / "mixed-exactness.json")).structure
+    point = (Fraction(1, 3), Fraction(1, 5))
+    # A0 = exp(x)*y is transcendental, so "auto" puts all four in floats
+    assert not any(a.exact for a in JetStructure.at(mixed, point, 6).a)
+    exact = JetStructure.at(GENERIC, point, 6).a
+    with pytest.raises(ValueError, match="one arithmetic"):
+        JetStructure(exact[:3] + (exact[3].to_float(),))
+
+
 def test_one_columns_per_connection_matrix(monkeypatch):
     """An order-10 point builds the nonzero pattern of O1 and of O2 once,
     for every level through 7 and every stratified word."""
