@@ -647,6 +647,14 @@ def _checked_sqrt(v):
     return math.sqrt(v)
 
 
+def _checked_finite(f):
+    def checked(v):
+        if not math.isfinite(v):
+            raise _OutOfDomain("%s of a non-finite value" % f.__name__)
+        return f(v)
+    return checked
+
+
 def _negative_power(v, k):
     if v == 0:
         raise _OutOfDomain("zero raised to a negative power")
@@ -656,8 +664,8 @@ def _negative_power(v, k):
 _FLOAT_FUNCS = {
     "exp": ("_exp", math.exp),
     "log": ("_log", _checked_log),
-    "sin": ("_sin", math.sin),
-    "cos": ("_cos", math.cos),
+    "sin": ("_sin", _checked_finite(math.sin)),
+    "cos": ("_cos", _checked_finite(math.cos)),
     "sqrt": ("_sqrt", _checked_sqrt),
 }
 
@@ -706,9 +714,9 @@ def compile_float(trees):
     """One float function (x, y) -> tuple of the trees' values.
 
     Outside the domain (division by zero, log or sqrt of a value <= 0, zero
-    to a negative power, overflow in `**` or an elementary function) it
-    raises SingularEvaluationError naming the point.  `+`, `-`, `*` and `/`
-    overflow to inf or nan without raising."""
+    to a negative power, sin or cos of a non-finite value, overflow in `**`
+    or an elementary function) it raises SingularEvaluationError naming the
+    point.  `+`, `-`, `*` and `/` overflow to inf or nan without raising."""
     namespace = {"__builtins__": {}, "_negative_power": _negative_power}
     namespace.update(_FLOAT_FUNCS.values())
     exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)

@@ -414,7 +414,12 @@ def test_recover_grid_size_must_be_an_integer(tmp_path, capsys):
       "points": [[0.3, 1]], "order": 8},
      ("check", "invariants", "tractor", "recover"),
      "value out of float range (base point (0.3, 1))"),
-], ids=["jet-tower", "nu5", "metric-exp", "metric-power"])
+    # sin of an infinite argument, in the same degeneracy check
+    ({"kind": "metric", "E": "2+sin(exp(700)*exp(700)*x)", "G": "1",
+      "points": [[1, 0]], "order": 6},
+     ("check", "invariants", "tractor", "recover"),
+     "sin of a non-finite value (base point (1, 0))"),
+], ids=["jet-tower", "nu5", "metric-exp", "metric-power", "metric-sin"])
 def test_float_exp_overflow_exits_three(data, commands, error, tmp_path,
                                         capsys):
     job = _write_job(tmp_path, data)

@@ -154,6 +154,19 @@ def test_one_arithmetic_per_tree_set_and_point():
         eval_jet(poly, rounded, 2, "rational")
 
 
+@pytest.mark.parametrize("src", ["2+sin(exp(700)*exp(700)*x)",
+                                 "cos(exp(700)*exp(700)*x)"])
+def test_sin_and_cos_of_a_non_finite_value_are_singular(src):
+    tree = parse_expr(src)
+    name = src[src.index("(") - 3:src.index("(")]
+    for evaluate in (ex.compile_float([tree]),
+                     lambda x, y: eval_scalar(tree, x, y)):
+        with pytest.raises(SingularEvaluationError,
+                           match=r"%s of a non-finite value \(base point "
+                                 r"\(1, 0\)\)" % name):
+            evaluate(1, 0)
+
+
 def test_differentiate_simple():
     tree = parse_expr("x^3*y")
     dx = differentiate(tree, "x")
