@@ -231,14 +231,16 @@ def _connection_matrices(a, zero_at, m):
         derivs.append(tuple(d.truncated(m) for d in (
             j, jx, jy, jx.diff("x"), jx.diff("y"), jy.diff("y"))))
     z = zero_at(m)
-    return connection_formula(derivs, z, z + 1)
+    return connection_formula(derivs, z, z + 1, CONNECTION_RATIONALS
+                              if z.exact else CONNECTION_FLOATS)
 
 
 def connection_formula(derivs, z, one, rationals=CONNECTION_RATIONALS):
     """(O1, O2) from the coefficients' derivatives: `derivs[k]` holds A_k
     along CONNECTION_WORDS, and `z`, `one` are the zero and unit of their
-    arithmetic.  Truncated jets give the connection as jets; floats, with
-    `rationals` CONNECTION_FLOATS, give its value at a point."""
+    arithmetic, whose constants `rationals` are: CONNECTION_RATIONALS for
+    exact jets, CONNECTION_FLOATS for float jets and floats.  Truncated
+    jets give the connection as jets, floats its value at a point."""
     F13, F23, F43, F89, F169, F49, F29, F83, F203 = rationals
     ((a0t, a0x, a0y, a0xx, a0xy, a0yy),
      (a1t, a1x, a1y, a1xx, a1xy, a1yy),
