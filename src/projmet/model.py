@@ -158,23 +158,6 @@ def ode_from_metric(metric, check_points=()):
         "from-metric")
 
 
-def metric_to_section(metric):
-    """The substitution psi_i = (E, F, G) * (EG - F^2)^(-2/3).
-
-    Returned as a callable evaluating the triple at a point (float-valued;
-    the cube root is irrational in general)."""
-
-    def at(point):
-        e, f, g = metric.values_at(point)
-        disc = e * g - f * f
-        if disc == 0:
-            raise DegenerateMetricError((point[0], point[1]))
-        w = float(abs(disc)) ** (-2.0 / 3.0)
-        return (e * w, f * w, g * w)
-
-    return at
-
-
 def section_to_metric_exprs(psi1, psi2, psi3):
     """Inverse substitution E = psi1 / Delta^2 etc., Delta = psi1 psi3 - psi2^2,
     as expression trees."""

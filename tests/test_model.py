@@ -18,7 +18,6 @@ from projmet.model import (
     ProjectiveStructure,
     geodesic_coefficients,
     liouville_residual,
-    metric_to_section,
     ode_from_lambda,
     ode_from_metric,
     section_to_metric_exprs,
@@ -201,18 +200,6 @@ def test_residuals_vanish_for_metric_built_sections():
                                  mode="rational")
         assert all(r.is_zero() for r in res)
         done += 1
-
-
-def test_metric_to_section_and_back():
-    metric = MetricInput.from_exprs("exp(x*y)", "0", "1")
-    sec = metric_to_section(metric)
-    p1, p2, p3 = sec((0.5, 0.25))
-    disc = metric.discriminant_at((0.5, 0.25))
-    e, f, g = metric.values_at((0.5, 0.25))
-    scale = abs(disc) ** Fraction(-2, 3)
-    assert abs(p1 - e * scale) < 1e-12
-    assert abs(p2 - f * scale) < 1e-12
-    assert abs(p3 - g * scale) < 1e-12
 
 
 def test_structure_jets_at_orders():
