@@ -78,6 +78,7 @@ class AffineConnection:
         return cls(gamma, Jet.constant(one, js.base, js.order))
 
     def rescaled(self, lam):
+        """The scale times `lam`, a number in the symbols' arithmetic."""
         return AffineConnection(self.gamma, self.s * lam)
 
 

@@ -88,7 +88,8 @@ SMALL_JOBS = (
 )
 
 # Only tests call `matrix_Mmax`; the tracer still wraps it by name until
-# its span goes in the next change to bench/ (ROADMAP item 1).
+# its span goes in the next change to bench/ (ROADMAP item 6, spans in the
+# source).
 UNCALLED = {"invariants.matrix_Mmax"}
 
 
