@@ -77,12 +77,16 @@ EXIT_INPUT = 3
 # exact arithmetic every operation also grows with the bits of the numbers
 # it multiplies, which a point or literal brings in and each factor of a
 # product multiplies, so the degree of a coefficient and the bits of an
-# exact numerator or denominator are capped too.
+# exact numerator or denominator are capped too.  Each sample point costs
+# a full analysis, so their number is capped; and a tree deeper than
+# MAX_DEPTH would overflow the recursion of the walks over it.
 MAX_ORDER = 16
 MAX_GRID_N = 201
 MAX_SUBSTEPS = 64
 MAX_DEGREE = 16
 MAX_EXACT_BITS = 64
+MAX_POINTS = 64
+MAX_DEPTH = 256
 
 
 class InputError(Exception):
@@ -135,6 +139,15 @@ def _exact_in(v, what):
         raise InputError("%s: %r has a numerator or denominator of more "
                          "than %d bits" % (what, v, MAX_EXACT_BITS))
     return value
+
+
+def _depth(t):
+    """The levels of tree t, counted without recursion up to MAX_DEPTH + 1."""
+    depth, level = 0, [t]
+    while level and depth <= MAX_DEPTH:
+        depth += 1
+        level = [c for n in level for c in ex._parts(n)[1]]
+    return depth
 
 
 def _expr_sizes(t):
@@ -206,6 +219,9 @@ class Job:
             tree = parse_expr(src)
         except ExprError as err:
             raise InputError("%s: %s" % (what, err)) from err
+        if _depth(tree) > MAX_DEPTH:
+            raise InputError("%s: nested more than %d levels deep"
+                             % (what, MAX_DEPTH))
         degree, bits = _expr_sizes(tree)
         if degree > MAX_DEGREE:
             raise InputError("%s: degree %d, more than %d"
@@ -248,6 +264,8 @@ class Job:
         pts = data.get("points")
         if not isinstance(pts, list) or not pts:
             raise InputError('"points" must be a non-empty list of [x, y]')
+        if len(pts) > MAX_POINTS:
+            raise InputError('"points" holds more than %d points' % MAX_POINTS)
         out = []
         for p in pts:
             if not isinstance(p, list) or len(p) != 2:

@@ -6,21 +6,30 @@ functions exp/log/sin/cos/sqrt — together with a parser, a canonical printer
 (`parse_expr(to_string(t)) == t`), exact symbolic differentiation, and three
 independent evaluators: `eval_jet` (truncated Taylor arithmetic),
 `eval_scalar` (plain floating/rational point evaluation) and `compile_float`
-(straight-line float code for many points).  `+ - * /` on trees build
-trees, so a formula written once also runs on jets and numbers.
+(straight-line float code for many points).  The three share one operator
+table and one set of domain rules, those of `jets`.  `+ - * /` on trees
+build trees, so a formula written once also runs on jets and numbers.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from . import jets
-from .jets import Jet, SingularEvaluationError, to_scalar
+from .jets import (_FLOAT_FUNCS, Jet, SingularEvaluationError, _OutOfDomain,
+                   to_scalar)
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+
+# factors (parentheses, calls, signs, exponents) nested in one another
+MAX_NESTING = 100
+
+# the one meaning of each binary operator, on jets and on scalars
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 
 class ExprError(ValueError):
@@ -165,12 +174,14 @@ class _Parser:
         atom   := NUMBER | 'x' | 'y' | FUNC '(' expr ')' | '(' expr ')'
 
     An exponent must reduce to an integer literal (so "x^-2" and "x^(6/3)"
-    are fine but "x^y" and "x^(1/2)" are rejected).
+    are fine but "x^y" and "x^(1/2)" are rejected).  Every nesting passes
+    through `factor`, which refuses to open more than MAX_NESTING levels.
     """
 
     def __init__(self, src):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -204,10 +215,17 @@ class _Parser:
         return e
 
     def factor(self):
+        if self.nesting == MAX_NESTING:
+            raise ExprSyntaxError("expression nested deeper than %d levels"
+                                  % MAX_NESTING, self.peek()[2])
+        self.nesting += 1
         if self.peek()[0] == "-":
             self.take()
-            return _fold_neg(self.factor())
-        return self.power()
+            e = _fold_neg(self.factor())
+        else:
+            e = self.power()
+        self.nesting -= 1
+        return e
 
     def power(self):
         base = self.atom()
@@ -282,62 +300,42 @@ def as_expr(obj):
 # ---------------- printer ----------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _prec(e):
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return 2
-    if isinstance(e, Pow):
-        return 3
-    if isinstance(e, Num):
-        # "p/q" reparses as a quotient and "-p" as a negation, so such
-        # literals must be parenthesised exactly where those forms would be
-        if e.value.denominator != 1 or e.value < 0:
-            return 2
-    return 9
-
-
-def _atom_like(e):
-    return (
-        isinstance(e, Var)
-        or isinstance(e, Call)
-        or (isinstance(e, Num) and e.value >= 0
-            and e.value.denominator == 1)
-    )
+_ATOM = 9  # the precedence of a node that never needs parentheses
 
 
 def to_string(e):
     """Canonical rendering; `parse_expr` inverts it."""
+    return _render(e)[0]
+
+
+def _render(e):
+    """(text, precedence) of a tree, in one pass over it."""
     if isinstance(e, Num):
-        return str(e.value)
+        # "p/q" reparses as a quotient and "-p" as a negation, so such
+        # literals must be parenthesised exactly where those forms would be
+        v = e.value
+        return str(v), _ATOM if v >= 0 and v.denominator == 1 else 2
     if isinstance(e, Var):
-        return e.name
+        return e.name, _ATOM
+    if isinstance(e, Call):
+        return "%s(%s)" % (e.func, _render(e.arg)[0]), _ATOM
     if isinstance(e, Neg):
-        inner = to_string(e.arg)
-        if _prec(e.arg) <= 2 and not _atom_like(e.arg):
-            inner = "(%s)" % inner
-        return "-%s" % inner
+        return "-" + _wrapped(e.arg, 3), 2
     if isinstance(e, BinOp):
         p = _PREC[e.op]
-        ls = to_string(e.left)
-        if _prec(e.left) < p:
-            ls = "(%s)" % ls
-        rs = to_string(e.right)
-        if _prec(e.right) <= p:
-            rs = "(%s)" % rs
-        return "%s%s%s" % (ls, e.op, rs)
+        return _wrapped(e.left, p) + e.op + _wrapped(e.right, p + 1), p
     if isinstance(e, Pow):
-        bs = to_string(e.base)
-        if not _atom_like(e.base):
-            bs = "(%s)" % bs
+        bs = _wrapped(e.base, _ATOM)
         if e.exponent < 0:
-            return "%s^(%d)" % (bs, e.exponent)
-        return "%s^%d" % (bs, e.exponent)
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.func, to_string(e.arg))
+            return "%s^(%d)" % (bs, e.exponent), 3
+        return "%s^%d" % (bs, e.exponent), 3
     raise TypeError("not an expression: %r" % (e,))
+
+
+def _wrapped(e, least):
+    """The text of e, parenthesised when its precedence is below `least`."""
+    text, p = _render(e)
+    return text if p >= least else "(%s)" % text
 
 
 # ---------------- smart constructors ----------------
@@ -466,24 +464,28 @@ def differentiate(e, var):
 # ---------------- evaluation ----------------
 
 
+def _parts(t):
+    """(own fields, children) of a node."""
+    if isinstance(t, BinOp):
+        return t.op, (t.left, t.right)
+    if isinstance(t, Num):
+        return t.value, ()
+    if isinstance(t, Var):
+        return t.name, ()
+    if isinstance(t, Pow):
+        return t.exponent, (t.base,)
+    if isinstance(t, Neg):
+        return None, (t.arg,)
+    if isinstance(t, Call):
+        return t.func, (t.arg,)
+    raise TypeError("not an expression: %r" % (t,))
+
+
 def has_transcendental(e):
-    if isinstance(e, Call):
-        return True
-    if isinstance(e, BinOp):
-        return has_transcendental(e.left) or has_transcendental(e.right)
-    if isinstance(e, (Neg, Pow)):
-        arg = e.arg if isinstance(e, Neg) else e.base
-        return has_transcendental(arg)
-    return False
+    return isinstance(e, Call) or any(map(has_transcendental, _parts(e)[1]))
 
 
-_JET_FUNCS = {
-    "exp": jets.exp,
-    "log": jets.log,
-    "sin": jets.sin,
-    "cos": jets.cos,
-    "sqrt": jets.sqrt,
-}
+_JET_FUNCS = {name: getattr(jets, name) for name in FUNCTIONS}
 
 
 def _shared(t, build, memo):
@@ -496,20 +498,7 @@ def _shared(t, build, memo):
     seen = memo.get(id(t))
     if seen is not None:
         return seen[1]
-    if isinstance(t, BinOp):
-        own, children = t.op, (t.left, t.right)
-    elif isinstance(t, Num):
-        own, children = t.value, ()
-    elif isinstance(t, Var):
-        own, children = t.name, ()
-    elif isinstance(t, Pow):
-        own, children = t.exponent, (t.base,)
-    elif isinstance(t, Neg):
-        own, children = None, (t.arg,)
-    elif isinstance(t, Call):
-        own, children = t.func, (t.arg,)
-    else:
-        raise TypeError("not an expression: %r" % (t,))
+    own, children = _parts(t)
     args = [_shared(c, build, memo) for c in children]
     key = (type(t), own, *map(id, args))
     value = memo.get(key)
@@ -561,14 +550,7 @@ def eval_jet(e, base, order, mode="auto", memo=None):
 
     def build(t, args):
         if isinstance(t, BinOp):
-            a, b = args
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            return a / b
+            return _BINARY[t.op](*args)
         if isinstance(t, Num):
             v = float(t.value) if want_float else t.value
             return Jet.constant(v, base, order)
@@ -585,7 +567,8 @@ def eval_jet(e, base, order, mode="auto", memo=None):
 
 
 def eval_scalar(e, x, y):
-    """Plain point evaluation, independent of the jet machinery.
+    """Plain point evaluation, independent of the jet machinery; each
+    distinct subtree is evaluated once (`_shared`).
 
     Rational inputs and a transcendental-free tree give an exact Fraction;
     otherwise the result is a float.  Outside the domain it raises as
@@ -594,31 +577,21 @@ def eval_scalar(e, x, y):
     xv = to_scalar(x)
     yv = to_scalar(y)
 
-    def rec(t):
+    def build(t, args):
+        if isinstance(t, BinOp):
+            return _BINARY[t.op](*args)
         if isinstance(t, Num):
             return t.value
         if isinstance(t, Var):
             return xv if t.name == "x" else yv
-        if isinstance(t, Neg):
-            return -rec(t.arg)
-        if isinstance(t, BinOp):
-            a = rec(t.left)
-            b = rec(t.right)
-            if t.op == "+":
-                return a + b
-            if t.op == "-":
-                return a - b
-            if t.op == "*":
-                return a * b
-            return a / b
         if isinstance(t, Pow):
-            v, k = rec(t.base), t.exponent
-            return v**k if k >= 0 else _negative_power(v, k)
-        if isinstance(t, Call):
-            return _FLOAT_FUNCS[t.func][1](float(rec(t.arg)))
-        raise TypeError("not an expression: %r" % (t,))
+            k = t.exponent
+            return args[0]**k if k >= 0 else _negative_power(args[0], k)
+        if isinstance(t, Neg):
+            return -args[0]
+        return _FLOAT_FUNCS[t.func][1](float(args[0]))
 
-    return _at_point(lambda *_: rec(e), xv, yv)
+    return _at_point(lambda *_: _shared(e, build, {}), xv, yv)
 
 
 # ---------------- compiled float evaluation ----------------
@@ -631,43 +604,10 @@ def eval_scalar(e, x, y):
 # helpers of _FLOAT_FUNCS; no text of the input reaches `exec`.
 
 
-class _OutOfDomain(Exception):
-    pass
-
-
-def _checked_log(v):
-    if v <= 0:
-        raise _OutOfDomain("log of a non-positive value")
-    return math.log(v)
-
-
-def _checked_sqrt(v):
-    if v <= 0:
-        raise _OutOfDomain("sqrt of a non-positive value")
-    return math.sqrt(v)
-
-
-def _checked_finite(f):
-    def checked(v):
-        if not math.isfinite(v):
-            raise _OutOfDomain("%s of a non-finite value" % f.__name__)
-        return f(v)
-    return checked
-
-
 def _negative_power(v, k):
     if v == 0:
         raise _OutOfDomain("zero raised to a negative power")
     return v**k
-
-
-_FLOAT_FUNCS = {
-    "exp": ("_exp", math.exp),
-    "log": ("_log", _checked_log),
-    "sin": ("_sin", _checked_finite(math.sin)),
-    "cos": ("_cos", _checked_finite(math.cos)),
-    "sqrt": ("_sqrt", _checked_sqrt),
-}
 
 
 def _float_source(trees):
@@ -688,7 +628,7 @@ def _float_source(trees):
                     "literal %s is out of float range" % t.value) from None
         elif isinstance(t, Neg):
             text = "-" + args[0]
-        elif isinstance(t, BinOp) and t.op in _PREC:
+        elif isinstance(t, BinOp) and t.op in _BINARY:
             text = "%s %s %s" % (args[0], t.op, args[1])
         elif isinstance(t, Pow):
             k = int(t.exponent)

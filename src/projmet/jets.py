@@ -22,6 +22,8 @@ the correctly rounded division numerator / denominator.  Only direct use
 mixes; an analysis runs all of a point's jets in one arithmetic
 (`expressions.choose_arithmetic`), and `mul_sub` refuses mixed operands.
 exp, log, sin, cos and sqrt force float; integer powers stay exact.
+This module owns their domain rules (`_FLOAT_FUNCS`), which `expressions`
+also reads, so a jet, a scalar and compiled code refuse an argument alike.
 
 Performance.  Products are the innermost loop of every command, since each
 covariant derivative is a sum of them.  A product with a zero operand is
@@ -332,7 +334,7 @@ class Jet:
             raise JetError("jet exponents must be integers")
         if k < 0:
             return (1 / self) ** (-k)
-        result = self._coerce(1)
+        result = self._coerce(1 if self.exact else 1.0)
         square = self
         while k:
             if k & 1:
@@ -603,25 +605,53 @@ def _quotient(a, b, n, scale, divide):
 
 # ---------------- elementary functions ----------------
 #
-# Each is computed by composing the univariate Taylor tower of the function
-# at the jet's constant term with (jet - constant term), via Horner steps.
-# All of them force float coefficients; exact arithmetic is preserved only
-# by the ring operations and integer powers.
+# The domain rules of exp, log, sin, cos and sqrt, stated once for jets,
+# scalars and compiled code: _FLOAT_FUNCS maps each name to its helper's
+# name in compiled code and its checked float function.  A jet's function
+# is its univariate Taylor tower at the constant term c0, composed with
+# (jet - c0) via Horner steps, in float coefficients.
+
+
+class _OutOfDomain(Exception):
+    pass
+
+
+def _checked(f, refuses, what):
+    """f, raising _OutOfDomain("<f> of a <what> value") where `refuses`."""
+    def checked(v):
+        if refuses(v):
+            raise _OutOfDomain("%s of a %s value" % (f.__name__, what))
+        return f(v)
+    return checked
+
+
+_NON_POSITIVE = (lambda v: v <= 0, "non-positive")
+_NON_FINITE = (lambda v: not math.isfinite(v), "non-finite")
+_FLOAT_FUNCS = {
+    "exp": ("_exp", math.exp),
+    "log": ("_log", _checked(math.log, *_NON_POSITIVE)),
+    "sin": ("_sin", _checked(math.sin, *_NON_FINITE)),
+    "cos": ("_cos", _checked(math.cos, *_NON_FINITE)),
+    "sqrt": ("_sqrt", _checked(math.sqrt, *_NON_POSITIVE)),
+}
 
 
 def _elementary(name, a, terms):
-    """`name` of the jet a: its float Taylor tower `terms(c0, n)` at a's
-    constant term c0, composed with a - c0 by Horner steps.  A tower that
-    leaves the float range is a singular evaluation."""
+    """`name` of the jet a: its Taylor tower `terms(c0, f0, n)` at a's
+    constant term c0, where f0 is the checked value at c0, composed with
+    a - c0.  A c0 outside the domain, and a tower that leaves the float
+    range, are singular evaluations."""
     a = a.to_float()
-    n = a.order
+    n, c0 = a.order, a.value
     try:
-        tower = terms(a.value, n)
+        tower = terms(c0, _FLOAT_FUNCS[name][1](c0), n)
+    except _OutOfDomain as err:
+        raise SingularEvaluationError(str(err), a.base) from None
     except (OverflowError, ZeroDivisionError, ValueError):
         raise SingularEvaluationError(
             "the Taylor tower of %s leaves the float range" % name, a.base
         ) from None
-    u = a - a.value
+    u = a - c0
     result = Jet.constant(tower[n], a.base, n)
     for k in range(n - 1, -1, -1):
         result = result * u + tower[k]
@@ -629,41 +659,31 @@ def _elementary(name, a, terms):
 
 
 def exp(a):
-    def terms(c0, n):
-        e0 = math.exp(c0)
-        return [e0 / math.factorial(k) for k in range(n + 1)]
-    return _elementary("exp", a, terms)
+    return _elementary("exp", a, lambda c0, f0, n: [
+        f0 / math.factorial(k) for k in range(n + 1)])
 
 
 def log(a):
-    if a.value <= 0:
-        raise SingularEvaluationError(
-            "log of a non-positive constant term", a.base
-        )
-    return _elementary("log", a, lambda c0, n: [math.log(c0)] + [
+    return _elementary("log", a, lambda c0, f0, n: [f0] + [
         (-1.0) ** (k + 1) / (k * c0**k) for k in range(1, n + 1)])
 
 
+# k = 0 gives sin(c0 + 0.0), not f0: 0.0 at c0 = -0.0, as at every order
 def sin(a):
-    return _elementary("sin", a, lambda c0, n: [
+    return _elementary("sin", a, lambda c0, f0, n: [
         math.sin(c0 + k * math.pi / 2) / math.factorial(k)
         for k in range(n + 1)])
 
 
 def cos(a):
-    return _elementary("cos", a, lambda c0, n: [
+    return _elementary("cos", a, lambda c0, f0, n: [
         math.cos(c0 + k * math.pi / 2) / math.factorial(k)
         for k in range(n + 1)])
 
 
 def sqrt(a):
-    if a.value <= 0:
-        raise SingularEvaluationError(
-            "sqrt of a non-positive constant term", a.base
-        )
-
-    def terms(c0, n):
-        tower = [math.sqrt(c0)]
+    def terms(c0, f0, n):
+        tower = [f0]
         for k in range(1, n + 1):
             tower.append(tower[-1] * (0.5 - (k - 1)) / (k * c0))
         return tower

@@ -238,7 +238,7 @@ def test_sqrt_at_zero_exits_three_on_every_command(tmp_path, capsys,
     code, report = run_cli(capsys, command, "--input", job)
     assert code == 3
     assert report["error"] == (
-        "sqrt of a non-positive constant term (base point (0, 1))")
+        "sqrt of a non-positive value (base point (0, 1))")
 
 
 @pytest.mark.parametrize("field, value, cap", [
@@ -263,6 +263,55 @@ def test_job_over_a_cap_exits_three_before_jet_work(
     assert code == 3
     assert cap in report["error"]
     assert str(value - 1) in report["error"]
+
+
+def _terms(term, count):
+    return "+".join([term] * count)
+
+
+EVERY_COMMAND = ("check", "invariants", "tractor", "recover")
+
+
+@pytest.mark.parametrize("data, commands, error", [
+    ({"kind": "ode", "A0": "(" * 300 + "x" + ")" * 300}, EVERY_COMMAND,
+     "A0: expression nested deeper than 100 levels"),
+    ({"kind": "ode", "A0": "-" * 5000 + "x"}, EVERY_COMMAND,
+     "A0: expression nested deeper than 100 levels"),
+    ({"kind": "ode", "A0": _terms("x", 500)}, EVERY_COMMAND,
+     "A0: nested more than 256 levels deep"),
+    ({"kind": "metric", "E": _terms("x*y", 500), "G": "1"}, EVERY_COMMAND,
+     "E: nested more than 256 levels deep"),
+    ({"kind": "ode", "A0": _terms("x", 3000)}, EVERY_COMMAND,
+     "A0: nested more than 256 levels deep"),
+    ({"kind": "lambda", "p_coeffs": ["1", _terms("y", 700)]}, EVERY_COMMAND,
+     "p_coeffs[1]: nested more than 256 levels deep"),
+    ({"kind": "ode", "A0": "x*y", "change": _terms("x", 700)}, ("tractor",),
+     '"change": nested more than 256 levels deep'),
+    ({"kind": "ode", "A0": "x*y",
+      "points": [[1, i] for i in range(cli.MAX_POINTS + 1)]}, EVERY_COMMAND,
+     '"points" holds more than 64 points'),
+], ids=["parentheses", "unary-minus", "sum-500", "metric-500", "sum-3000",
+        "lambda-700", "change-700", "points"])
+def test_deep_or_many_exits_three(tmp_path, capsys, data, commands, error):
+    job = _write_job(tmp_path, dict({"points": [[1, 2]], "order": 6},
+                                    **data))
+    for command in commands:
+        code, report = run_cli(capsys, command, "--input", job)
+        assert code == 3
+        assert report["error"].startswith(error)
+
+
+def test_trees_at_the_depth_cap_are_analysed(tmp_path, capsys):
+    # E is 1 + x*y + ... + x*y, MAX_DEPTH levels deep, and the metric's
+    # derived coefficients are deeper still
+    for data, commands in (
+            ({"kind": "ode", "A0": _terms("x", cli.MAX_DEPTH)}, ("check",)),
+            ({"kind": "metric", "E": _terms("x*y", cli.MAX_DEPTH - 1),
+              "G": "1"}, EVERY_COMMAND)):
+        job = _write_job(tmp_path, dict(data, points=[[1, 2]], order=6))
+        for command in commands:
+            code, report = run_cli(capsys, command, "--input", job)
+            assert code in (0, 1, 2) and "error" not in report
 
 
 

@@ -112,7 +112,7 @@ def test_eval_scalar_refuses_sqrt_where_a_jet_does(point):
                        match="sqrt of a non-positive value"):
         eval_scalar(tree, *point)
     with pytest.raises(SingularEvaluationError,
-                       match="sqrt of a non-positive constant term"):
+                       match="sqrt of a non-positive value"):
         eval_jet(tree, point, 3, "float")
 
 
@@ -165,6 +165,25 @@ def test_sin_and_cos_of_a_non_finite_value_are_singular(src):
                            match=r"%s of a non-finite value \(base point "
                                  r"\(1, 0\)\)" % name):
             evaluate(1, 0)
+
+
+@pytest.mark.parametrize("src, point, message", [
+    ("log(x)", (0, 1), "log of a non-positive value"),
+    ("log(x)", (Fraction(-1, 4), 1), "log of a non-positive value"),
+    ("sqrt(y)", (1, 0), "sqrt of a non-positive value"),
+    ("sqrt(y)", (1, -2), "sqrt of a non-positive value"),
+    ("sin(exp(700)*exp(700)*x)", (1, 0), "sin of a non-finite value"),
+    ("cos(exp(700)*exp(700)*x)", (1, 0), "cos of a non-finite value"),
+])
+def test_every_evaluator_refuses_a_domain_failure_with_one_message(
+        src, point, message):
+    tree = parse_expr(src)
+    for evaluate in (lambda: eval_jet(tree, point, 4, "float"),
+                     lambda: eval_scalar(tree, *point),
+                     lambda: ex.compile_float([tree])(*point)):
+        with pytest.raises(SingularEvaluationError) as err:
+            evaluate()
+        assert str(err.value).split(" (base point")[0] == message
 
 
 def test_differentiate_simple():

@@ -254,6 +254,15 @@ def test_negative_exponent_is_inverse_power():
     assert a ** -2 == 1 / (a * a)
 
 
+@pytest.mark.parametrize("base", [(Fraction(1), Fraction(2)), (1.0, 2.0)])
+def test_zeroth_power_keeps_the_arithmetic(base):
+    # a float x^0 used to be the exact 1, so check on an ode job with
+    # A1 = "x^0" in float mode mixed arithmetics and ended in a traceback
+    x = jet_x(base, 3)
+    assert (x ** 0).exact is x.exact
+    assert (x ** 0).value == 1
+
+
 def test_base_mismatch_rejected():
     a = jet_x((Fraction(0), Fraction(0)), 2)
     b = jet_x((Fraction(1), Fraction(0)), 2)
@@ -731,8 +740,9 @@ def test_mul_sub_reads_pairs_truncated_and_refuses_lower_orders():
 # compose it with a - c0 by Horner steps: start from the constant t_n, then
 # r * (a - c0) + t_k for k = n - 1 down to 0.  Their tables must equal those
 # steps through the reference operations bit for bit.  A tower that leaves
-# the float range, and a log or sqrt of a non-positive constant term, must
-# raise SingularEvaluationError with the same message.
+# the float range, a log or sqrt of a non-positive constant term, and a sin
+# or cos of a non-finite one, must raise SingularEvaluationError with the
+# same message, the domain's being the one the scalar evaluators give.
 
 
 def _ref_sqrt_tower(c0, n):
@@ -760,10 +770,12 @@ def ref_elementary(name, a):
     SingularEvaluationError it raises at ORACLE_BASE."""
     n = len(a) - 1
     where = " (base point (1/3, -2))"
-    if name in ("log", "sqrt") and a[0][0] <= 0:
-        return "%s of a non-positive constant term" % name + where
     a = [[float(c) for c in row] for row in a]
     c0 = a[0][0]
+    if name in ("log", "sqrt") and c0 <= 0:
+        return "%s of a non-positive value" % name + where
+    if name in ("sin", "cos") and not math.isfinite(c0):
+        return "%s of a non-finite value" % name + where
     try:
         tower = REF_TOWERS[name](c0, n)
     except (OverflowError, ZeroDivisionError, ValueError):

@@ -6,6 +6,7 @@ import pathlib
 import re
 
 from projmet import cli, jets, recovery
+from projmet import expressions as ex
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,6 +43,9 @@ def test_readme_constants_match_the_code():
     stated = {
         r"`MAX_DEGREE` = (\d+)": cli.MAX_DEGREE,
         r"`MAX_EXACT_BITS` = (\d+)": cli.MAX_EXACT_BITS,
+        r"`MAX_DEPTH` = (\d+)": cli.MAX_DEPTH,
+        r"`MAX_NESTING` = (\d+)": ex.MAX_NESTING,
+        r"`MAX_POINTS` = (\d+)": cli.MAX_POINTS,
         r"`order`: jet order \([^)]*at most (\d+)\)": cli.MAX_ORDER,
         r"`n` at most (\d+)": cli.MAX_GRID_N,
         r"`substeps` at most (\d+)": cli.MAX_SUBSTEPS,
