@@ -567,8 +567,7 @@ def eval_jet(e, base, order, mode="auto", memo=None):
 
 
 def eval_scalar(e, x, y):
-    """Plain point evaluation, independent of the jet machinery; each
-    distinct subtree is evaluated once (`_shared`).
+    """Plain point evaluation, independent of the jet machinery.
 
     Rational inputs and a transcendental-free tree give an exact Fraction;
     otherwise the result is a float.  Outside the domain it raises as
@@ -577,21 +576,23 @@ def eval_scalar(e, x, y):
     xv = to_scalar(x)
     yv = to_scalar(y)
 
-    def build(t, args):
+    def rec(t):
         if isinstance(t, BinOp):
-            return _BINARY[t.op](*args)
+            return _BINARY[t.op](rec(t.left), rec(t.right))
         if isinstance(t, Num):
             return t.value
         if isinstance(t, Var):
             return xv if t.name == "x" else yv
         if isinstance(t, Pow):
-            k = t.exponent
-            return args[0]**k if k >= 0 else _negative_power(args[0], k)
+            v, k = rec(t.base), t.exponent
+            return v**k if k >= 0 else _negative_power(v, k)
         if isinstance(t, Neg):
-            return -args[0]
-        return _FLOAT_FUNCS[t.func][1](float(args[0]))
+            return -rec(t.arg)
+        if isinstance(t, Call):
+            return _FLOAT_FUNCS[t.func][1](float(rec(t.arg)))
+        raise TypeError("not an expression: %r" % (t,))
 
-    return _at_point(lambda *_: _shared(e, build, {}), xv, yv)
+    return _at_point(lambda *_: rec(e), xv, yv)
 
 
 # ---------------- compiled float evaluation ----------------
