@@ -302,7 +302,7 @@ def test_deep_or_many_exits_three(tmp_path, capsys, data, commands, error):
 
 
 def test_trees_at_the_depth_cap_are_analysed(tmp_path, capsys):
-    # E is 1 + x*y + ... + x*y, MAX_DEPTH levels deep, and the metric's
+    # E is x*y + ... + x*y, MAX_DEPTH levels deep, and the metric's
     # derived coefficients are deeper still
     for data, commands in (
             ({"kind": "ode", "A0": _terms("x", cli.MAX_DEPTH)}, ("check",)),

@@ -256,8 +256,8 @@ def test_negative_exponent_is_inverse_power():
 
 @pytest.mark.parametrize("base", [(Fraction(1), Fraction(2)), (1.0, 2.0)])
 def test_zeroth_power_keeps_the_arithmetic(base):
-    # a float x^0 used to be the exact 1, so check on an ode job with
-    # A1 = "x^0" in float mode mixed arithmetics and ended in a traceback
+    # an exact x^0 of a float jet would mix arithmetics in a float
+    # structure, such as an ode job with A1 = "x^0" in float mode
     x = jet_x(base, 3)
     assert (x ** 0).exact is x.exact
     assert (x ** 0).value == 1
