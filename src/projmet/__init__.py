@@ -42,7 +42,7 @@ from .model import (
     LambdaPoly,
     ode_from_metric,
     ode_from_lambda,
-    section_to_metric_exprs,
+    section_to_metric,
     liouville_residual,
 )
 from .linalg import det, rank_kernel, RankResult
@@ -109,7 +109,7 @@ __all__ = [
     "has_transcendental",
     "NotCubicError", "DegenerateMetricError", "ProjectiveStructure",
     "MetricInput", "LambdaPoly", "ode_from_metric", "ode_from_lambda",
-    "section_to_metric_exprs", "liouville_residual",
+    "section_to_metric", "liouville_residual",
     "det", "rank_kernel", "RankResult",
     "VERDICT_FLAT", "VERDICT_METRISABLE", "VERDICT_NOT",
     "VERDICT_DEGENERATE", "VERDICT_INCONCLUSIVE",

@@ -534,9 +534,10 @@ def degenerate_obstruction(ja):
 
 
 def genericity_P(w):
-    """P(W) = W1 W3 - W2^2, the discriminant of the symmetric form a kernel
-    vector encodes; zero means a degenerate candidate metric."""
-    return w[0] * w[2] - w[1] ** 2
+    """W1 W3 - W2^2, the one discriminant of a symmetric form, for trees,
+    jets and floats: P(W) of a kernel vector, Delta of a section and EG -
+    F^2 of a metric.  Zero means a degenerate candidate metric."""
+    return w[0] * w[2] - w[1] * w[1]
 
 
 def kernel_has_nondegenerate(basis, tol=1e-9):

@@ -308,9 +308,7 @@ class Jet:
                 return self._scale(1 / c)
         other = self._coerce(other)
         if other._rows[0][0] == 0:
-            raise SingularEvaluationError(
-                "division by a jet with zero constant term", self.base
-            )
+            raise SingularEvaluationError("division by zero", self.base)
         n = self.order
         a, da, b, db = self._rows, self._den, other._rows, other._den
         if da is None or db is None:
@@ -333,6 +331,9 @@ class Jet:
         if not isinstance(k, int):
             raise JetError("jet exponents must be integers")
         if k < 0:
+            if self._rows[0][0] == 0:
+                raise SingularEvaluationError(
+                    "zero raised to a negative power", self.base)
             return (1 / self) ** (-k)
         result = self._coerce(1 if self.exact else 1.0)
         square = self

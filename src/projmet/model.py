@@ -9,22 +9,23 @@ directly, induced from a metric E dx^2 + 2F dxdy + G dy^2, or read off a
 polynomial  Lambda(x, y, p)  of degree <= 3 in the slope p.
 
 The metrisability problem asks for a (pseudo-)metric whose geodesics
-reproduce the ODE; `liouville_residual` evaluates the equivalent linear
-first-order system on the substitution
+reproduce the ODE.  Liouville's substitution
 
-    psi1 = E (EG - F^2)^(-2/3),  psi2 = F (...),  psi3 = G (...),
+    psi1 = E (EG - F^2)^(-2/3),  psi2 = F (...),  psi3 = G (...)
 
-so a candidate (psi1, psi2, psi3) solves the metrisability problem iff all
-four residuals vanish identically.
+turns it into a linear first-order system for the section psi, whose four
+residuals `liouville_residual` evaluates on jets; a nondegenerate solution
+gives the metric back by `section_to_metric`.  `geodesic_coefficients` and
+`section_to_metric` are written once for trees, jets and floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expressions as ex
-from .expressions import as_expr, differentiate, eval_jet, eval_scalar
+from .expressions import as_expr, differentiate, eval_scalar
+from .invariants import F23, F43, genericity_P
 
 
 class NotCubicError(ValueError):
@@ -90,8 +91,7 @@ class MetricInput:
         )
 
     def discriminant_at(self, point):
-        e, f, g = self.values_at(point)
-        return e * g - f * f
+        return genericity_P(self.values_at(point))
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def geodesic_coefficients(efg, d_x, d_y):
     e, f, g = efg
     ex_, fx, gx = d_x
     ey, fy, gy = d_y
-    den = 2 * (e * g - f * f)
+    den = 2 * genericity_P(efg)
     return (
         (e * ey - 2 * (e * fx) + f * ex_) / den,
         (3 * (f * ey) + g * ex_ - (2 * (f * fx) + 2 * (e * gx))) / den,
@@ -158,51 +158,27 @@ def ode_from_metric(metric, check_points=()):
         "from-metric")
 
 
-def section_to_metric_exprs(psi1, psi2, psi3):
-    """Inverse substitution E = psi1 / Delta^2 etc., Delta = psi1 psi3 - psi2^2,
-    as expression trees."""
-    p1, p2, p3 = as_expr(psi1), as_expr(psi2), as_expr(psi3)
-    delta = ex.sub(ex.mul(p1, p3), ex.mul(p2, p2))
-    d2 = ex.powi(delta, 2)
-    return (ex.div(p1, d2), ex.div(p2, d2), ex.div(p3, d2))
+def section_to_metric(psi1, psi2, psi3):
+    """Undo the substitution: E, F, G = psi / Delta^2 with Delta = psi1 psi3
+    - psi2^2, for trees, jets and floats alike."""
+    delta = genericity_P((psi1, psi2, psi3))
+    d2 = delta * delta
+    return (psi1 / d2, psi2 / d2, psi3 / d2)
 
 
-# Residuals of the metrisability system, written LHS - RHS so that a
-# solution gives four identical zeros.
-
-_F23 = Fraction(2, 3)
-_F43 = Fraction(4, 3)
-
-
-def liouville_residual(psi, structure, point, order=1, mode="auto"):
-    """Evaluate the four residuals of the metrisability system at a point.
-
-    `psi` is a triple of expressions; jets of the stated order are used for
-    the derivatives (order >= 1 required), all in the one arithmetic that
-    `mode` gives psi and the coefficients at the point.  Returns a 4-tuple
-    of jets truncated to order - 1.
-    """
-    if order < 1:
-        raise ValueError("residual evaluation needs jets of order >= 1")
-    trees = [as_expr(p) for p in psi] + list(structure.coefficients)
-    kind = ex.choose_arithmetic(trees, point, mode)
-    memo = {}
-    p1, p2, p3, a0, a1, a2, a3 = (
-        eval_jet(t, point, order, kind, memo) for t in trees)
-    m = order - 1
-    p1d, p2d, p3d = p1.truncated(m), p2.truncated(m), p3.truncated(m)
-    a0d, a1d, a2d, a3d = (
-        a.truncated(m) for a in (a0, a1, a2, a3)
+def liouville_residual(psi, a):
+    """The four residuals of the metrisability system, LHS - RHS, at the
+    jets' base point.  `psi` holds three jets of order n >= 1 and `a` the
+    four coefficient jets of order >= n - 1; the residuals are jets of order
+    n - 1, all zero iff psi solves the system to that order."""
+    (p1x, p1y), (p2x, p2y), (p3x, p3y) = (
+        (p.diff("x"), p.diff("y")) for p in psi)
+    m = p1x.order
+    p1, p2, p3 = (p.truncated(m) for p in psi)
+    a0, a1, a2, a3 = (c.truncated(m) for c in a)
+    return (
+        p1x - F23 * a1 * p1 + 2 * a0 * p2,
+        p3y - 2 * a3 * p2 + F23 * a2 * p3,
+        p1y + 2 * p2x - F43 * a2 * p1 + F23 * a1 * p2 + 2 * a0 * p3,
+        p3x + 2 * p2y - 2 * a3 * p1 + F43 * a1 * p3 - F23 * a2 * p2,
     )
-
-    r1 = p1.diff("x") - _F23 * a1d * p1d + 2 * a0d * p2d
-    r2 = p3.diff("y") - 2 * a3d * p2d + _F23 * a2d * p3d
-    r3 = (
-        p1.diff("y") + 2 * p2.diff("x")
-        - _F43 * a2d * p1d + _F23 * a1d * p2d + 2 * a0d * p3d
-    )
-    r4 = (
-        p3.diff("x") + 2 * p2.diff("y")
-        - 2 * a3d * p1d + _F43 * a1d * p3d - _F23 * a2d * p2d
-    )
-    return (r1, r2, r3, r4)

@@ -12,6 +12,7 @@ reversed order as a consistency check) and undoing the substitution
     E = psi1 / Delta^2,  F = psi2 / Delta^2,  G = psi3 / Delta^2,
     Delta = psi1 psi3 - psi2^2
 
+by `model.section_to_metric`, with Delta from `invariants.genericity_P`,
 yields the metric.  The connection is evaluated on plain floats: the four
 coefficient trees are differentiated once (value, first and second
 derivatives) and compiled into one straight-line float function, whose
@@ -38,9 +39,10 @@ from .invariants import (
     CONNECTION_FLOATS,
     CONNECTION_WORDS,
     connection_formula,
+    genericity_P,
 )
 from .jets import SingularEvaluationError
-from .model import geodesic_coefficients
+from .model import geodesic_coefficients, section_to_metric
 
 # Largest loop defect a transport accepts; relative size of psi1 psi3 -
 # psi2^2 at or below which a node is degenerate, and a witness too.
@@ -128,7 +130,7 @@ def initial_section(witness):
     if len(w) != 6:
         raise DegenerateWitnessError("witness must have six components")
     scale = max(1.0, max(abs(v) for v in w))
-    q = w[0] * w[2] - w[1] * w[1]
+    q = genericity_P(w)
     if abs(q) <= WITNESS_TOL * scale * scale:
         raise DegenerateWitnessError(
             "witness encodes a degenerate form (psi1 psi3 - psi2^2 = %.3e)"
@@ -254,21 +256,20 @@ def transport(structure, seed, grid):
 
 def reconstruct_metric(section):
     """Undo the substitution at every node.  Nodes where the form
-    Delta = psi1 psi3 - psi2^2 is degenerate relative to the psi scale are
-    excluded."""
+    Delta = psi1 psi3 - psi2^2 (`genericity_P`) is degenerate relative to
+    the psi scale are excluded."""
     nodes = {}
     excluded = []
     signatures = set()
     for key, psi in sorted(section.psi.items()):
         p1, p2, p3 = psi[:3]
-        delta = p1 * p3 - p2 * p2
+        delta = genericity_P(psi)
         if abs(delta) <= DEGENERATE_TOL * max(1.0, p1 * p1, p2 * p2, p3 * p3):
             excluded.append(key)
             continue
-        d2 = delta * delta
         sig = "riemannian" if delta > 0 else "lorentzian"
         signatures.add(sig)
-        nodes[key] = (p1 / d2, p2 / d2, p3 / d2, delta, sig)
+        nodes[key] = (*section_to_metric(p1, p2, p3), delta, sig)
     if not nodes:
         raise DegenerateFormError(
             "transported section is degenerate at every node"

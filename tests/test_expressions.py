@@ -174,11 +174,17 @@ def test_sin_and_cos_of_a_non_finite_value_are_singular(src):
     ("sqrt(y)", (1, -2), "sqrt of a non-positive value"),
     ("sin(exp(700)*exp(700)*x)", (1, 0), "sin of a non-finite value"),
     ("cos(exp(700)*exp(700)*x)", (1, 0), "cos of a non-finite value"),
+    ("1/x", (0, 1), "division by zero"),
+    ("1/x", (0.0, 1.0), "division by zero"),
+    ("x^(-2)", (0, 1), "zero raised to a negative power"),
+    ("x^(-2)", (0.0, 1.0), "zero raised to a negative power"),
 ])
 def test_every_evaluator_refuses_a_domain_failure_with_one_message(
         src, point, message):
+    """`auto` gives exact jets at a rational point of a polynomial tree and
+    float jets otherwise, so both jet arithmetics are covered."""
     tree = parse_expr(src)
-    for evaluate in (lambda: eval_jet(tree, point, 4, "float"),
+    for evaluate in (lambda: eval_jet(tree, point, 4, "auto"),
                      lambda: eval_scalar(tree, *point),
                      lambda: ex.compile_float([tree])(*point)):
         with pytest.raises(SingularEvaluationError) as err:

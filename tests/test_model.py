@@ -10,6 +10,7 @@ import pytest
 
 from projmet import expressions as ex
 from projmet.invariants import JetStructure
+from projmet.jets import InsufficientOrderError
 from projmet.model import (
     DegenerateMetricError,
     LambdaPoly,
@@ -20,7 +21,7 @@ from projmet.model import (
     liouville_residual,
     ode_from_lambda,
     ode_from_metric,
-    section_to_metric_exprs,
+    section_to_metric,
 )
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
@@ -166,11 +167,15 @@ def test_lambda_route_pads_short_lists():
     assert s.values_at((Fraction(3), Fraction(5))) == (3, 1, 0, 0)
 
 
+def _section_jets(psi, pt, order):
+    return [ex.eval_jet(ex.as_expr(p), pt, order, "rational") for p in psi]
+
+
 def test_flat_section_has_zero_residuals():
-    flat = ProjectiveStructure.flat()
-    res = liouville_residual(("1", "0", "1"), flat,
-                             (Fraction(0), Fraction(0)), order=3)
-    assert all(r.is_zero() for r in res)
+    pt = (Fraction(0), Fraction(0))
+    a = JetStructure.at(ProjectiveStructure.flat(), pt, 2).a
+    res = liouville_residual(_section_jets(("1", "0", "1"), pt, 3), a)
+    assert all(r.is_zero() and r.order == 2 for r in res)
 
 
 def test_residuals_vanish_for_metric_built_sections():
@@ -193,11 +198,11 @@ def test_residuals_vanish_for_metric_built_sections():
              - ex.eval_scalar(e2, *pt) ** 2)
         if d == 0:
             continue
-        em, fm, gm = section_to_metric_exprs(e1, e2, e3)
+        em, fm, gm = section_to_metric(e1, e2, e3)
         metric = MetricInput(em, fm, gm)
         s = ode_from_metric(metric, check_points=(pt,))
-        res = liouville_residual((e1, e2, e3), s, pt, order=3,
-                                 mode="rational")
+        res = liouville_residual(_section_jets((e1, e2, e3), pt, 3),
+                                 JetStructure.at(s, pt, 2, "rational").a)
         assert all(r.is_zero() for r in res)
         done += 1
 
@@ -212,7 +217,37 @@ def test_structure_jets_at_orders():
 
 
 def test_residual_order_validation():
+    pt = (Fraction(0), Fraction(0))
     flat = ProjectiveStructure.flat()
     with pytest.raises(ValueError):
-        liouville_residual(("1", "0", "1"), flat,
-                           (Fraction(0), Fraction(0)), order=0)
+        liouville_residual(_section_jets(("1", "0", "1"), pt, 0),
+                           JetStructure.at(flat, pt, 0).a)
+    # the coefficients must reach order n - 1
+    with pytest.raises(InsufficientOrderError):
+        liouville_residual(_section_jets(("1", "0", "1"), pt, 3),
+                           JetStructure.at(flat, pt, 1).a)
+
+
+@pytest.mark.parametrize("psi", [("2+x*y", "x-y", "3+y^2"),
+                                 ("1+x^2", "x*y-1", "2-x+y^3")])
+def test_one_section_to_metric_for_trees_jets_and_floats(psi):
+    """The metric of a section, taken on exact jets one order up and fed to
+    `geodesic_coefficients`, is the ODE of the metric built from the
+    section's trees, exactly; on floats it agrees with the exact value
+    within round-off."""
+    pt = (Fraction(1, 3), Fraction(2, 5))
+    n = 3
+    trees = [ex.parse_expr(p) for p in psi]
+    efg = section_to_metric(*_section_jets(trees, pt, n + 1))
+    a = geodesic_coefficients([j.truncated(n) for j in efg],
+                              [j.diff("x") for j in efg],
+                              [j.diff("y") for j in efg])
+    metric = MetricInput(*section_to_metric(*trees))
+    assert a == JetStructure.at(ode_from_metric(metric), pt, n,
+                                "rational").a
+    exact = [j.value for j in efg]
+    fpt = tuple(map(float, pt))
+    floats = section_to_metric(*(ex.eval_scalar(t, *fpt) for t in trees))
+    for f, q in zip(floats, exact):
+        assert isinstance(f, float)
+        assert f == pytest.approx(float(q), rel=1e-14, abs=0)
