@@ -56,6 +56,12 @@ largest relative change is 7.8e-15; no verdict, rank, S, flag, key or
 exit code changed.
 No other file was edited since it was rendered.
 
+The 12 `selftest-rank6` reports were rendered before exact rank decisions
+moved to one row-incremental elimination that stops building derivative
+rows once the exact rank is 6.  Its exact Cartan ranks are
+[1, 3, 6, 6, 6, 6, 6, 6] at both points, so it is the committed input
+whose reports cover the rows that stop skips.
+
 Inputs with transcendental calls keep their exit-3 reports in rational
 mode.
 
