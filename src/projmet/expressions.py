@@ -422,18 +422,36 @@ def powi(a, k):
 
 
 def differentiate(e, var):
-    """Exact partial derivative of a tree with respect to 'x' or 'y'."""
+    """Exact partial derivative of a tree with respect to 'x' or 'y'.
+
+    Each node's derivative is built once per call, looked up by the node's
+    identity, so a subtree that the tree shares is differentiated once and
+    its derivative is shared too.  The memo keeps every node it has seen
+    alive, so an id cannot come to name another node while it lives."""
     if var not in ("x", "y"):
         raise ValueError("differentiation variable must be 'x' or 'y'")
+    memo = {}
+
+    def d(t):
+        seen = memo.get(id(t))
+        if seen is None:
+            seen = memo[id(t)] = (t, _derivative(t, var, d))
+        return seen[1]
+
+    return d(e)
+
+
+def _derivative(e, var, d):
+    """The derivative of the node e, with `d` giving its children's."""
     if isinstance(e, Num):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if isinstance(e, Neg):
-        return neg(differentiate(e.arg, var))
+        return neg(d(e.arg))
     if isinstance(e, BinOp):
-        da = differentiate(e.left, var)
-        db = differentiate(e.right, var)
+        da = d(e.left)
+        db = d(e.right)
         if e.op == "+":
             return add(da, db)
         if e.op == "-":
@@ -443,11 +461,11 @@ def differentiate(e, var):
         # quotient rule, kept as two terms to avoid inflating numerators
         return sub(div(da, e.right), div(mul(e.left, db), powi(e.right, 2)))
     if isinstance(e, Pow):
-        du = differentiate(e.base, var)
+        du = d(e.base)
         return mul(mul(num(e.exponent), powi(e.base, e.exponent - 1)), du)
     if isinstance(e, Call):
         u = e.arg
-        du = differentiate(u, var)
+        du = d(u)
         if e.func == "exp":
             return mul(Call("exp", u), du)
         if e.func == "log":

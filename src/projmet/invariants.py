@@ -116,7 +116,7 @@ class JetStructure:
         words x^(k-j) y^j by increasing j."""
         if depth > self.order - 3:
             raise InsufficientOrderError(depth + 3, self.order)
-        return [[self.row("x" * (k - j) + "y" * j) for j in range(k + 1)]
+        return [[self.row(w) for w in level_words(k)]
                 for k in range(depth + 1)]
 
     def row(self, word):
@@ -131,6 +131,11 @@ class JetStructure:
             else:
                 self._rows[word] = _vector_V(self)
         return self._rows[word]
+
+
+def level_words(k):
+    """The derivative words of level k: x^(k-j) y^j by increasing j."""
+    return ["x" * (k - j) + "y" * j for j in range(k + 1)]
 
 
 # ---------------- scalar invariants ----------------
@@ -392,6 +397,12 @@ class EResult:
     fallback: bool
 
 
+# The order-6 pair's standard rows (rows 0, 1, 2, 3, 5 of the stack through
+# level 3) and its two tops (rows 6 and 9).
+E_BASE_WORDS = ("", "x", "y", "xx", "yy")
+E_TOP_WORDS = ("xxx", "yyy")
+
+
 def sixth_order_E(js, tol=1e-9):
     """The order-6 determinant pair.
 
@@ -401,28 +412,45 @@ def sixth_order_E(js, tol=1e-9):
     first five independent ones, and use the next two rows in the scan as
     the alternative tops.  Returns None for both when no five independent
     rows exist (the rank has dropped; the stratified stacks apply instead).
+
+    Exact rows are eliminated once, in one `linalg.ExactElimination`, and
+    each top is reduced against the five chosen rows; float rows are
+    ranked and their determinants taken by `linalg.rank_kernel` and
+    `linalg.det` on each stack.
     """
-    rows = _level_rows(js, 3)
-    std = [0, 1, 2, 3, 5]
-    base = [rows[i] for i in std]
-    if linalg.rank_kernel(base, tol).rank == 5:
-        e1 = linalg.det(base + [rows[6]])
-        e2 = linalg.det(base + [rows[9]])
-        return EResult(e1, e2, False)
+    base = [_row_values(js.row(w)) for w in E_BASE_WORDS]
     chosen = []
+    if js.exact:
+        e = linalg.ExactElimination(6)
+        if all(map(e.add, base)):
+            return EResult(*(e.det_with(_row_values(js.row(w)))
+                             for w in E_TOP_WORDS), False)
+        e = linalg.ExactElimination(6)
+        independent, det_with = e.add, e.det_with
+    else:
+        if linalg.rank_kernel(base, tol).rank == 5:
+            return EResult(*(linalg.det(base + [_row_values(js.row(w))])
+                             for w in E_TOP_WORDS), False)
+
+        def independent(row):
+            rank = linalg.rank_kernel(chosen + [row], tol).rank
+            return rank == len(chosen) + 1
+
+        def det_with(row):
+            return linalg.det(chosen + [row])
+
+    rows = _level_rows(js, 3)
     for i, row in enumerate(rows):
         if len(chosen) == 5:
             break
-        if linalg.rank_kernel(chosen + [row], tol).rank == len(chosen) + 1:
+        if independent(row):
             chosen.append(row)
     else:
         return EResult(None, None, True)
     tops = rows[i:i + 2]
     if len(tops) < 2:
         return EResult(None, None, True)
-    e1 = linalg.det(chosen + [tops[0]])
-    e2 = linalg.det(chosen + [tops[1]])
-    return EResult(e1, e2, True)
+    return EResult(det_with(tops[0]), det_with(tops[1]), True)
 
 
 @dataclass
@@ -445,7 +473,16 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
 
     def build(words, guard_words):
         guard = [_row_values(js.row(w)) for w in guard_words]
-        if linalg.rank_kernel(guard, tol).rank != len(guard):
+        n = len(guard)
+        if js.exact and words[:n] == guard_words:
+            # the guards are the stack's first rows: one elimination
+            e = linalg.ExactElimination(6)
+            if not all(map(e.add, guard)):
+                return None
+            full = all(e.add(_row_values(js.row(w))) for w in words[n:])
+            return StratifiedResult(e.det() if full else Fraction(0),
+                                    tuple(words))
+        if linalg.rank_kernel(guard, tol).rank != n:
             return None
         rows = [_row_values(js.row(w)) for w in words]
         return StratifiedResult(linalg.det(rows), tuple(words))
@@ -470,18 +507,13 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
 
 @dataclass
 class CartanResult:
-    stacks: list            # RankResult of the stack through each level
+    ranks: list             # rank of the stack through each level
+    marginal: bool          # a float rank decision was marginal
+    det_m: object           # det of the level-2 stack, M (None below it)
+    kernel: list            # kernel of the level-5 stack ([] below it)
     stabilized_at: object
     s_dim: object
     koenigs_ok: object
-
-    @property
-    def ranks(self):
-        return [res.rank for res in self.stacks]
-
-    @property
-    def marginal(self):
-        return any(res.marginal for res in self.stacks)
 
 
 def cartan_stabilize(js, tol=1e-9):
@@ -491,21 +523,50 @@ def cartan_stabilize(js, tol=1e-9):
     the stack through level K equals the rank through level K+1, it has
     stabilised and the solution space has dimension S = 6 - rank.  S = 5
     never occurs for these pencils, so it is flagged.  The stacks through
-    levels 2 and 5 are M and its saturation, so their rank decisions are
-    the ones `analyze_point` reports.
+    levels 2 and 5 are M and its saturation, so their rank decisions, det M
+    and the saturation's kernel are the ones `analyze_point` reports.
+
+    Exact rows are fed level by level to one `linalg.ExactElimination`,
+    which reads the rank after each level.  An exact rank of 6 can neither
+    grow nor drop, so once it is reached every later stack has rank 6 and
+    an empty kernel, and no further row is built.  Float stacks are ranked
+    one prefix at a time by `linalg.rank_kernel`, each with its own
+    threshold.
     """
     k_cap = js.order - 4
     if k_cap < 0:
         raise InsufficientOrderError(4, js.order)
 
-    rows = _level_rows(js, k_cap + 1)
-    stacks = [linalg.rank_kernel(rows[:(k + 1) * (k + 2) // 2], tol)
-              for k in range(k_cap + 2)]
-    for k in range(k_cap + 1):
-        if stacks[k].rank == stacks[k + 1].rank:
-            s = 6 - stacks[k].rank
-            return CartanResult(stacks, k, s, s != 5)
-    return CartanResult(stacks, None, None, None)
+    depth = k_cap + 1
+    det_m, kernel, marginal = None, [], False
+    if js.exact:
+        e = linalg.ExactElimination(6)
+        ranks = []
+        for k in range(depth + 1):
+            for w in level_words(k):
+                if e.rank == 6:
+                    break
+                e.add(_row_values(js.row(w)))
+            ranks.append(e.rank)
+            if k == 2:
+                det_m = e.det()
+            elif k == 5:
+                kernel = e.kernel()
+    else:
+        rows = _level_rows(js, depth)
+        stacks = [linalg.rank_kernel(rows[:(k + 1) * (k + 2) // 2], tol)
+                  for k in range(depth + 1)]
+        ranks = [res.rank for res in stacks]
+        marginal = any(res.marginal for res in stacks)
+        if depth >= 2:
+            det_m = stacks[2].det
+        if depth >= 5:
+            kernel = stacks[5].kernel
+    for k in range(depth):
+        if ranks[k] == ranks[k + 1]:
+            s = 6 - ranks[k]
+            return CartanResult(ranks, marginal, det_m, kernel, k, s, s != 5)
+    return CartanResult(ranks, marginal, det_m, kernel, None, None, None)
 
 
 # ---------------- degenerate-branch scalar obstruction ----------------
@@ -625,7 +686,7 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
     cres = cartan_stabilize(js, tol)
     marginal = cres.marginal
     # M is the level-2 stack, so its rank decision also gives det M
-    rank_m, det_m = cres.stacks[2].rank, cres.stacks[2].det
+    rank_m, det_m = cres.ranks[2], cres.det_m
     v_row = tuple(_row_values(js.row("")))
 
     e1 = e2 = None
@@ -654,8 +715,8 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
     witness = None
     p_value = None
     if js.order >= 8:
-        rank_mmax = cres.stacks[5].rank
-        kernel = cres.stacks[5].kernel
+        rank_mmax = cres.ranks[5]
+        kernel = cres.kernel
         witness, wit_marginal = kernel_has_nondegenerate(kernel, tol)
         marginal = marginal or wit_marginal
         if witness is not None:

@@ -1,14 +1,19 @@
 """Dense exact/float linear algebra for small obstruction matrices.
 
 Each arithmetic has one elimination, and `det`, `rank_kernel` and
-`RankResult.det` all read its pivots.  All-Fraction matrices go through
-fraction-free Gauss-Jordan on rows scaled to integers (Bareiss, 1968): the
-determinant is the last pivot over the row scale.  A matrix holding a float
-goes through partially pivoted Gauss-Jordan: the determinant is the
-row-swap sign times the product of the pivots, and 0.0 when a column has no
-pivot.  `rank_kernel` counts a float pivot below a tolerance band as zero and
-flags marginal rank decisions; `det` accepts every nonzero pivot.  A
-non-finite entry raises SingularEvaluationError.
+`RankResult.det` all read it.  All-Fraction rows go through
+`ExactElimination`, a row-incremental fraction-free Gauss-Jordan: each row,
+scaled to integers, is reduced against the integer basis rows at their
+pivots and divided by its content, and the old basis rows are cleared at a
+new pivot.  So a caller that feeds a stack row by row reads the rank after
+every prefix, the kernel from the reduced row echelon form, and the
+determinant from the pivots and the tracked row scalings, all from one
+elimination.  A matrix holding a float goes through partially pivoted
+Gauss-Jordan: the determinant is the row-swap sign times the product of
+the pivots, and 0.0 when a column has no pivot.  `rank_kernel` counts a
+float pivot below a tolerance band as zero and flags marginal rank
+decisions; `det` accepts every nonzero pivot.  A non-finite entry raises
+SingularEvaluationError.
 """
 
 from __future__ import annotations
@@ -35,31 +40,127 @@ def _float_matrix(rows):
     return m
 
 
-def _eliminate_exact(rows):
-    """(m, pivot_cols, sign, scale): row i of the integer matrix m has its
-    pivot in column pivot_cols[i] and zeros in the other pivot columns;
-    sign is the row permutation's and scale the product of the row lcms."""
-    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    m = [[v.numerator * (den // v.denominator) for v in row]
-         for row, den in zip(rows, dens)]
-    sign = prev = 1
-    pivot_cols = []
-    for c in range(len(m[0])):
-        r = len(pivot_cols)
-        i = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if i is None:
-            continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            sign = -sign
-        p = m[r][c]
-        for i in range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[r])]
-        prev = p
-        pivot_cols.append(c)
-    return m, pivot_cols, sign, math.prod(dens)
+def _parity(perm):
+    """+1 or -1, the sign of a permutation of range(len(perm))."""
+    sign = 1
+    for i, a in enumerate(perm):
+        for b in perm[i + 1:]:
+            if a > b:
+                sign = -sign
+    return sign
+
+
+def _clear(a, b, c):
+    """(p, p a - f b), with p and f the coprime integers that zero column
+    c; b[c] must not be zero."""
+    h = math.gcd(b[c], a[c])
+    p, f = b[c] // h, a[c] // h
+    return p, [p * u - f * v for u, v in zip(a, b)]
+
+
+def _primitive(r):
+    """(g, r / g), g the gcd of r's entries (0 for a zero row)."""
+    g = math.gcd(*r)
+    return g, [u // g for u in r] if g > 1 else r
+
+
+class ExactElimination:
+    """Row-incremental fraction-free Gauss-Jordan on Fraction rows of
+    `ncols` entries.
+
+    `add` scales a row to integers, reduces it against the basis rows at
+    their pivots and divides it by its content; a row that is not reduced
+    to zero joins the basis with its pivot at its first nonzero column,
+    and the old basis rows are cleared at that pivot.  So the basis is the
+    reduced row echelon form of the rows added, up to the order and scale
+    of its rows, and the rank, the kernel and the determinant can be read
+    after any prefix of rows.  `num` and `den` track the row scalings:
+    det(basis rows) = num / den * det(the independent rows added)."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []      # integer basis rows, in the order added
+        self.pivots = []    # the pivot column of each basis row
+        self.num = self.den = 1
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _reduce(self, row):
+        """(r, num, g): `row` scaled to integers and reduced against the
+        basis, so zero at every pivot, then divided by its content g (0
+        when r is zero); r is num / g times the row plus basis rows."""
+        lcm = math.lcm(*(v.denominator for v in row))
+        r = [v.numerator * (lcm // v.denominator) for v in row]
+        num = lcm
+        for b, c in zip(self.rows, self.pivots):
+            if r[c]:
+                p, r = _clear(r, b, c)
+                num *= p
+        g, r = _primitive(r)
+        return r, num, g
+
+    def add(self, row):
+        """Take one more row; True when it raised the rank."""
+        r, num, g = self._reduce(row)
+        if not g:
+            return False
+        c = next(j for j, u in enumerate(r) if u)
+        for i, b in enumerate(self.rows):
+            if b[c]:
+                p, b = _clear(b, r, c)
+                gb, self.rows[i] = _primitive(b)
+                num *= p
+                g *= gb
+        self.rows.append(r)
+        self.pivots.append(c)
+        self.num *= num
+        self.den *= g
+        return True
+
+    def kernel(self):
+        """A basis of the rows' null space, one vector per free column in
+        increasing order, each normalised so that its largest-magnitude
+        entry is +1."""
+        out = []
+        for fc in range(self.ncols):
+            if fc in self.pivots:
+                continue
+            v = [Fraction(0)] * self.ncols
+            v[fc] = Fraction(1)
+            for b, pc in zip(self.rows, self.pivots):
+                v[pc] = Fraction(-b[fc], b[pc])
+            peak = max(v, key=abs)
+            out.append(tuple(a / peak for a in v))
+        return out
+
+    def _det(self, pivots, top, num, den):
+        # the basis rows (and `top`) have one nonzero pivot column each
+        # once the other rows' multiples are subtracted, which keeps det
+        d = _parity(pivots) * top * math.prod(
+            b[c] for b, c in zip(self.rows, self.pivots))
+        return Fraction(d * den, num)
+
+    def det(self):
+        """The determinant of the independent rows added, in order: of the
+        matrix of every row added when they are `ncols` rows, and 0 below
+        full rank."""
+        if self.rank < self.ncols:
+            return Fraction(0)
+        return self._det(self.pivots, 1, self.num, self.den)
+
+    def det_with(self, row):
+        """The determinant of the rows added, topped with `row`, without
+        adding it; the rank must be ncols - 1.  0 when `row` is dependent."""
+        if self.rank != self.ncols - 1:
+            raise ValueError("det_with needs a basis of rank ncols - 1")
+        r, num, g = self._reduce(row)
+        if not g:
+            return Fraction(0)
+        c = next(j for j, u in enumerate(r) if u)
+        return self._det(self.pivots + [c], r[c], self.num * num,
+                         self.den * g)
 
 
 def _eliminate_float(m, thr):
@@ -132,44 +233,45 @@ def rank_kernel(rows, tol=1e-9):
     ncols = len(m[0])
     if any(len(r) != ncols for r in m):
         raise ValueError("ragged matrix")
-    exact = is_exact_matrix(m)
     square = len(m) == ncols
-    marginal = False
-    d = None
-    if exact:
-        # integer rows keep their pivots; float pivot rows are scaled to 1
-        m, pivot_cols, sign, scale = _eliminate_exact(m)
-        heads = [Fraction(m[i][pc]) for i, pc in enumerate(pivot_cols)]
-        if square:
-            # m[-1][-1] is the last pivot at full rank, and 0 below it
-            d = Fraction(sign * m[-1][-1], scale)
-    else:
-        m = _float_matrix(m)
-        scale = max((abs(v) for row in m for v in row), default=0.0)
-        thr = tol * scale if scale > 0.0 else tol
-        pivot_cols, sign, prod, marginal = _eliminate_float(m, thr)
-        heads = [1.0] * len(pivot_cols)
-        if square:
-            d = sign * prod if len(pivot_cols) == ncols else 0.0
+    if is_exact_matrix(m):
+        e = ExactElimination(ncols)
+        for row in m:
+            if e.rank == ncols:
+                break
+            e.add(row)
+        return RankResult(e.rank, e.kernel(), False, True,
+                          e.det() if square else None)
 
+    m = _float_matrix(m)
+    scale = max((abs(v) for row in m for v in row), default=0.0)
+    thr = tol * scale if scale > 0.0 else tol
+    pivot_cols, sign, prod, marginal = _eliminate_float(m, thr)
+    d = None
+    if square:
+        d = sign * prod if len(pivot_cols) == ncols else 0.0
     kernel = []
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     for fc in [c for c in range(ncols) if c not in pivot_cols]:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [0.0] * ncols
+        v[fc] = 1.0
         for i, pc in enumerate(pivot_cols):
-            v[pc] = -m[i][fc] / heads[i]
+            v[pc] = -m[i][fc]
         # normalise: largest-magnitude entry becomes +1
         pivot = max(v, key=abs)
         kernel.append(tuple(a / pivot for a in v))
-    return RankResult(len(pivot_cols), kernel, marginal, exact, d)
+    return RankResult(len(pivot_cols), kernel, marginal, False, d)
 
 
 def det(rows):
-    """The determinant, read from `rank_kernel`'s elimination with no
-    threshold: every nonzero pivot counts."""
+    """The determinant: exact rows are fed to one `ExactElimination`,
+    which stops at the first dependent row; float rows run `rank_kernel`'s
+    elimination with no threshold, so every nonzero pivot counts."""
     if not rows:
         return Fraction(1)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    return rank_kernel(rows, 0.0).det
+    m = _coerce_matrix(rows)
+    if is_exact_matrix(m):
+        e = ExactElimination(len(m))
+        return e.det() if all(map(e.add, m)) else Fraction(0)
+    return rank_kernel(m, 0.0).det

@@ -589,6 +589,104 @@ def test_float_source_matches_the_reference_walk(name, structure, points,
         assert _source_outcome(ex._float_source, trees) == want
 
 
+def _reference_differentiate(e, var):
+    """The derivative rules as a plain recursion: a subtree that the tree
+    shares is differentiated once per path."""
+    def d(t):
+        return _reference_differentiate(t, var)
+
+    if isinstance(e, ex.Num):
+        return ex.ZERO
+    if isinstance(e, ex.Var):
+        return ex.ONE if e.name == var else ex.ZERO
+    if isinstance(e, ex.Neg):
+        return ex.neg(d(e.arg))
+    if isinstance(e, ex.BinOp):
+        da, db = d(e.left), d(e.right)
+        if e.op == "+":
+            return ex.add(da, db)
+        if e.op == "-":
+            return ex.sub(da, db)
+        if e.op == "*":
+            return ex.add(ex.mul(da, e.right), ex.mul(e.left, db))
+        return ex.sub(ex.div(da, e.right),
+                      ex.div(ex.mul(e.left, db), ex.powi(e.right, 2)))
+    if isinstance(e, ex.Pow):
+        return ex.mul(ex.mul(ex.num(e.exponent),
+                             ex.powi(e.base, e.exponent - 1)), d(e.base))
+    u, du = e.arg, d(e.arg)
+    if e.func == "exp":
+        return ex.mul(ex.Call("exp", u), du)
+    if e.func == "log":
+        return ex.div(du, u)
+    if e.func == "sin":
+        return ex.mul(ex.Call("cos", u), du)
+    if e.func == "cos":
+        return ex.neg(ex.mul(ex.Call("sin", u), du))
+    return ex.div(du, ex.mul(ex.num(2), ex.Call("sqrt", u)))
+
+
+def _recover_cases():
+    """EVALUATOR_CASES and the seeded metrics of recover-grid, seeds 0-4."""
+    bench_jobs = _load_bench_jobs()
+    committed = {name: json.loads((ROOT / "inputs" / (name + ".json"))
+                                  .read_text())
+                 for name in bench_jobs.COMMITTED_ALL}
+    cases = [(name, structure) for name, structure, _ in EVALUATOR_CASES]
+    for seed in range(5):
+        for spec in bench_jobs.recover_grid(seed, committed):
+            if spec.name not in committed:
+                cases.append(("recover-grid-%d-%s" % (seed, spec.name),
+                              cli.Job(spec.data).structure))
+    return cases
+
+
+RECOVER_CASES = _recover_cases()
+
+
+@pytest.mark.parametrize("name, structure", RECOVER_CASES,
+                         ids=[c[0] for c in RECOVER_CASES])
+def test_shared_derivatives_compile_to_the_unshared_source(name, structure,
+                                                           monkeypatch):
+    """Differentiating each node once per call gives the trees and the
+    compiled source, text for text, of the rules applied once per path."""
+    words = invariants.CONNECTION_WORDS
+    want = []
+    for tree in structure.coefficients:
+        along = {"": tree}
+        for word in words[1:]:
+            along[word] = _reference_differentiate(along[word[:-1]],
+                                                   word[-1])
+        want.extend(along[w] for w in words)
+    monkeypatch.setattr(ex, "compile_float", list)
+    got = ex.compile_derivatives(structure.coefficients, words)
+    assert got == want
+    assert ex._float_source(got) == ex._float_source(want)
+
+
+def _distinct_nodes(tree):
+    seen, todo = {}, [tree]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(ex._parts(t)[1])
+    return len(seen)
+
+
+def test_differentiate_keeps_its_input_sharing():
+    """x^(2^20) as 20 levels of t * t: 21 distinct nodes, 2^21 - 1 paths.
+    Its derivative adds a few nodes per level, not one per path."""
+    tree = ex.Var("x")
+    for _ in range(20):
+        tree = ex.BinOp("*", tree, tree)
+    assert _distinct_nodes(tree) == 21
+    dx = differentiate(tree, "x")
+    assert _distinct_nodes(dx) <= 4 * 21
+    assert ex.compile_float([dx])(1.0, 0.5) == (2.0 ** 20,)
+    assert differentiate(tree, "y") == ex.ZERO
+
+
 SINGULAR_TREES = (
     # the shared subtree x - 1 is harmless until the third tree divides by it
     ("x - 1", "(x - 1)*y", "y/(x - 1)", "x"),

@@ -31,6 +31,7 @@ from projmet.invariants import (
     matrix_Mmax,
     nu5,
     sixth_order_E,
+    stratified_obstruction,
 )
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
@@ -300,14 +301,29 @@ def test_stratified_branches(structure, rows, field, mode):
     assert getattr(r, field) == 0
 
 
-@pytest.mark.parametrize("structure, calls", [
-    (PAINLEVE, 35), (RANK4, 35), (RANK4_SWAPPED, 36), (PAINLEVE_SWAPPED, 35),
-], ids=["painleve", "rank4", "rank4-swapped", "painleve-swapped"])
-def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, calls):
+@pytest.mark.parametrize("structure, point, mode, calls", [
+    (PAINLEVE, ORIGIN, "auto", 35),
+    (RANK4, ORIGIN, "auto", 11),
+    (RANK4_SWAPPED, ORIGIN, "auto", 15),
+    (PAINLEVE_SWAPPED, ORIGIN, "auto", 35),
+    (GENERIC, (Fraction(1), Fraction(1)), "auto", 7),
+    (GENERIC, (Fraction(1), Fraction(1)), "float", 35),
+], ids=["painleve", "rank4", "rank4-swapped", "painleve-swapped",
+        "selftest-exact", "selftest-float"])
+def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, point,
+                                            mode, calls):
     """Level k holds the words x^(k-j) y^j, each one covariant derivative
     of a level k-1 word, so levels 1..7 cost k+1 each (35 in all).  The
-    stratified stacks read level words, except the swapped rank-4 stack's
-    yx, which adds one."""
+    stratified stacks and the order-6 pair read level words, except the
+    swapped rank-4 stack's yx.
+
+    An exact rank of 6 is final, so exact Cartan stacks build no row past
+    it.  Painleve I and its swap stay at rank 5 and build all 35 rows.  The
+    rank-4 structures reach 6 in level 4: rows through level 3 and the
+    first two (rank4) or four (swapped) of level 4, and the swapped
+    stratified stack adds yx and yyyy.  The selftest structure reaches 6
+    with level 2 (5 rows) and its order-6 pair adds xxx and yyy.  In
+    floats every prefix is ranked on its own, so all 35 rows are built."""
     count = [0]
 
     def counted(*args):
@@ -315,7 +331,7 @@ def test_stratified_stacks_reuse_level_rows(monkeypatch, structure, calls):
         return cov_deriv(*args)
 
     monkeypatch.setattr(invariants, "cov_deriv", counted)
-    analyze_point(structure, ORIGIN, order=10)
+    analyze_point(structure, point, order=10, mode=mode)
     assert count[0] == calls
 
 
@@ -521,6 +537,108 @@ def test_koenigs_excluded_dimension_on_suite():
         js = JetStructure.at(s, (Fraction(1), Fraction(1)), 10)
         c = cartan_stabilize(js)
         assert c.s_dim != 5
+
+
+# ---------------- one elimination against one per prefix ----------------
+#
+# The exact stacks are eliminated once, row by row, and stop building rows
+# at rank 6.  These references rank every prefix stack on its own with
+# `linalg.rank_kernel` and take each determinant with `linalg.det`, on every
+# row.
+
+
+def _reference_rows(js, words):
+    return [[e.value for e in js.row(w)] for w in words]
+
+
+def _reference_level_words(depth):
+    return ["x" * (k - j) + "y" * j
+            for k in range(depth + 1) for j in range(k + 1)]
+
+
+def _reference_cartan(js):
+    depth = js.order - 3
+    rows = _reference_rows(js, _reference_level_words(depth))
+    stacks = [linalg.rank_kernel(rows[:(k + 1) * (k + 2) // 2])
+              for k in range(depth + 1)]
+    ranks = [res.rank for res in stacks]
+    stable = next((k for k in range(depth) if ranks[k] == ranks[k + 1]),
+                  None)
+    s_dim = None if stable is None else 6 - ranks[stable]
+    return (ranks, stable, s_dim, stacks[2].det,
+            stacks[5].kernel if depth >= 5 else [])
+
+
+def _reference_sixth_order(js):
+    rows = _reference_rows(js, _reference_level_words(3))
+    base = [rows[i] for i in (0, 1, 2, 3, 5)]
+    if linalg.rank_kernel(base).rank == 5:
+        return (linalg.det(base + [rows[6]]), linalg.det(base + [rows[9]]),
+                False)
+    chosen = []
+    for i, row in enumerate(rows):
+        if len(chosen) == 5:
+            break
+        if linalg.rank_kernel(chosen + [row]).rank == len(chosen) + 1:
+            chosen.append(row)
+    else:
+        return None, None, True
+    tops = rows[i:i + 2]
+    if len(tops) < 2:
+        return None, None, True
+    return (linalg.det(chosen + [tops[0]]), linalg.det(chosen + [tops[1]]),
+            True)
+
+
+REFERENCE_STACKS = {
+    3: (("", "x", "xx", "xxx", "xxxx", "xxxxx"), ("", "x", "xx")),
+    4: (("", "x", "xy", "xx", "xxx", "xxxx"), ("", "x", "y", "xx")),
+}
+
+
+def _reference_stratified(js, rank_case):
+    words, guards = REFERENCE_STACKS[rank_case]
+    for table in (str.maketrans("", ""), str.maketrans("xy", "yx")):
+        guard = _reference_rows(js, [w.translate(table) for w in guards])
+        if linalg.rank_kernel(guard).rank == len(guard):
+            ws = tuple(w.translate(table) for w in words)
+            return linalg.det(_reference_rows(js, ws)), ws
+    return None
+
+
+def _exact_points():
+    for path in sorted(INPUTS.glob("*.json")):
+        job = load_job(str(path))
+        for p in job.points:
+            js = JetStructure.at(job.structure, p, job.order, job.arithmetic)
+            if js.exact:
+                yield "%s@%s,%s" % (path.stem, *p), js
+    for name, s in (("painleve", PAINLEVE), ("rank4", RANK4),
+                    ("rank4-swapped", RANK4_SWAPPED),
+                    ("painleve-swapped", PAINLEVE_SWAPPED)):
+        yield name + "@origin", JetStructure.at(s, ORIGIN, 10)
+
+
+def test_one_elimination_matches_one_per_prefix_on_exact_points():
+    seen = 0
+    for name, js in _exact_points():
+        # fresh jets, so that the elimination builds its own rows first
+        ranks, stable, s_dim, det_m, kernel = _reference_cartan(
+            JetStructure(js.a))
+        c = cartan_stabilize(js)
+        assert (c.ranks, c.stabilized_at, c.s_dim) == (ranks, stable,
+                                                      s_dim), name
+        assert c.det_m == det_m and isinstance(c.det_m, Fraction), name
+        assert c.kernel == kernel, name
+        e = sixth_order_E(js)
+        assert (e.e1, e.e2, e.fallback) == _reference_sixth_order(js), name
+        for rank_case in (3, 4):
+            got = stratified_obstruction(js, rank_case)
+            want = _reference_stratified(js, rank_case)
+            assert (None if got is None else (got.value, got.rows_used)) \
+                == want, (name, rank_case)
+        seen += 1
+    assert seen == 13
 
 
 # ---------------- point transformations ----------------

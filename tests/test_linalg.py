@@ -229,15 +229,14 @@ def _fraction(v):
 @given(low_rank_matrices())
 def test_exact_elimination_matches_sympy_rref(a):
     rref, pivots = _sympy(a).rref()
-    m, pivot_cols, _, _ = linalg._eliminate_exact(a)
-    assert tuple(pivot_cols) == pivots
-    for i, row in enumerate(m):
-        if i < len(pivots):
-            head = row[pivots[i]]
-            assert [Fraction(v, head) for v in row] == \
-                [_fraction(v) for v in rref.row(i)]
-        else:
-            assert not any(row)
+    e = linalg.ExactElimination(len(a[0]))
+    for row in a:
+        e.add(row)
+    basis = sorted(zip(e.pivots, e.rows))
+    assert tuple(c for c, _ in basis) == pivots
+    for i, (c, row) in enumerate(basis):
+        assert [Fraction(v, row[c]) for v in row] == \
+            [_fraction(v) for v in rref.row(i)]
     r = rank_kernel(a)
     assert r.rank == len(pivots) and r.exact and not r.marginal
     if len(a) != len(a[0]):
@@ -266,3 +265,76 @@ def test_exact_det_matches_sympy_and_cofactor_expansion(a):
     assert isinstance(d, Fraction)
     assert d == _fraction(_sympy(a).det()) == cofactor_det(a)
     assert rank_kernel(a).det == d
+
+
+# ---------------- the row-incremental exact elimination ----------------
+
+@st.composite
+def derivative_stacks(draw, max_rows=36, max_cols=6):
+    """Up to 36 x 6 rows, like a stack of derivative rows of V: a rank-<=r
+    product B C whose rows have mixed denominators, with some rows zeroed
+    and some replaced by a rational multiple of an earlier row."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+
+    b = [[entry() for _ in range(r)] for _ in range(nrows)]
+    c = [[entry() for _ in range(ncols)] for _ in range(r)]
+    rows = [[sum((b[i][k] * c[k][j] for k in range(r)), Fraction(0))
+             for j in range(ncols)] for i in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 3)):
+        rows[i] = [Fraction(0)] * ncols
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 3)):
+        if i:
+            s = entry() or Fraction(1)
+            rows[i] = [s * v for v in rows[rng.randrange(i)]]
+    return rows
+
+
+def _normalised_nullspace(m):
+    out = []
+    for vec in m.nullspace():
+        v = [_fraction(x) for x in vec]
+        peak = max(v, key=abs)
+        out.append(tuple(x / peak for x in v))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(derivative_stacks())
+def test_incremental_elimination_reads_every_prefix(a):
+    """After every row prefix the rank is sympy's, the kernel is the
+    normalised RREF null space, and a square prefix's det is sympy's and
+    the cofactor expansion's, also when the last row tops the others
+    through `det_with` without joining them."""
+    ncols = len(a[0])
+    e = linalg.ExactElimination(ncols)
+    for i, row in enumerate(a):
+        prefix = _sympy(a[:i + 1])
+        if i + 1 == ncols:
+            want = _fraction(prefix.det())
+            assert want == cofactor_det(a[:i + 1])
+            if e.rank == ncols - 1:
+                assert e.det_with(row) == want
+        before = e.rank
+        assert e.add(row) == (e.rank == before + 1)
+        assert e.rank == prefix.rank()
+        assert e.kernel() == _normalised_nullspace(prefix)
+        if i + 1 == ncols:
+            assert e.det() == want
+    r = rank_kernel(a)
+    assert (r.rank, r.kernel) == (e.rank, e.kernel())
+
+
+def test_det_with_needs_rank_one_short_of_full():
+    e = linalg.ExactElimination(2)
+    with pytest.raises(ValueError):
+        e.det_with([Fraction(1), Fraction(0)])
+    e.add([Fraction(1, 2), Fraction(1, 3)])
+    assert e.det_with([Fraction(1, 4), Fraction(1, 6)]) == 0
+    assert e.det_with([Fraction(0), Fraction(3)]) == Fraction(3, 2)
+    assert e.rank == 1
