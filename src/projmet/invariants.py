@@ -412,34 +412,24 @@ def sixth_order_E(js, tol=1e-9):
     first five independent ones, and use the next two rows in the scan as
     the alternative tops.  Returns None for both when no five independent
     rows exist (the rank has dropped; the stratified stacks apply instead).
-
-    Exact rows are eliminated once, in one `linalg.ExactElimination`, and
-    each top is reduced against the five chosen rows; float rows are
-    ranked and their determinants taken by `linalg.rank_kernel` and
-    `linalg.det` on each stack.
+    The standard choice builds only its seven rows; the scan builds all
+    ten rows through level 3.  The scan feeds exact rows to one
+    `linalg.ExactElimination`, which tells whether each row raises the
+    rank; float prefixes are ranked one at a time by `linalg.rank_kernel`.
     """
     base = [_row_values(js.row(w)) for w in E_BASE_WORDS]
+    if linalg.rank_kernel(base, tol).rank == 5:
+        return EResult(*(linalg.det(base + [_row_values(js.row(w))])
+                         for w in E_TOP_WORDS), False)
+    rows = _level_rows(js, 3)
     chosen = []
     if js.exact:
-        e = linalg.ExactElimination(6)
-        if all(map(e.add, base)):
-            return EResult(*(e.det_with(_row_values(js.row(w)))
-                             for w in E_TOP_WORDS), False)
-        e = linalg.ExactElimination(6)
-        independent, det_with = e.add, e.det_with
+        independent = linalg.ExactElimination(6).add
     else:
-        if linalg.rank_kernel(base, tol).rank == 5:
-            return EResult(*(linalg.det(base + [_row_values(js.row(w))])
-                             for w in E_TOP_WORDS), False)
-
         def independent(row):
             rank = linalg.rank_kernel(chosen + [row], tol).rank
             return rank == len(chosen) + 1
 
-        def det_with(row):
-            return linalg.det(chosen + [row])
-
-    rows = _level_rows(js, 3)
     for i, row in enumerate(rows):
         if len(chosen) == 5:
             break
@@ -450,7 +440,9 @@ def sixth_order_E(js, tol=1e-9):
     tops = rows[i:i + 2]
     if len(tops) < 2:
         return EResult(None, None, True)
-    return EResult(det_with(tops[0]), det_with(tops[1]), True)
+    e1 = linalg.det(chosen + [tops[0]])
+    e2 = linalg.det(chosen + [tops[1]])
+    return EResult(e1, e2, True)
 
 
 @dataclass
@@ -473,16 +465,7 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
 
     def build(words, guard_words):
         guard = [_row_values(js.row(w)) for w in guard_words]
-        n = len(guard)
-        if js.exact and words[:n] == guard_words:
-            # the guards are the stack's first rows: one elimination
-            e = linalg.ExactElimination(6)
-            if not all(map(e.add, guard)):
-                return None
-            full = all(e.add(_row_values(js.row(w))) for w in words[n:])
-            return StratifiedResult(e.det() if full else Fraction(0),
-                                    tuple(words))
-        if linalg.rank_kernel(guard, tol).rank != n:
+        if linalg.rank_kernel(guard, tol).rank != len(guard):
             return None
         rows = [_row_values(js.row(w)) for w in words]
         return StratifiedResult(linalg.det(rows), tuple(words))

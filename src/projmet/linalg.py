@@ -87,10 +87,8 @@ class ExactElimination:
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, row):
-        """(r, num, g): `row` scaled to integers and reduced against the
-        basis, so zero at every pivot, then divided by its content g (0
-        when r is zero); r is num / g times the row plus basis rows."""
+    def add(self, row):
+        """Take one more row; True when it raised the rank."""
         lcm = math.lcm(*(v.denominator for v in row))
         r = [v.numerator * (lcm // v.denominator) for v in row]
         num = lcm
@@ -99,11 +97,6 @@ class ExactElimination:
                 p, r = _clear(r, b, c)
                 num *= p
         g, r = _primitive(r)
-        return r, num, g
-
-    def add(self, row):
-        """Take one more row; True when it raised the rank."""
-        r, num, g = self._reduce(row)
         if not g:
             return False
         c = next(j for j, u in enumerate(r) if u)
@@ -135,32 +128,17 @@ class ExactElimination:
             out.append(tuple(a / peak for a in v))
         return out
 
-    def _det(self, pivots, top, num, den):
-        # the basis rows (and `top`) have one nonzero pivot column each
-        # once the other rows' multiples are subtracted, which keeps det
-        d = _parity(pivots) * top * math.prod(
-            b[c] for b, c in zip(self.rows, self.pivots))
-        return Fraction(d * den, num)
-
     def det(self):
         """The determinant of the independent rows added, in order: of the
         matrix of every row added when they are `ncols` rows, and 0 below
         full rank."""
         if self.rank < self.ncols:
             return Fraction(0)
-        return self._det(self.pivots, 1, self.num, self.den)
-
-    def det_with(self, row):
-        """The determinant of the rows added, topped with `row`, without
-        adding it; the rank must be ncols - 1.  0 when `row` is dependent."""
-        if self.rank != self.ncols - 1:
-            raise ValueError("det_with needs a basis of rank ncols - 1")
-        r, num, g = self._reduce(row)
-        if not g:
-            return Fraction(0)
-        c = next(j for j, u in enumerate(r) if u)
-        return self._det(self.pivots + [c], r[c], self.num * num,
-                         self.den * g)
+        # each basis row has one nonzero pivot column once the other rows'
+        # multiples are subtracted, which keeps det
+        d = _parity(self.pivots) * math.prod(
+            b[c] for b, c in zip(self.rows, self.pivots))
+        return Fraction(d * self.den, self.num)
 
 
 def _eliminate_float(m, thr):

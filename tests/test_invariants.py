@@ -541,10 +541,10 @@ def test_koenigs_excluded_dimension_on_suite():
 
 # ---------------- one elimination against one per prefix ----------------
 #
-# The exact stacks are eliminated once, row by row, and stop building rows
-# at rank 6.  These references rank every prefix stack on its own with
+# Exact Cartan stacks are eliminated once, row by row, and stop building
+# rows at rank 6.  These references rank every prefix stack on its own with
 # `linalg.rank_kernel` and take each determinant with `linalg.det`, on every
-# row.
+# row; the order-6 pair's rows are read by index in the stack through level 3.
 
 
 def _reference_rows(js, words):

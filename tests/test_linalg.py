@@ -309,8 +309,7 @@ def _normalised_nullspace(m):
 def test_incremental_elimination_reads_every_prefix(a):
     """After every row prefix the rank is sympy's, the kernel is the
     normalised RREF null space, and a square prefix's det is sympy's and
-    the cofactor expansion's, also when the last row tops the others
-    through `det_with` without joining them."""
+    the cofactor expansion's."""
     ncols = len(a[0])
     e = linalg.ExactElimination(ncols)
     for i, row in enumerate(a):
@@ -318,8 +317,6 @@ def test_incremental_elimination_reads_every_prefix(a):
         if i + 1 == ncols:
             want = _fraction(prefix.det())
             assert want == cofactor_det(a[:i + 1])
-            if e.rank == ncols - 1:
-                assert e.det_with(row) == want
         before = e.rank
         assert e.add(row) == (e.rank == before + 1)
         assert e.rank == prefix.rank()
@@ -328,13 +325,3 @@ def test_incremental_elimination_reads_every_prefix(a):
             assert e.det() == want
     r = rank_kernel(a)
     assert (r.rank, r.kernel) == (e.rank, e.kernel())
-
-
-def test_det_with_needs_rank_one_short_of_full():
-    e = linalg.ExactElimination(2)
-    with pytest.raises(ValueError):
-        e.det_with([Fraction(1), Fraction(0)])
-    e.add([Fraction(1, 2), Fraction(1, 3)])
-    assert e.det_with([Fraction(1, 4), Fraction(1, 6)]) == 0
-    assert e.det_with([Fraction(0), Fraction(3)]) == Fraction(3, 2)
-    assert e.rank == 1
