@@ -421,16 +421,19 @@ def powi(a, k):
 # ---------------- differentiation ----------------
 
 
-def differentiate(e, var):
+def differentiate(e, var, memo=None):
     """Exact partial derivative of a tree with respect to 'x' or 'y'.
 
     Each node's derivative is built once per call, looked up by the node's
     identity, so a subtree that the tree shares is differentiated once and
-    its derivative is shared too.  The memo keeps every node it has seen
-    alive, so an id cannot come to name another node while it lives."""
+    its derivative is shared too.  Calls along one variable may share a
+    dict `memo`, so that a node one of them has differentiated is not
+    differentiated again.  The memo keeps every node it has seen alive, so
+    an id cannot come to name another node while it lives."""
     if var not in ("x", "y"):
         raise ValueError("differentiation variable must be 'x' or 'y'")
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def d(t):
         seen = memo.get(id(t))
@@ -700,14 +703,20 @@ def compile_derivatives(trees, words):
     """Differentiate each tree once along every word (letters applied left
     to right, "" is the tree) and compile them all with `compile_float`.
     The returned function gives the values tree-major: every word of the
-    first tree, then every word of the second, and so on."""
+    first tree, then every word of the second, and so on.  All words share
+    one `differentiate` memo per letter: a second derivative embeds
+    subtrees of the tree that the first derivatives have already derived,
+    and the trees of one structure share subtrees too."""
     derived = []
+    letters = {"x": {}, "y": {}}
     for t in trees:
         memo = {"": t}
 
         def along(word):
             if word not in memo:
-                memo[word] = differentiate(along(word[:-1]), word[-1])
+                var = word[-1]
+                memo[word] = differentiate(along(word[:-1]), var,
+                                           letters.get(var))
             return memo[word]
 
         derived.extend(along(w) for w in words)

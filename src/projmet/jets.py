@@ -17,6 +17,14 @@ integers scaled by a power of the divisor's constant numerator.  `coeffs`,
 `value` and `partial` therefore read the same reduced Fractions however the
 jet was built.  A float jet stores its float table.
 
+Either table is one flat tuple in row-major order, the order in which
+`coeffs` lists it: cell (i, j) of an order-n table sits at offset
+i(n + 1) - i(i - 1)/2 + j.  So each operation is one call over the tuple.
+Sums, differences, negation and scaling are one `map` or comprehension, a
+reduction is one `gcd(den, *cells)`, and truncation and differentiation
+read the table through an `itemgetter` plan and integer multipliers that
+are built once per order (and variable) on first use, never at import.
+
 Mixed `Jet` arithmetic promotes to float: an exact coefficient becomes
 the correctly rounded division numerator / denominator.  Only direct use
 mixes; an analysis runs all of a point's jets in one arithmetic
@@ -58,7 +66,7 @@ import functools
 import math
 from fractions import Fraction
 from math import gcd
-from operator import add, floordiv, neg, sub, truediv
+from operator import add, floordiv, itemgetter, mul, neg, sub, truediv
 
 
 class JetError(ValueError):
@@ -114,9 +122,10 @@ class Jet:
     any float makes a float jet.
     """
 
-    # `_rows` holds integer numerators over the denominator `_den` in an
-    # exact jet, and floats in a float jet, whose `_den` is None.
-    __slots__ = ("base", "order", "exact", "_rows", "_den")
+    # `_cells` is the table as one flat tuple in row-major order, cell (i, j)
+    # at `_at(order, i, j)`: integer numerators over the denominator `_den`
+    # in an exact jet, and floats in a float jet, whose `_den` is None.
+    __slots__ = ("base", "order", "exact", "_cells", "_den")
 
     def __init__(self, base, order, coeffs):
         if order < 0:
@@ -132,14 +141,14 @@ class Jet:
         self.base = (to_scalar(base[0]), to_scalar(base[1]))
         self.order = order
         if any(isinstance(c, float) for c in cells):
-            rows = [tuple(map(float, row)) for row in rows]
+            cells = tuple(map(float, cells))
             den = None
         else:
             # over the lcm of reduced denominators the numerators are coprime
             den = math.lcm(*(c.denominator for c in cells))
-            rows = [tuple(c.numerator * (den // c.denominator) for c in row)
-                    for row in rows]
-        self._rows = rows
+            cells = tuple([c.numerator * (den // c.denominator)
+                           for c in cells])
+        self._cells = cells
         self._den = den
         self.exact = den is not None
 
@@ -159,27 +168,24 @@ class Jet:
         jet = _constant(b[0] if name == "x" else b[1], b, order)
         if order >= 1:
             one = 1.0 if jet._den is None else jet._den
-            rows = jet._rows
-            if name == "x":
-                rows[1] = (one,) + rows[1][1:]
-            else:
-                rows[0] = rows[0][:1] + (one,) + rows[0][2:]
+            k = _at(order, 1, 0) if name == "x" else _at(order, 0, 1)
+            jet._cells = jet._cells[:k] + (one,) + jet._cells[k + 1:]
         return jet
 
     # ---------------- inspection ----------------
 
     def _coeff(self, i, j):
-        c = self._rows[i][j]
+        c = self._cells[_at(self.order, i, j)]
         return c if self._den is None else Fraction(c, self._den)
 
     @property
     def coeffs(self):
         """The table as a tuple of tuples of Fractions or floats."""
-        den = self._den
-        if den is None:
-            return tuple(self._rows)
-        return tuple(tuple(Fraction(c, den) for c in row)
-                     for row in self._rows)
+        n, cells, den = self.order, self._cells, self._den
+        if den is not None:
+            cells = [Fraction(c, den) for c in cells]
+        return tuple(tuple(cells[_at(n, i, 0):_at(n, i + 1, 0)])
+                     for i in range(n + 1))
 
     @property
     def value(self):
@@ -194,21 +200,21 @@ class Jet:
         return math.factorial(i) * math.factorial(j) * self._coeff(i, j)
 
     def is_zero(self):
-        return not any(map(any, self._rows))
+        return not any(self._cells)
 
     def to_float(self):
         if self._den is None:
             return self
-        rows = _float_rows(self._rows, self._den)
-        return _jet(self.base, self.order, rows, None)
+        cells = _float_cells(self._cells, self._den)
+        return _jet(self.base, self.order, cells, None)
 
     def truncated(self, order):
         if order > self.order:
             raise InsufficientOrderError(order, self.order)
         if order == self.order:
             return self
-        rows = [self._rows[i][: order - i + 1] for i in range(order + 1)]
-        return _result(self.base, order, rows, self._den)
+        cells = _truncation_plan(self.order, order)(self._cells)
+        return _result(self.base, order, cells, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -216,7 +222,7 @@ class Jet:
         if self.base != other.base or self.order != other.order:
             return False
         if self.exact == other.exact:
-            return self._den == other._den and self._rows == other._rows
+            return self._den == other._den and self._cells == other._cells
         return self.coeffs == other.coeffs
 
     __hash__ = None
@@ -245,18 +251,16 @@ class Jet:
     def _termwise(self, other, op):
         """Coefficientwise `op` (add or sub) of self and other."""
         other = self._coerce(other)
-        a, da, b, db = self._rows, self._den, other._rows, other._den
+        a, da, b, db = self._cells, self._den, other._cells, other._den
         if da is None or db is None:
-            rows = [tuple(map(op, ra, rb)) for ra, rb
-                    in zip(_float_rows(a, da), _float_rows(b, db))]
-            return _jet(self.base, self.order, rows, None)
+            cells = tuple(map(op, _float_cells(a, da), _float_cells(b, db)))
+            return _jet(self.base, self.order, cells, None)
         if da != db:
             g = gcd(da, db)
             a = _scaled(a, db // g)
             b = _scaled(b, da // g)
             da = da // g * db
-        rows = [tuple(map(op, ra, rb)) for ra, rb in zip(a, b)]
-        return _reduced(self.base, self.order, rows, da)
+        return _reduced(self.base, self.order, tuple(map(op, a, b)), da)
 
     def __add__(self, other):
         return self._termwise(other, add)
@@ -270,33 +274,37 @@ class Jet:
         return self._coerce(other)._termwise(self, sub)
 
     def __neg__(self):
-        rows = [tuple(map(neg, row)) for row in self._rows]
-        return _jet(self.base, self.order, rows, self._den)
+        cells = tuple(map(neg, self._cells))
+        return _jet(self.base, self.order, cells, self._den)
 
     def _scale(self, c):
-        """self times the scalar c, computed as the product with the constant
-        jet c would be: 0.0 + a * c, and 0.0 where a or c is zero."""
-        if self._den is not None and isinstance(c, Fraction):
+        """self times the scalar c, an int, a Fraction or a float, computed
+        as the product with the constant jet c would be: 0.0 + a * c, and
+        0.0 where a or c is zero.  An int is its own numerator over 1."""
+        if self._den is not None and isinstance(c, (int, Fraction)):
             return _reduced(self.base, self.order,
-                            _scaled(self._rows, c.numerator),
+                            _scaled(self._cells, c.numerator),
                             self._den * c.denominator)
         c = float(c)
         if c == 0:
-            rows = _zero_rows(self.order, 0.0)
+            cells = _zero_cells(self.order, 0.0)
         else:
-            rows = [tuple([0.0 + a * c if a else 0.0 for a in row])
-                    for row in _float_rows(self._rows, self._den)]
-        return _jet(self.base, self.order, rows, None)
+            cells = tuple([0.0 + a * c if a else 0.0
+                           for a in _float_cells(self._cells, self._den)])
+        return _jet(self.base, self.order, cells, None)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return self._scale(to_scalar(other))
+            # an int scales as itself, without to_scalar's Fraction
+            return self._scale(other if type(other) is int
+                               else to_scalar(other))
         other = self._coerce(other)
         n = self.order
-        a, da, b, db = self._rows, self._den, other._rows, other._den
+        a, da, b, db = self._cells, self._den, other._cells, other._den
         if da is None or db is None:
-            rows = _convolve(_float_rows(a, da), _float_rows(b, db), n, 0.0)
-            return _jet(self.base, n, rows, None)
+            cells = _convolve(_float_cells(a, da), _float_cells(b, db), n,
+                              0.0)
+            return _jet(self.base, n, cells, None)
         return _reduced(self.base, n, _convolve(a, b, n, 0), da * db)
 
     __rmul__ = __mul__
@@ -307,22 +315,22 @@ class Jet:
             if isinstance(c, Fraction) and c != 0:
                 return self._scale(1 / c)
         other = self._coerce(other)
-        if other._rows[0][0] == 0:
+        if other._cells[0] == 0:
             raise SingularEvaluationError("division by zero", self.base)
         n = self.order
-        a, da, b, db = self._rows, self._den, other._rows, other._den
+        a, da, b, db = self._cells, self._den, other._cells, other._den
         if da is None or db is None:
-            rows = _quotient(_float_rows(a, da), _float_rows(b, db), n, 1,
-                             truediv)
-            return _jet(self.base, n, rows, None)
+            cells = _quotient(_float_cells(a, da), _float_cells(b, db), n, 1,
+                              truediv)
+            return _jet(self.base, n, cells, None)
         # a / b = (db / da) * (A / B) over the numerator tables A, B; the
         # recurrence yields A / B times b0^(n+1), b0 = B's constant term.
-        scale = b[0][0] ** (n + 1)
-        rows = _quotient(a, b, n, scale, floordiv)
+        scale = b[0] ** (n + 1)
+        cells = _quotient(a, b, n, scale, floordiv)
         num, den = db, da * scale
         if den < 0:
             num, den = -num, -den
-        return _reduced(self.base, n, _scaled(rows, num), den)
+        return _reduced(self.base, n, _scaled(cells, num), den)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -331,7 +339,7 @@ class Jet:
         if not isinstance(k, int):
             raise JetError("jet exponents must be integers")
         if k < 0:
-            if self._rows[0][0] == 0:
+            if self._cells[0] == 0:
                 raise SingularEvaluationError(
                     "zero raised to a negative power", self.base)
             return (1 / self) ** (-k)
@@ -351,13 +359,53 @@ class Jet:
             raise JetError("differentiation variable must be 'x' or 'y'")
         if self.order == 0:
             raise InsufficientOrderError(1, 0)
-        c = self._rows
-        if var == "x":
-            rows = [tuple([i * v for v in c[i]]) for i in range(1, len(c))]
-        else:
-            rows = [tuple([j * v for j, v in enumerate(row[1:], 1)])
-                    for row in c[:-1]]
-        return _result(self.base, self.order - 1, rows, self._den)
+        take, mults = _derivative_plan(self.order, var)
+        cells = tuple(map(mul, mults, take(self._cells)))
+        return _result(self.base, self.order - 1, cells, self._den)
+
+
+# ---------------- the flat layout and its plans ----------------
+#
+# Row i of an order-n table holds its n - i + 1 cells (i, 0), ..., (i, n - i)
+# after the n + 1, n, ..., n - i + 2 cells of rows 0 to i - 1.  Truncation
+# and differentiation read a table through plans built once per order, on
+# first use, never at import: each is one itemgetter call over the cells.
+
+
+def _at(n, i, j):
+    """The offset of cell (i, j) in an order-n table."""
+    return i * (n + 1) - i * (i - 1) // 2 + j
+
+
+def _size(n):
+    return (n + 1) * (n + 2) // 2
+
+
+def _getter(offsets):
+    """itemgetter(*offsets), which gives a tuple for one offset too."""
+    if len(offsets) == 1:
+        return itemgetter(slice(offsets[0], offsets[0] + 1))
+    return itemgetter(*offsets)
+
+
+@functools.cache
+def _truncation_plan(n, m):
+    """The getter of the order-m table, m <= n, out of an order-n one."""
+    return _getter([_at(n, i, j) for i in range(m + 1)
+                    for j in range(m - i + 1)])
+
+
+@functools.cache
+def _derivative_plan(n, var):
+    """(take, mults) for d/dx or d/dy of an order-n table: the derivative's
+    cells are map(mul, mults, take(cells)), cell (i, j) being (i + 1) times
+    cell (i + 1, j) for x and (j + 1) times cell (i, j + 1) for y."""
+    cells = [(i, j) for i in range(n) for j in range(n - i)]
+    if var == "x":
+        return (_getter([_at(n, i + 1, j) for i, j in cells]),
+                tuple(i + 1 for i, j in cells))
+    return (_getter([_at(n, i, j + 1) for i, j in cells]),
+            tuple(j + 1 for i, j in cells))
 
 
 # ---------------- trusted construction and table loops ----------------
@@ -368,65 +416,55 @@ class Jet:
 _new_jet = object.__new__
 
 
-def _jet(base, order, rows, den):
+def _jet(base, order, cells, den):
     jet = _new_jet(Jet)
     jet.base = base
     jet.order = order
     jet.exact = den is not None
-    jet._rows = rows
+    jet._cells = cells
     jet._den = den
     return jet
 
 
-def _reduced(base, order, rows, den):
-    """The exact jet rows / den, den > 0, divided through by the gcd of the
+def _reduced(base, order, cells, den):
+    """The exact jet cells / den, den > 0, divided through by the gcd of the
     denominator and all numerators."""
-    g = den
-    for row in rows:
-        g = gcd(g, *row)
-        if g == 1:
-            return _jet(base, order, rows, den)
-    return _jet(base, order, [tuple([c // g for c in row]) for row in rows],
-                den // g)
+    g = gcd(den, *cells)
+    if g == 1:
+        return _jet(base, order, cells, den)
+    return _jet(base, order, tuple([c // g for c in cells]), den // g)
 
 
-def _result(base, order, rows, den):
+def _result(base, order, cells, den):
     if den is None:
-        return _jet(base, order, rows, None)
-    return _reduced(base, order, rows, den)
+        return _jet(base, order, cells, None)
+    return _reduced(base, order, cells, den)
 
 
-def _zeros(order, zero):
-    return [[zero] * (order - i + 1) for i in range(order + 1)]
-
-
-def _zero_rows(order, zero):
-    return [(zero,) * (order - i + 1) for i in range(order + 1)]
+def _zero_cells(order, zero):
+    return (zero,) * _size(order)
 
 
 def _constant(v, base, order):
     """The constant jet v (a Fraction or a float) at an already converted
     `base`."""
+    rest = _size(order) - 1
     if isinstance(v, Fraction):
-        rows = _zero_rows(order, 0)
-        rows[0] = (v.numerator,) + rows[0][1:]
-        return _jet(base, order, rows, v.denominator)
-    rows = _zero_rows(order, 0.0)
-    rows[0] = (v,) + rows[0][1:]
-    return _jet(base, order, rows, None)
+        return _jet(base, order, (v.numerator,) + (0,) * rest, v.denominator)
+    return _jet(base, order, (v,) + (0.0,) * rest, None)
 
 
-def _float_rows(rows, den):
+def _float_cells(cells, den):
     """A table as floats: an exact one's numerators divided by `den`."""
     if den is None:
-        return rows
-    return [tuple([c / den for c in row]) for row in rows]
+        return cells
+    return tuple([c / den for c in cells])
 
 
-def _scaled(rows, m):
+def _scaled(cells, m):
     if m == 1:
-        return rows
-    return [tuple([c * m for c in row]) for row in rows]
+        return cells
+    return tuple([c * m for c in cells])
 
 
 # The product, counted per truncation order, that compiles the order's
@@ -451,16 +489,16 @@ def _convolve(a, b, n, zero):
     cell runs the loop again (a finite table whose sum overflows does too,
     harmlessly)."""
     # a nonzero constant term settles most tables without scanning them
-    if not ((a[0][0] or any(map(any, a))) and (b[0][0] or any(map(any, b)))):
-        return _zero_rows(n, zero)
+    if not ((a[0] or any(a)) and (b[0] or any(b))):
+        return _zero_cells(n, zero)
     count = _loop_products.get(n, 0) + 1
     if count < KERNEL_AT:
         _loop_products[n] = count
         return _loop_convolve(a, b, n, zero)
-    rows = _product_kernel(n)(a, b, zero)
-    if isinstance(zero, float) and not math.isfinite(sum(map(sum, rows))):
+    cells = _product_kernel(n)(a, b, zero)
+    if isinstance(zero, float) and not math.isfinite(sum(cells)):
         return _loop_convolve(a, b, n, zero)
-    return rows
+    return cells
 
 
 def mul_sub(head, pairs):
@@ -476,26 +514,25 @@ def mul_sub(head, pairs):
     for a, b in pairs:
         if a.exact is not exact or b.exact is not exact:
             raise JetError("mul_sub takes jets of one arithmetic")
-        links.append((_rows_at(a, n), _rows_at(b, n)))
+        links.append((_cells_at(a, n), _cells_at(b, n)))
         if exact:
             dens.append(a._den * b._den)
     if not exact:
-        return _jet(head.base, n, _mul_sub(head._rows, links, n, 0.0), None)
+        return _jet(head.base, n, _mul_sub(head._cells, links, n, 0.0), None)
     common = math.lcm(den, *dens)
-    rows = _mul_sub(_scaled(head._rows, common // den),
-                    [(_scaled(a, common // d), b)
-                     for (a, b), d in zip(links, dens)], n, 0)
-    return _reduced(head.base, n, rows, common)
+    cells = _mul_sub(_scaled(head._cells, common // den),
+                     [(_scaled(a, common // d), b)
+                      for (a, b), d in zip(links, dens)], n, 0)
+    return _reduced(head.base, n, cells, common)
 
 
-def _rows_at(jet, n):
+def _cells_at(jet, n):
     """The table of `jet` truncated to order n <= jet.order, unreduced."""
-    rows = jet._rows
-    if len(rows) == n + 1:
-        return rows
-    if len(rows) < n + 1:
+    if jet.order == n:
+        return jet._cells
+    if jet.order < n:
         raise InsufficientOrderError(n, jet.order)
-    return [row[: n - i + 1] for i, row in enumerate(rows[: n + 1])]
+    return _truncation_plan(jet.order, n)(jet._cells)
 
 
 def _mul_sub(c, links, n, zero):
@@ -505,15 +542,14 @@ def _mul_sub(c, links, n, zero):
     order, the rest run as a chain of `_convolve` products and differences;
     from then on they run the order's accumulating `_product_kernel`, and a
     float table it leaves non-finite runs the chain again."""
-    links = [(a, b) for a, b in links if (a[0][0] or any(map(any, a)))
-             and (b[0][0] or any(map(any, b)))]
+    links = [(a, b) for a, b in links
+             if (a[0] or any(a)) and (b[0] or any(b))]
     if links and _loop_products.get(n, 0) + 1 >= KERNEL_AT:
-        rows = _product_kernel(n, True)(c, links, zero)
-        if not isinstance(zero, float) or math.isfinite(sum(map(sum, rows))):
-            return rows
+        cells = _product_kernel(n, True)(c, links, zero)
+        if not isinstance(zero, float) or math.isfinite(sum(cells)):
+            return cells
     for a, b in links:
-        c = [tuple(map(sub, r, p))
-             for r, p in zip(c, _convolve(a, b, n, zero))]
+        c = tuple(map(sub, c, _convolve(a, b, n, zero)))
     return c
 
 
@@ -533,10 +569,10 @@ def _product_kernel(n, accumulate=False):
     is that straight-line code.  Each cell of c is a local, and each link
     takes the product's cell from it, c{p}_{q} = c{p}_{q} - (zero + ...),
     which is the chain of products and differences link by link."""
-    def table(t, row="[%s]"):
-        return "[%s]" % ", ".join(
-            row % ", ".join("%s%d_%d" % (t, i, j) for j in range(n - i + 1))
-            for i in range(n + 1))
+    cells = [(i, j) for i in range(n + 1) for j in range(n - i + 1)]
+
+    def table(t):  # "t0_0, t0_1, ..., " in the flat order
+        return "".join("%s%d_%d, " % (t, i, j) for i, j in cells)
 
     def cell(p, q):
         return " + ".join(["zero"] + [
@@ -545,20 +581,18 @@ def _product_kernel(n, accumulate=False):
 
     if accumulate:
         name = "mul_sub"
-        source = "def mul_sub(c, links, zero):\n    %s = c\n" \
-            "    for a, b in links:\n        %s = a\n        %s = b\n" % (
+        source = "def mul_sub(c, links, zero):\n    %s= c\n" \
+            "    for a, b in links:\n        %s= a\n        %s= b\n" % (
                 table("c"), table("a"), table("b"))
         source += "".join(
             "        c%d_%d = c%d_%d - (%s)\n" % (p, q, p, q, cell(p, q))
-            for p in range(n + 1) for q in range(n - p + 1))
-        source += "    return %s\n" % table("c", "(%s,)")
+            for p, q in cells)
+        source += "    return (%s)\n" % table("c")
     else:
         name = "product"
-        rows = ", ".join(
-            "(%s,)" % ", ".join(cell(p, q) for q in range(n - p + 1))
-            for p in range(n + 1))
-        source = "def product(a, b, zero):\n    %s = a\n    %s = b\n" \
-            "    return [%s]\n" % (table("a"), table("b"), rows)
+        source = "def product(a, b, zero):\n    %s= a\n    %s= b\n" \
+            "    return (%s)\n" % (table("a"), table("b"), "".join(
+                "%s, " % cell(p, q) for p, q in cells))
     namespace = {"__builtins__": {}}
     exec(compile(source, "<%s kernel %d>" % (name, n), "exec"), namespace)
     return namespace[name]
@@ -567,41 +601,42 @@ def _product_kernel(n, accumulate=False):
 def _loop_convolve(a, b, n, zero):
     """The truncated Cauchy product of two tables, accumulated into `zero`
     in a fixed order and skipping zero factors."""
-    rows = _zeros(n, zero)
-    for i, ra in enumerate(a):
-        for j, x in enumerate(ra):
+    start = [_at(n, i, 0) for i in range(n + 1)]
+    out = [zero] * len(a)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            x = a[start[i] + j]
             if not x:
                 continue
             kmax = n - i - j
             for k in range(kmax + 1):
-                rb = b[k]
-                row = rows[i + k]
+                bk, ok = start[k], start[i + k] + j
                 for l in range(kmax - k + 1):
-                    y = rb[l]
+                    y = b[bk + l]
                     if y:
-                        row[j + l] += x * y
-    return list(map(tuple, rows))
+                        out[ok + l] += x * y
+    return tuple(out)
 
 
 def _quotient(a, b, n, scale, divide):
     """The table q with q * b = a * scale, by the recurrence
     q[i][j] = (a[i][j] * scale - sum of earlier q[k][l] b[i-k][j-l]) / b0,
     with `divide` truediv for floats (scale 1) or an exact floordiv."""
-    b0 = b[0][0]
-    q = _zeros(n, None)
+    start = [_at(n, i, 0) for i in range(n + 1)]
+    b0 = b[0]
+    q = [None] * len(a)
     for d in range(n + 1):
         for i in range(d + 1):
             j = d - i
-            acc = a[i][j] * scale
+            acc = a[start[i] + j] * scale
             for k in range(i + 1):
-                qk = q[k]
-                bk = b[i - k]
+                qk, bk = start[k], start[i - k] + j
                 for l in range(j + 1 if k < i else j):
-                    c = qk[l]
+                    c = q[qk + l]
                     if c:
-                        acc = acc - c * bk[j - l]
-            q[i][j] = divide(acc, b0)
-    return list(map(tuple, q))
+                        acc = acc - c * b[bk - l]
+            q[start[i] + j] = divide(acc, b0)
+    return tuple(q)
 
 
 # ---------------- elementary functions ----------------

@@ -18,6 +18,7 @@ SingularEvaluationError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -192,6 +193,20 @@ class RankResult:
     det: object = None      # square input only, from the same pivots
 
 
+class _ExactRankResult(RankResult):
+    """An exact `RankResult` whose kernel is read from its elimination when
+    first asked for: most callers read only the rank and the determinant."""
+
+    def __init__(self, e, square):
+        self.rank, self.marginal, self.exact = e.rank, False, True
+        self.det = e.det() if square else None
+        self._elimination = e
+
+    @functools.cached_property
+    def kernel(self):
+        return self._elimination.kernel()
+
+
 def rank_kernel(rows, tol=1e-9):
     """Row-reduce and return rank, a kernel basis and, for square input,
     the determinant.
@@ -204,6 +219,7 @@ def rank_kernel(rows, tol=1e-9):
     when the rank decision says so.
 
     Kernel vectors are normalised so their largest-magnitude entry is +1.
+    An exact kernel is built only when `.kernel` is read.
     """
     if not rows:
         raise ValueError("rank_kernel needs at least one row")
@@ -218,8 +234,7 @@ def rank_kernel(rows, tol=1e-9):
             if e.rank == ncols:
                 break
             e.add(row)
-        return RankResult(e.rank, e.kernel(), False, True,
-                          e.det() if square else None)
+        return _ExactRankResult(e, square)
 
     m = _float_matrix(m)
     scale = max((abs(v) for row in m for v in row), default=0.0)

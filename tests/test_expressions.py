@@ -687,6 +687,26 @@ def test_differentiate_keeps_its_input_sharing():
     assert differentiate(tree, "y") == ex.ZERO
 
 
+def test_compile_derivatives_derives_each_node_once_per_letter(monkeypatch):
+    """The words share one memo per letter: xy and yy differentiate along
+    y the subtrees of the tree that y has already derived, xx along x those
+    that x has, and a second tree the subtrees it shares with the first."""
+    seen = []
+    derivative = ex._derivative
+
+    def counted(e, var, d):
+        seen.append((e, var))  # keeps e alive, so no id is reused
+        return derivative(e, var, d)
+
+    u = ex.parse_expr("x*y*exp(x/3)/(1 + y^2) + sin(x*y/2)/4")
+    tree = ex.BinOp("*", u, ex.BinOp("+", u, ex.Call("sqrt", u)))
+    monkeypatch.setattr(ex, "_derivative", counted)
+    monkeypatch.setattr(ex, "compile_float", list)
+    ex.compile_derivatives([tree, u], ("", "x", "y", "xx", "xy", "yy"))
+    pairs = [(id(e), var) for e, var in seen]
+    assert len(pairs) == len(set(pairs))
+
+
 SINGULAR_TREES = (
     # the shared subtree x - 1 is harmless until the third tree divides by it
     ("x - 1", "(x - 1)*y", "y/(x - 1)", "x"),

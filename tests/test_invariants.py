@@ -776,3 +776,19 @@ def test_genericity_quadratic():
     assert genericity_P((1, 0, 1, 9, 9, 9)) == 1
     assert genericity_P((1, 1, 1, 0, 0, 0)) == 0
     assert genericity_P((0, 2, 0, 0, 0, 0)) == -4
+
+
+@pytest.mark.parametrize("structure, point", [
+    (PAINLEVE, ORIGIN), (GENERIC, (Fraction(1), Fraction(1)))])
+def test_exact_guard_checks_build_no_kernel(monkeypatch, structure, point):
+    """The order-6 pair's standard-row check and the stratified stacks'
+    guards read only ranks, so they build no exact kernel."""
+    js = JetStructure.at(structure, point, 10)
+    assert js.exact
+    calls = []
+    monkeypatch.setattr(linalg.ExactElimination, "kernel",
+                        lambda self: calls.append(self))
+    sixth_order_E(js)
+    stratified_obstruction(js, 3)
+    stratified_obstruction(js, 4)
+    assert not calls

@@ -377,8 +377,7 @@ def assert_matches(jet, table):
     assert [[_bits(c) for c in row] for row in jet.coeffs] == \
         [[_bits(c) for c in row] for row in table]
     if jet.exact:
-        nums = [c for row in jet._rows for c in row]
-        assert jet._den > 0 and math.gcd(jet._den, *nums) == 1
+        assert jet._den > 0 and math.gcd(jet._den, *jet._cells) == 1
 
 
 ORACLE_BASE = (Fraction(1, 3), Fraction(-2))
@@ -547,6 +546,33 @@ def test_float_scalar_product_underflow_gives_positive_zero():
             [["0x0.0p+0", (2e-200).hex()], ["0x0.0p+0"]]
 
 
+_scale_ints = st.one_of(
+    st.integers(-9, 9), st.integers(-2**80, 2**80),
+    st.sampled_from([0, 2**53 + 1, -(2**53 + 1), 2**1024, -2**1100]))
+
+
+@ORACLE
+@given(table_pairs(("exact", "float")), _scale_ints)
+def test_int_scaling_is_the_fraction_scaling(pair, k):
+    """k * jet scales by the int itself, as Fraction(k) * jet does: the
+    same exact table, the same float bits, and OverflowError where k
+    leaves the float range."""
+    for jet in map(jet_of, pair):
+        try:
+            want = Fraction(k) * jet
+        except OverflowError:
+            for product in (lambda: k * jet, lambda: jet * k):
+                with pytest.raises(OverflowError):
+                    product()
+            continue
+        for got in (k * jet, jet * k):
+            assert _jet_bits(got) == _jet_bits(want)
+            if got.exact:
+                assert (got._cells, got._den) == (want._cells, want._den)
+        with pytest.raises(TypeError):
+            True * jet
+
+
 # ---------------- compiled product kernels ----------------
 #
 # `_product_kernel(n)` must give `_loop_convolve`'s table bit for bit
@@ -581,15 +607,23 @@ def kernel_tables(draw, n, coeff, zero):
     return rows
 
 
+def _flat(rows):
+    return tuple(c for row in rows for c in row)
+
+
 @st.composite
 def kernel_pairs(draw, coeff, zero):
+    """An order and two tables drawn as rows, flattened to the kernels'
+    row-major layout."""
     n = draw(st.integers(0, 16))
-    return n, draw(kernel_tables(n, coeff, zero)), \
-        draw(kernel_tables(n, coeff, zero))
+    return n, _flat(draw(kernel_tables(n, coeff, zero))), \
+        _flat(draw(kernel_tables(n, coeff, zero)))
 
 
-def _table_bits(rows):
-    return [[_bits(c) for c in row] for row in rows]
+def _table_bits(table):
+    """The bits of each cell of a flat table or of a table of rows."""
+    return [_table_bits(c) if isinstance(c, (tuple, list)) else _bits(c)
+            for c in table]
 
 
 @ORACLE
@@ -617,7 +651,7 @@ def test_non_finite_kernel_products_fall_back_to_the_loop(case):
     n, a, b = case
     loop = _table_bits(jets._loop_convolve(a, b, n, 0.0))
     kernel = jets._product_kernel(n)(a, b, 0.0)
-    if all(math.isfinite(c) for row in kernel for c in row):
+    if all(math.isfinite(c) for c in kernel):
         assert _table_bits(kernel) == loop
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jets, "KERNEL_AT", 0)
@@ -731,6 +765,48 @@ def test_mul_sub_reads_pairs_truncated_and_refuses_lower_orders():
     assert jets.mul_sub(head, [(x, x)]) == head - (x * x).truncated(2)
     with pytest.raises(InsufficientOrderError):
         jets.mul_sub(Jet.constant(1, ORACLE_BASE, 5), [(x, x)])
+
+
+# ---------------- the flat layout ----------------
+#
+# A jet keeps its table as one flat row-major tuple and reads it through
+# plans built once per order.  The layout must not show: at every order
+# up to 16, `coeffs` gives back the rows, truncation and differentiation
+# give the row-table reference's tables, and `mul_sub` gives the chain.
+
+_layout_exact = st.builds(
+    Fraction, st.integers(-2**70, 2**70),
+    st.sampled_from([1, 2, 3, 7, 12, 2**40, 3**25, 2**61 - 1]))
+
+
+@st.composite
+def layout_cases(draw):
+    """An order n, a table of order n drawn as rows, and pairs of tables
+    of orders n to n + 2, all exact or all float."""
+    n = draw(st.integers(0, 16))
+    coeff, zero = draw(st.sampled_from(((_layout_exact, Fraction(0)),
+                                        (_kernel_any, 0.0))))
+
+    def table(order):
+        return draw(kernel_tables(order, coeff, zero))
+
+    extras = draw(st.lists(st.integers(0, 2), max_size=3))
+    return n, table(n), [(table(n + e), table(n + e)) for e in extras]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout_cases())
+def test_flat_layout_matches_row_tables(case):
+    n, rows, pairs = case
+    jet = Jet(ORACLE_BASE, n, rows)
+    assert_matches(jet, rows)
+    for m in range(n + 1):
+        cut = ref_truncated(rows, m)
+        assert_matches(jet.truncated(m), cut)
+        for var in "xy" if m else "":
+            assert_matches(jet.truncated(m).diff(var), ref_diff(cut, var))
+    _assert_mul_sub_is_the_chain(jet, [(jet_of(a), jet_of(b))
+                                       for a, b in pairs])
 
 
 # ---------------- elementary functions ----------------

@@ -325,3 +325,30 @@ def test_incremental_elimination_reads_every_prefix(a):
             assert e.det() == want
     r = rank_kernel(a)
     assert (r.rank, r.kernel) == (e.rank, e.kernel())
+
+
+@ORACLE
+@given(derivative_stacks())
+def test_exact_kernel_is_built_only_when_read(a):
+    """Reading the rank and the determinant builds no kernel; the first
+    read of `.kernel` builds it once, and it is the normalised null space."""
+    calls = []
+    kernel = linalg.ExactElimination.kernel
+
+    def counted(self):
+        calls.append(self)
+        return kernel(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg.ExactElimination, "kernel", counted)
+        square = a[:len(a[0])]
+        for rows in (a, square):
+            r = rank_kernel(rows)
+            assert (r.rank, r.det, r.exact, r.marginal) == (
+                _sympy(rows).rank(),
+                _fraction(_sympy(rows).det()) if len(rows) == len(a[0])
+                else None, True, False)
+        assert not calls
+        got = r.kernel
+        assert r.kernel is got and len(calls) == 1
+    assert got == _normalised_nullspace(_sympy(square))

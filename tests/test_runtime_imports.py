@@ -1,8 +1,10 @@
 """The runtime stays stdlib-only: every absolute import in the package
-names a standard-library module."""
+names a standard-library module.  Importing it compiles no jet kernel and
+builds no jet plan."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -23,3 +25,18 @@ def test_package_imports_only_the_standard_library(path):
     outside = [n for n in names
                if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_importing_builds_no_kernel_and_no_plan():
+    """A fresh process that imports the package and its CLI has compiled
+    no product kernel and built no truncation or derivative plan: a
+    one-shot run pays for the orders it uses, when it uses them."""
+    script = (
+        "import projmet, projmet.cli\n"
+        "from projmet import jets\n"
+        "print([f.cache_info().currsize for f in (jets._product_kernel,"
+        " jets._truncation_plan, jets._derivative_plan)])\n")
+    out = subprocess.run([sys.executable, "-c", script], env={
+        "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
+        check=True).stdout
+    assert out == "[0, 0, 0]\n"
