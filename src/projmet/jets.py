@@ -367,9 +367,8 @@ class Jet:
 # ---------------- the flat layout and its plans ----------------
 #
 # Row i of an order-n table holds its n - i + 1 cells (i, 0), ..., (i, n - i)
-# after the n + 1, n, ..., n - i + 2 cells of rows 0 to i - 1.  Truncation
-# and differentiation read a table through plans built once per order, on
-# first use, never at import: each is one itemgetter call over the cells.
+# after the n + 1, n, ..., n - i + 2 cells of rows 0 to i - 1.  The plans
+# are cached by order alone and hold no job data.
 
 
 def _at(n, i, j):

@@ -567,8 +567,8 @@ def test_int_scaling_is_the_fraction_scaling(pair, k):
             continue
         for got in (k * jet, jet * k):
             assert _jet_bits(got) == _jet_bits(want)
-            if got.exact:
-                assert (got._cells, got._den) == (want._cells, want._den)
+            if got.exact:  # the same reduced numerators and denominator
+                assert got == want
         with pytest.raises(TypeError):
             True * jet
 
