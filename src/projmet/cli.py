@@ -88,6 +88,11 @@ MAX_EXACT_BITS = 64
 MAX_POINTS = 64
 MAX_DEPTH = 256
 
+# The most digits of an exact report value's numerator or denominator;
+# Python prints 4300 at most unless `sys.set_int_max_str_digits` lifts it.
+MAX_DIGITS = 4000
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+
 
 class InputError(Exception):
     pass
@@ -95,6 +100,9 @@ class InputError(Exception):
 
 def to_jsonable(obj):
     if isinstance(obj, Fraction):
+        if max(abs(obj.numerator), obj.denominator) >= _DIGITS_BOUND:
+            raise InputError("the report holds an exact value of more than "
+                             "%d digits" % MAX_DIGITS)
         return str(obj)
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
@@ -283,7 +291,7 @@ def load_job(path):
             data = json.load(fh)
     except OSError as err:
         raise InputError("cannot read %s: %s" % (path, err)) from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also bytes not UTF-8, or a huge integer
         raise InputError("invalid JSON in %s: %s" % (path, err)) from err
     return Job(data)
 
@@ -596,6 +604,7 @@ def main(argv=None):
         job = load_job(args.input) if getattr(args, "input", None) else None
         mode = args.mode or (job.arithmetic if job else "auto")
         report, code = COMMANDS[args.command](job, mode)
+        report = to_jsonable(report)  # it may refuse a value
     except (InputError, ExprError, JetError) as err:
         report, code = {"error": str(err)}, EXIT_INPUT
     report["version"] = __version__

@@ -572,11 +572,9 @@ def eval_jet(e, base, order, mode="auto", memo=None):
     def build(t, args):
         if isinstance(t, BinOp):
             return _BINARY[t.op](*args)
-        if isinstance(t, Num):
-            v = float(t.value) if want_float else t.value
-            return Jet.constant(v, base, order)
-        if isinstance(t, Var):
-            jet = Jet.variable(t.name, base, order)
+        if isinstance(t, (Num, Var)):
+            jet = (Jet.constant(t.value, base, order) if isinstance(t, Num)
+                   else Jet.variable(t.name, base, order))
             return jet.to_float() if want_float else jet
         if isinstance(t, Pow):
             return args[0] ** t.exponent

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .jets import Jet, InsufficientOrderError, SingularEvaluationError, mul_sub
+from .jets import InsufficientOrderError, SingularEvaluationError, mul_sub
 from .expressions import choose_arithmetic, eval_jet
 
 F13 = Fraction(1, 3)
@@ -88,8 +88,7 @@ class JetStructure:
         return self.a[0].exact
 
     def _zero(self, order):
-        v = Fraction(0) if self.exact else 0.0
-        return Jet.constant(v, self.base, order)
+        return 0 * self.a[0].truncated(order)
 
     def liouville(self):
         if self._L is None:
@@ -236,17 +235,18 @@ def _connection_matrices(a, zero_at, m):
         derivs.append(tuple(d.truncated(m) for d in (
             j, jx, jy, jx.diff("x"), jx.diff("y"), jy.diff("y"))))
     z = zero_at(m)
-    return connection_formula(derivs, z, z + 1, CONNECTION_RATIONALS
+    return connection_formula(derivs, z, CONNECTION_RATIONALS
                               if z.exact else CONNECTION_FLOATS)
 
 
-def connection_formula(derivs, z, one, rationals=CONNECTION_RATIONALS):
+def connection_formula(derivs, z, rationals=CONNECTION_RATIONALS):
     """(O1, O2) from the coefficients' derivatives: `derivs[k]` holds A_k
-    along CONNECTION_WORDS, and `z`, `one` are the zero and unit of their
-    arithmetic, whose constants `rationals` are: CONNECTION_RATIONALS for
-    exact jets, CONNECTION_FLOATS for float jets and floats.  Truncated
-    jets give the connection as jets, floats its value at a point."""
+    along CONNECTION_WORDS, and `z` is the zero of their arithmetic, whose
+    constants `rationals` are: CONNECTION_RATIONALS for exact jets,
+    CONNECTION_FLOATS for float jets and floats.  Truncated jets give the
+    connection as jets, floats its value at a point."""
     F13, F23, F43, F89, F169, F49, F29, F83, F203 = rationals
+    one = z + 1
     ((a0t, a0x, a0y, a0xx, a0xy, a0yy),
      (a1t, a1x, a1y, a1xx, a1xy, a1yy),
      (a2t, a2x, a2y, a2xx, a2xy, a2yy),
@@ -711,8 +711,8 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
         notes.append("derivative ranks did not stabilise "
                      "within the available order")
 
-    exact = js.exact
-    if not exact and marginal:
+    # an exact rank decision is never marginal
+    if marginal:
         verdict = VERDICT_INCONCLUSIVE
         notes.append("rank decisions were numerically marginal")
     elif rank_m == 6:
@@ -729,7 +729,7 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
 
     return PointReport(
         point=tuple(point),
-        mode="exact" if exact else "float",
+        mode="exact" if js.exact else "float",
         verdict=verdict,
         flat=flat,
         marginal=marginal,

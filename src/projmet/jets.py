@@ -25,11 +25,11 @@ reduction is one `gcd(den, *cells)`, and truncation and differentiation
 read the table through an `itemgetter` plan and integer multipliers that
 are built once per order (and variable) on first use, never at import.
 
-Mixed `Jet` arithmetic promotes to float: an exact coefficient becomes
-the correctly rounded division numerator / denominator.  Only direct use
-mixes; an analysis runs all of a point's jets in one arithmetic
-(`expressions.choose_arithmetic`), and `mul_sub` refuses mixed operands.
-exp, log, sin, cos and sqrt force float; integer powers stay exact.
+A jet carries its arithmetic, and a number that meets it joins it: in a
+float jet an int or a Fraction becomes its correctly rounded float, and an
+exact jet refuses a float.  Jets of two arithmetics never meet: every
+operation on them, `mul_sub` included, raises JetError.  exp, log, sin, cos
+and sqrt give float jets; integer powers keep the arithmetic.
 This module owns their domain rules (`_FLOAT_FUNCS`), which `expressions`
 also reads, so a jet, a scalar and compiled code refuse an argument alike.
 
@@ -205,7 +205,7 @@ class Jet:
     def to_float(self):
         if self._den is None:
             return self
-        cells = _float_cells(self._cells, self._den)
+        cells = tuple([c / self._den for c in self._cells])
         return _jet(self.base, self.order, cells, None)
 
     def truncated(self, order):
@@ -219,11 +219,8 @@ class Jet:
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        if self.base != other.base or self.order != other.order:
-            return False
-        if self.exact == other.exact:
-            return self._den == other._den and self._cells == other._cells
-        return self.coeffs == other.coeffs
+        return (self.base == other.base and self.order == other.order
+                and self._den == other._den and self._cells == other._cells)
 
     __hash__ = None
 
@@ -245,22 +242,30 @@ class Jet:
                     % (_fmt_point(self.base), self.order,
                        _fmt_point(other.base), other.order)
                 )
+            if other.exact is not self.exact:
+                raise JetError("jet operands must share one arithmetic")
             return other
-        return _constant(to_scalar(other), self.base, self.order)
+        return _constant(self._join(other), self.base, self.order)
+
+    def _join(self, c):
+        """The number c in self's arithmetic; an exact jet refuses a float."""
+        c = to_scalar(c)
+        if self._den is None:
+            return float(c)
+        if isinstance(c, float):
+            raise JetError("an exact jet refuses the float %r" % (c,))
+        return c
 
     def _termwise(self, other, op):
         """Coefficientwise `op` (add or sub) of self and other."""
         other = self._coerce(other)
         a, da, b, db = self._cells, self._den, other._cells, other._den
-        if da is None or db is None:
-            cells = tuple(map(op, _float_cells(a, da), _float_cells(b, db)))
-            return _jet(self.base, self.order, cells, None)
-        if da != db:
+        if da != db:  # exact, over the lcm of the denominators
             g = gcd(da, db)
             a = _scaled(a, db // g)
             b = _scaled(b, da // g)
             da = da // g * db
-        return _reduced(self.base, self.order, tuple(map(op, a, b)), da)
+        return _result(self.base, self.order, tuple(map(op, a, b)), da)
 
     def __add__(self, other):
         return self._termwise(other, add)
@@ -278,10 +283,10 @@ class Jet:
         return _jet(self.base, self.order, cells, self._den)
 
     def _scale(self, c):
-        """self times the scalar c, an int, a Fraction or a float, computed
-        as the product with the constant jet c would be: 0.0 + a * c, and
-        0.0 where a or c is zero.  An int is its own numerator over 1."""
-        if self._den is not None and isinstance(c, (int, Fraction)):
+        """self times c, an int or a number joined to self's arithmetic, as
+        the product with the constant jet c: exact, or 0.0 + a * c and 0.0
+        where a or c is zero.  An int is its own numerator over 1."""
+        if self._den is not None:
             return _reduced(self.base, self.order,
                             _scaled(self._cells, c.numerator),
                             self._den * c.denominator)
@@ -289,40 +294,35 @@ class Jet:
         if c == 0:
             cells = _zero_cells(self.order, 0.0)
         else:
-            cells = tuple([0.0 + a * c if a else 0.0
-                           for a in _float_cells(self._cells, self._den)])
+            cells = tuple([0.0 + a * c if a else 0.0 for a in self._cells])
         return _jet(self.base, self.order, cells, None)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             # an int scales as itself, without to_scalar's Fraction
             return self._scale(other if type(other) is int
-                               else to_scalar(other))
+                               else self._join(other))
         other = self._coerce(other)
         n = self.order
         a, da, b, db = self._cells, self._den, other._cells, other._den
-        if da is None or db is None:
-            cells = _convolve(_float_cells(a, da), _float_cells(b, db), n,
-                              0.0)
-            return _jet(self.base, n, cells, None)
+        if da is None:
+            return _jet(self.base, n, _convolve(a, b, n, 0.0), None)
         return _reduced(self.base, n, _convolve(a, b, n, 0), da * db)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if self._den is not None and not isinstance(other, Jet):
-            c = to_scalar(other)
-            if isinstance(c, Fraction) and c != 0:
+            c = self._join(other)
+            if c != 0:
                 return self._scale(1 / c)
         other = self._coerce(other)
         if other._cells[0] == 0:
             raise SingularEvaluationError("division by zero", self.base)
         n = self.order
         a, da, b, db = self._cells, self._den, other._cells, other._den
-        if da is None or db is None:
-            cells = _quotient(_float_cells(a, da), _float_cells(b, db), n, 1,
-                              truediv)
-            return _jet(self.base, n, cells, None)
+        if da is None:
+            return _jet(self.base, n, _quotient(a, b, n, 1, truediv), None)
         # a / b = (db / da) * (A / B) over the numerator tables A, B; the
         # recurrence yields A / B times b0^(n+1), b0 = B's constant term.
         scale = b[0] ** (n + 1)
@@ -343,7 +343,7 @@ class Jet:
                 raise SingularEvaluationError(
                     "zero raised to a negative power", self.base)
             return (1 / self) ** (-k)
-        result = self._coerce(1 if self.exact else 1.0)
+        result = self._coerce(1)
         square = self
         while k:
             if k & 1:
@@ -445,19 +445,12 @@ def _zero_cells(order, zero):
 
 
 def _constant(v, base, order):
-    """The constant jet v (a Fraction or a float) at an already converted
-    `base`."""
+    """The constant jet v at an already converted `base`: exact for a
+    Fraction, float for a float."""
     rest = _size(order) - 1
     if isinstance(v, Fraction):
         return _jet(base, order, (v.numerator,) + (0,) * rest, v.denominator)
     return _jet(base, order, (v,) + (0.0,) * rest, None)
-
-
-def _float_cells(cells, den):
-    """A table as floats: an exact one's numerators divided by `den`."""
-    if den is None:
-        return cells
-    return tuple([c / den for c in cells])
 
 
 def _scaled(cells, m):

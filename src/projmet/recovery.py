@@ -151,7 +151,7 @@ def connection_values(evaluate, point):
     a transport differentiates and compiles the coefficients once."""
     v = evaluate(float(point[0]), float(point[1]))
     return connection_formula((v[0:6], v[6:12], v[12:18], v[18:24]),
-                              0.0, 1.0, CONNECTION_FLOATS)
+                              0.0, CONNECTION_FLOATS)
 
 
 def _neg_mat_vec(m, v):

@@ -74,8 +74,7 @@ class AffineConnection:
             ((f13 * a1, f13 * a2), (f13 * a2, a3)),
             ((-a0, -f13 * a1), ((-f13) * a1, (-f13) * a2)),
         )
-        one = Fraction(1) if js.exact else 1.0
-        return cls(gamma, Jet.constant(one, js.base, js.order))
+        return cls(gamma, js._zero(js.order) + 1)
 
     def rescaled(self, lam):
         """The scale times `lam`, a number in the symbols' arithmetic."""

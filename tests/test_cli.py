@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -799,3 +800,156 @@ def test_bad_input_exits_three_naming_the_field(tmp_path, capsys, command,
                            _write_job(tmp_path, data))
     assert code == 3
     assert field in report["error"]
+
+
+# ---------------- exact values too large to print ----------------
+
+
+def _item14_job(order):
+    """A seeded exact job inside every input cap whose det M, E1 and E2
+    run to thousands of digits."""
+    rng = random.Random(0)
+
+    def c():
+        return "%d/%d" % (rng.getrandbits(32) | 1, rng.getrandbits(32) | 1)
+
+    def poly():
+        return "+".join("%s*x^%d*y^%d" % (c(), i, j)
+                        for i in range(9) for j in range(9 - i))
+
+    return {"kind": "ode", "A0": poly(), "A1": poly(), "A2": poly(),
+            "A3": poly(), "points": [[c(), c()]], "order": order}
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["default", "lifted"])
+def test_huge_exact_values_exit_three_whatever_the_host_limit(
+        tmp_path, capsys, limit):
+    job = _write_job(tmp_path, _item14_job(6))
+    saved = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        code, report = run_cli(capsys, "invariants", "--mode", "rational",
+                               "--input", job)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 3
+    assert report["error"] == ("the report holds an exact value of more "
+                               "than %d digits" % cli.MAX_DIGITS)
+
+
+@pytest.mark.parametrize("text", [
+    b'{"kind": "ode", "A0": "x\xff"}',
+    b'{"kind": "ode", "order": ' + b"9" * 4400 + b"}",
+], ids=["not-utf-8", "4400-digit-integer"])
+def test_unreadable_json_exits_three(tmp_path, capsys, text):
+    # an integer longer than the host's limit on int conversion (4300
+    # digits by default) does not parse; a lifted limit reads it
+    job = tmp_path / "job.json"
+    job.write_bytes(text)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, report = run_cli(capsys, "check", "--input", str(job))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 3
+    assert report["error"].startswith("invalid JSON in %s: " % job)
+
+
+# ---------------- the exit-code contract under fuzzing ----------------
+#
+# Seeded jobs drawn from the expression grammar run every analysing
+# command in auto and float mode.  No exception may escape `main`, exit 1
+# must carry a negative verdict or a recover refusal, and exit 3, and only
+# exit 3, an error.
+
+_FUZZ_FUNCS = ("exp", "log", "sin", "cos", "sqrt")
+
+
+def _fuzz_expr(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(["x", "y", str(rng.randint(0, 9)), "0.5",
+                           "%d/%d" % (rng.randint(1, 9), rng.randint(1, 9))])
+    a = _fuzz_expr(rng, depth - 1)
+    if roll < 0.65:
+        return "(%s %s %s)" % (a, rng.choice("+-*/"),
+                               _fuzz_expr(rng, depth - 1))
+    if roll < 0.8:
+        return "(%s)^%d" % (a, rng.randint(-2, 3))
+    if roll < 0.9:
+        return "-(%s)" % a
+    return "%s(%s)" % (rng.choice(_FUZZ_FUNCS), a)
+
+
+def _fuzz_point(rng):
+    return [rng.choice([rng.randint(-2, 2), 0.25, -1.5,
+                        "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 9))])
+            for _ in range(2)]
+
+
+def _fuzz_job(rng):
+    kind = rng.choice(("ode", "metric", "lambda"))
+    if kind == "ode":
+        data = {k: _fuzz_expr(rng, 2) for k in ("A0", "A1", "A2", "A3")
+                if rng.random() < 0.8}
+    elif kind == "metric":
+        data = {"E": "1 + %s" % _fuzz_expr(rng, 2), "F": _fuzz_expr(rng, 1),
+                "G": "2 + %s" % _fuzz_expr(rng, 2)}
+    else:
+        data = {"p_coeffs": [_fuzz_expr(rng, 1)
+                             for _ in range(rng.randint(1, 4))]}
+    data.update(kind=kind, order=rng.randint(5, 8),
+                points=[_fuzz_point(rng) for _ in range(rng.randint(1, 2))],
+                grid={"n": 3, "substeps": 1, "h": 0.05})
+    if rng.random() < 0.3:
+        data["change"] = _fuzz_expr(rng, 2)
+    return data
+
+
+# one monomial per coefficient, with 64-bit constants at a 64-bit point:
+# det M alone has thousands of digits
+_LARGE_CONSTANT_JOB = {
+    "kind": "ode", "order": 5,
+    "A0": "%d/%d*x^7*y^3" % (2 ** 64 - 59, 2 ** 63 + 29),
+    "A1": "%d/%d*x^2*y^8" % (2 ** 63 - 25, 2 ** 64 - 95),
+    "A2": "%d/%d*x^5*y^5" % (2 ** 62 + 135, 2 ** 61 - 1),
+    "A3": "%d/%d*x^9*y" % (2 ** 64 - 189, 2 ** 62 - 57),
+    "points": [["%d/%d" % (2 ** 64 - 83, 2 ** 63 + 11),
+                "%d/%d" % (2 ** 63 - 165, 2 ** 64 - 179)]]}
+
+_NEGATIVE = (cli.VERDICT_NOT, cli.VERDICT_DEGENERATE)
+
+
+def _assert_exit_contract(command, code, report):
+    assert code in (0, 1, 2, 3)
+    assert ("error" in report) == (code == 3)
+    if code == 1:
+        if command == "recover":
+            assert report["refused"] is True
+        else:
+            assert report["report"]["verdict"] in _NEGATIVE
+
+
+def test_exit_codes_keep_their_meaning_under_fuzzing(tmp_path, capsys):
+    rng = random.Random(20261020)
+    jobs = [_fuzz_job(rng) for _ in range(40)] + [_LARGE_CONSTANT_JOB]
+    codes = {}
+    for data in jobs:
+        job = _write_job(tmp_path, data)
+        for command in EVERY_COMMAND:
+            for mode in ("auto", "float"):
+                try:
+                    code, report = run_cli(capsys, command, "--mode", mode,
+                                           "--input", job)
+                except Exception as err:  # an escape is the finding
+                    pytest.fail("%s --mode %s on %s raised %r"
+                                % (command, mode, json.dumps(data), err))
+                _assert_exit_contract(command, code, report)
+                codes[command, mode] = codes.get((command, mode), []) + [code]
+    # the grammar reaches every outcome, and the large exact values are
+    # refused wherever a report would print them
+    assert {c for run in codes.values() for c in run} == {0, 1, 2, 3}
+    assert [codes[command, "auto"][-1] for command in EVERY_COMMAND] == \
+        [3, 3, 3, 1]

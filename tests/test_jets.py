@@ -193,13 +193,20 @@ def test_sqrt_squares_back():
             assert abs(sq.coeffs[i][j] - float(a.coeffs[i][j])) < 1e-12
 
 
-def test_mixed_arithmetic_promotes_to_float():
+def test_mixed_arithmetic_is_refused():
     base = (Fraction(1), Fraction(1))
     a = Jet.constant(Fraction(1, 3), base, 2)
     b = Jet.constant(0.5, base, 2)
     assert a.exact and not b.exact
-    assert not (a + b).exact
-    assert not (a * b).exact
+    for op in (add, sub, mul, truediv):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(JetError, match="one arithmetic"):
+                op(*args)
+        # an exact jet refuses a float, which joins no exact table
+        for args in ((a, 0.5), (0.5, a)):
+            with pytest.raises(JetError, match="refuses the float"):
+                op(*args)
+    assert a != Jet.constant(1 / 3, base, 2)
 
 
 def test_truncation_and_order_mismatch():
@@ -274,9 +281,11 @@ def test_base_mismatch_rejected():
 #
 # The reference below works on plain tables of Fractions and floats, one
 # coefficient at a time, in the loop order the jet operations keep for
-# floats.  Exact results must equal it; float and mixed results must equal
-# it bit for bit, signed zeros included.  Scalars are lifted to constant
-# tables, as `c * jet` means the product with the constant jet c.
+# floats.  Exact results must equal it; float results must equal it bit for
+# bit, signed zeros included.  Scalars are lifted to constant tables, as
+# `c * jet` means the product with the constant jet c; the reference's
+# float-by-Fraction operations round the Fraction first, which is how a
+# Fraction joins a float jet.
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -454,9 +463,18 @@ def test_exact_powers_match_reference(pair, k):
 @ORACLE
 @given(st.sampled_from([("exact",), ("float",)]).flatmap(table_pairs),
        st.one_of(st.integers(-50, 50), _exact_coeff, _float_coeff))
+# 1/3 joins a float jet as float(1/3), the float that promotion gave
+@example(([[0.1, -2.5], [1e-200]],), Fraction(1, 3))
 def test_scalar_products_match_reference(tables, c):
     (a,) = tables
     n = len(a) - 1
+    if _is_exact_table(a) and isinstance(c, float):
+        ja = jet_of(a)
+        for op in (lambda: ja * c, lambda: c * ja, lambda: ja + c,
+                   lambda: c - ja, lambda: ja / c):
+            with pytest.raises(JetError, match="refuses the float"):
+                op()
+        return
     const = ref_const(c, n)
     assert_matches(jet_of(a) * c, ref_mul(a, const))
     assert_matches(c * jet_of(a), ref_mul(a, const))
@@ -479,9 +497,15 @@ def test_diff_and_truncation_match_reference(pair, m):
 @ORACLE
 @given(st.sampled_from([("exact", "float"), ("float", "exact"),
                         ("float", "float")]).flatmap(table_pairs))
-def test_float_and_mixed_results_match_reference_bit_for_bit(pair):
+def test_float_results_match_reference_bit_for_bit(pair):
     a, b = pair
     ja, jb = jet_of(a), jet_of(b)
+    if ja.exact is not jb.exact:  # jets of two arithmetics never meet
+        for op in (add, sub, mul, truediv):
+            for args in ((ja, jb), (jb, ja)):
+                with pytest.raises(JetError, match="one arithmetic"):
+                    op(*args)
+        return
     assert not (ja + jb).exact
     assert_matches(ja + jb, ref_add(a, b))
     assert_matches(ja - jb, ref_sub(a, b))
@@ -519,8 +543,7 @@ def _truncation_commutes(op, m, *tables):
 
 
 @ORACLE
-@given(st.sampled_from([("exact", "exact"), ("float", "float"),
-                        ("exact", "float"), ("float", "exact")])
+@given(st.sampled_from([("exact", "exact"), ("float", "float")])
        .flatmap(table_pairs),
        st.one_of(st.integers(-50, 50), _exact_coeff, _float_coeff),
        st.integers(-2, 5), st.data())
@@ -530,8 +553,10 @@ def test_truncation_commutes_with_every_operation(pair, c, k, data):
     m = data.draw(st.integers(0, len(a) - 2), label="m")
     for op in (add, sub, mul, truediv):
         _truncation_commutes(op, m, a, b)
-    unary = [neg, lambda j: j * c, lambda j: c * j, lambda j: j ** k,
+    unary = [neg, lambda j: j ** k,
              jets.exp, jets.log, jets.sin, jets.cos, jets.sqrt]
+    if not (_is_exact_table(a) and isinstance(c, float)):
+        unary += [lambda j: j * c, lambda j: c * j]
     if m >= 1:
         unary += [lambda j: j.diff("x"), lambda j: j.diff("y")]
     for op in unary:
@@ -637,8 +662,15 @@ def test_integer_kernel_matches_loop(case):
         assert _table_bits(jets._convolve(a, b, n, 0)) == loop
 
 
+# The product's cell (1, 1) sums 1 + 1e-16 + 1e-16 - 1 in a's order to 0,
+# and in b's order to 2**-52, so it pins the order of the terms.
+_ORDER_SENSITIVE = (2, (1.0, 1.0, 0.0, 1.0, -1.0, 0.0),
+                    (1.0, 1e-16, 0.0, 1e-16, 1.0, 0.0))
+
+
 @ORACLE
 @given(kernel_pairs(_kernel_finite, 0.0))
+@example(_ORDER_SENSITIVE)
 def test_float_kernel_matches_loop_bit_for_bit(case):
     n, a, b = case
     assert _table_bits(jets._product_kernel(n)(a, b, 0.0)) == \
@@ -647,6 +679,7 @@ def test_float_kernel_matches_loop_bit_for_bit(case):
 
 @ORACLE
 @given(kernel_pairs(_kernel_any, 0.0))
+@example(_ORDER_SENSITIVE)
 def test_non_finite_kernel_products_fall_back_to_the_loop(case):
     n, a, b = case
     loop = _table_bits(jets._loop_convolve(a, b, n, 0.0))

@@ -46,6 +46,7 @@ def test_readme_constants_match_the_code():
         r"`MAX_DEPTH` = (\d+)": cli.MAX_DEPTH,
         r"`MAX_NESTING` = (\d+)": ex.MAX_NESTING,
         r"`MAX_POINTS` = (\d+)": cli.MAX_POINTS,
+        r"`MAX_DIGITS` = (\d+)": cli.MAX_DIGITS,
         r"`order`: jet order \([^)]*at most (\d+)\)": cli.MAX_ORDER,
         r"`n` at most (\d+)": cli.MAX_GRID_N,
         r"`substeps` at most (\d+)": cli.MAX_SUBSTEPS,
