@@ -805,7 +805,7 @@ def test_bad_input_exits_three_naming_the_field(tmp_path, capsys, command,
 # ---------------- exact values too large to print ----------------
 
 
-def _item14_job(order):
+def _huge_exact_job(order):
     """A seeded exact job inside every input cap whose det M, E1 and E2
     run to thousands of digits."""
     rng = random.Random(0)
@@ -824,7 +824,7 @@ def _item14_job(order):
 @pytest.mark.parametrize("limit", [None, 0], ids=["default", "lifted"])
 def test_huge_exact_values_exit_three_whatever_the_host_limit(
         tmp_path, capsys, limit):
-    job = _write_job(tmp_path, _item14_job(6))
+    job = _write_job(tmp_path, _huge_exact_job(6))
     saved = sys.get_int_max_str_digits()
     try:
         if limit is not None:
@@ -947,7 +947,7 @@ def test_exit_codes_keep_their_meaning_under_fuzzing(tmp_path, capsys):
                     pytest.fail("%s --mode %s on %s raised %r"
                                 % (command, mode, json.dumps(data), err))
                 _assert_exit_contract(command, code, report)
-                codes[command, mode] = codes.get((command, mode), []) + [code]
+                codes.setdefault((command, mode), []).append(code)
     # the grammar reaches every outcome, and the large exact values are
     # refused wherever a report would print them
     assert {c for run in codes.values() for c in run} == {0, 1, 2, 3}
