@@ -39,7 +39,6 @@ from .model import (
     DegenerateMetricError,
     ProjectiveStructure,
     MetricInput,
-    LambdaPoly,
     ode_from_metric,
     ode_from_lambda,
     section_to_metric,
@@ -108,7 +107,7 @@ __all__ = [
     "to_string", "differentiate", "eval_jet", "eval_scalar",
     "has_transcendental",
     "NotCubicError", "DegenerateMetricError", "ProjectiveStructure",
-    "MetricInput", "LambdaPoly", "ode_from_metric", "ode_from_lambda",
+    "MetricInput", "ode_from_metric", "ode_from_lambda",
     "section_to_metric", "liouville_residual",
     "det", "rank_kernel", "RankResult",
     "VERDICT_FLAT", "VERDICT_METRISABLE", "VERDICT_NOT",

@@ -11,7 +11,8 @@ Subcommands:
   selftest     quick internal consistency run, no input file
 
 Exit codes: 0 metrisable (or informational command succeeded), 1 not
-metrisable / degenerate / recovery refusal, 2 inconclusive, 3 bad input.
+metrisable / degenerate / recovery refusal, 2 inconclusive, 3 bad input
+or an unwritable --output path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
@@ -44,7 +44,6 @@ from .invariants import (
 from .jets import JetError, SingularEvaluationError, to_scalar
 from .model import (
     DegenerateMetricError,
-    LambdaPoly,
     MetricInput,
     NotCubicError,
     ProjectiveStructure,
@@ -261,12 +260,11 @@ class Job:
         coeffs = data.get("p_coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise InputError('lambda jobs need a non-empty "p_coeffs" list')
-        lam = LambdaPoly(tuple(
+        return ode_from_lambda([
             self._parse(c, "p_coeffs[%d]" % i) if isinstance(c, str)
             else ex.num(_exact_in(c, "p_coeffs[%d]" % i))
             for i, c in enumerate(coeffs)
-        ))
-        return ode_from_lambda(lam)
+        ])
 
     def _build_points(self, data):
         pts = data.get("points")
@@ -520,6 +518,8 @@ def cmd_recover(job, mode):
 
 
 def cmd_selftest(_job, _mode):
+    import random  # here, so that no other command loads it
+
     rng = random.Random(20240811)
     checks = 0
 
@@ -614,10 +614,16 @@ def main(argv=None):
         report["timing_seconds"] = round(time.perf_counter() - started, 6)
     text = json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as err:
+            error = "cannot write %s: %s" % (args.output, err.strerror or err)
+            text = json.dumps({"error": error, "version": __version__},
+                              indent=2, sort_keys=True) + "\n"
+            code = EXIT_INPUT
+    sys.stdout.write(text)
     return code
 
 

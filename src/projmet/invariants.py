@@ -390,13 +390,6 @@ def matrix_Mmax(js):
     return _level_rows(js, 5)
 
 
-@dataclass
-class EResult:
-    e1: object
-    e2: object
-    fallback: bool
-
-
 # The order-6 pair's standard rows (rows 0, 1, 2, 3, 5 of the stack through
 # level 3) and its two tops (rows 6 and 9).
 E_BASE_WORDS = ("", "x", "y", "xx", "yy")
@@ -406,12 +399,13 @@ E_TOP_WORDS = ("xxx", "yyy")
 def sixth_order_E(js, tol=1e-9):
     """The order-6 determinant pair.
 
-    The standard choice fixes the five rows (V, x, y, xx, yy) and tops them
-    with xxx (E1) or yyy (E2).  If those five are dependent, fall back to a
-    greedy scan of all rows through order three in graded order, take the
-    first five independent ones, and use the next two rows in the scan as
-    the alternative tops.  Returns None for both when no five independent
-    rows exist (the rank has dropped; the stratified stacks apply instead).
+    Returns (e1, e2, fallback).  The standard choice fixes the five rows
+    (V, x, y, xx, yy) and tops them with xxx (E1) or yyy (E2).  If those
+    five are dependent, fall back to a greedy scan of all rows through
+    order three in graded order, take the first five independent ones, and
+    use the next two rows in the scan as the alternative tops; fallback is
+    True.  Both are None when no five independent rows exist (the rank has
+    dropped; the stratified stacks apply instead).
     The standard choice builds only its seven rows; the scan builds all
     ten rows through level 3.  The scan feeds exact rows to one
     `linalg.ExactElimination`, which tells whether each row raises the
@@ -419,8 +413,9 @@ def sixth_order_E(js, tol=1e-9):
     """
     base = [_row_values(js.row(w)) for w in E_BASE_WORDS]
     if linalg.rank_kernel(base, tol).rank == 5:
-        return EResult(*(linalg.det(base + [_row_values(js.row(w))])
-                         for w in E_TOP_WORDS), False)
+        e1, e2 = (linalg.det(base + [_row_values(js.row(w))])
+                  for w in E_TOP_WORDS)
+        return e1, e2, False
     rows = _level_rows(js, 3)
     chosen = []
     if js.exact:
@@ -436,19 +431,12 @@ def sixth_order_E(js, tol=1e-9):
         if independent(row):
             chosen.append(row)
     else:
-        return EResult(None, None, True)
+        return None, None, True
     tops = rows[i:i + 2]
     if len(tops) < 2:
-        return EResult(None, None, True)
-    e1 = linalg.det(chosen + [tops[0]])
-    e2 = linalg.det(chosen + [tops[1]])
-    return EResult(e1, e2, True)
-
-
-@dataclass
-class StratifiedResult:
-    value: object
-    rows_used: tuple
+        return None, None, True
+    return (linalg.det(chosen + [tops[0]]), linalg.det(chosen + [tops[1]]),
+            True)
 
 
 def stratified_obstruction(js, rank_case, tol=1e-9):
@@ -457,8 +445,9 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
     rank 3 -> order-8 stack (V, Vx, Vxx, ..., Vxxxxx), valid when
     (V, Vx, Vxx) are independent; rank 4 -> order-7 stack
     (V, Vx, Vxy, Vxx, Vxxx, Vxxxx), valid when (V, Vx, Vy, Vxx) are
-    independent.  Each falls back to the x<->y swap; if neither frame is
-    independent the pencil is closed at lower rank and None is returned.
+    independent.  Each falls back to the x<->y swap.  Returns (det, words),
+    the determinant and the stack's derivative words, or None when neither
+    frame is independent (the pencil is closed at lower rank).
     """
     if rank_case not in (3, 4):
         raise ValueError("stratified stacks exist for rank 3 or 4 only")
@@ -468,7 +457,7 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
         if linalg.rank_kernel(guard, tol).rank != len(guard):
             return None
         rows = [_row_values(js.row(w)) for w in words]
-        return StratifiedResult(linalg.det(rows), tuple(words))
+        return linalg.det(rows), tuple(words)
 
     if rank_case == 3:
         words = ("", "x", "xx", "xxx", "xxxx", "xxxxx")
@@ -477,12 +466,10 @@ def stratified_obstruction(js, rank_case, tol=1e-9):
         words = ("", "x", "xy", "xx", "xxx", "xxxx")
         guards = ("", "x", "y", "xx")
 
-    res = build(words, guards)
-    if res is not None:
-        return res
     swap = str.maketrans("xy", "yx")
-    return build(tuple(w.translate(swap) for w in words),
-                 tuple(g.translate(swap) for g in guards))
+    return build(words, guards) or build(
+        tuple(w.translate(swap) for w in words),
+        tuple(g.translate(swap) for g in guards))
 
 
 # ---------------- solution space dimension ----------------
@@ -657,6 +644,17 @@ class ObstructionReport:
 
 
 def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
+    """The `PointReport` of one sample point at jet order `order` (>= 5).
+
+    The verdict is the first rule that applies:
+      1. a marginal float rank decision or witness -> Inconclusive;
+      2. rank M = 6, or rank 6 of the saturated stack -> NotMetrisable;
+      3. order below 8 (no saturated stack) -> Inconclusive;
+      4. a kernel vector with P(W) != 0 (a witness) -> Metrisable;
+      5. otherwise -> DegenerateKernel.
+    The order-6 pair E1/E2 and the order-7 and order-8 determinants are
+    reported but do not decide the verdict.
+    """
     if order < 5:
         raise InsufficientOrderError(5, order)
     js = JetStructure.at(structure, point, order, mode)
@@ -675,8 +673,7 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
     e1 = e2 = None
     e_fallback = False
     if js.order >= 6:
-        eres = sixth_order_E(js, tol)
-        e1, e2, e_fallback = eres.e1, eres.e2, eres.fallback
+        e1, e2, e_fallback = sixth_order_E(js, tol)
         if e_fallback:
             notes.append("order-6 pair used fallback rows")
 
@@ -686,12 +683,10 @@ def analyze_point(structure, point, order=10, tol=1e-9, mode="auto"):
         sres = stratified_obstruction(js, rank_m, tol)
         if sres is None:
             notes.append("rank-%d stack closed at lower rank" % rank_m)
+        elif rank_m == 4:
+            order7, strat_rows = sres
         else:
-            strat_rows = sres.rows_used
-            if rank_m == 4:
-                order7 = sres.value
-            else:
-                order8 = sres.value
+            order8, strat_rows = sres
 
     rank_mmax = None
     kernel = []

@@ -1,37 +1,34 @@
 """Dense exact/float linear algebra for small obstruction matrices.
 
 Each arithmetic has one elimination, and `det`, `rank_kernel` and
-`RankResult.det` all read it.  All-Fraction rows go through
-`ExactElimination`, a row-incremental fraction-free Gauss-Jordan: each row,
-scaled to integers, is reduced against the integer basis rows at their
-pivots and divided by its content, and the old basis rows are cleared at a
-new pivot.  So a caller that feeds a stack row by row reads the rank after
-every prefix, the kernel from the reduced row echelon form, and the
-determinant from the pivots and the tracked row scalings, all from one
-elimination.  A matrix holding a float goes through partially pivoted
-Gauss-Jordan: the determinant is the row-swap sign times the product of
-the pivots, and 0.0 when a column has no pivot.  `rank_kernel` counts a
-float pivot below a tolerance band as zero and flags marginal rank
-decisions; `det` accepts every nonzero pivot.  A non-finite entry raises
-SingularEvaluationError.
+`RankResult.det` all read it; each takes the numbers it is given.  A
+matrix of ints and Fractions is exact and goes through `ExactElimination`,
+a row-incremental fraction-free Gauss-Jordan: each row, scaled to
+integers, is reduced against the integer basis rows at their pivots and
+divided by its content, and the old basis rows are cleared at a new pivot.
+So a caller that feeds a stack row by row reads the rank after every
+prefix, the kernel from the reduced row echelon form, and the determinant
+from the pivots and the tracked row scalings, all from one elimination.
+A matrix holding a float goes through partially pivoted Gauss-Jordan: the
+determinant is the row-swap sign times the product of the pivots, and 0.0
+when a column has no pivot.  `rank_kernel` counts a float pivot below a
+tolerance band as zero and flags marginal rank decisions; `det` accepts
+every nonzero pivot.  Either arithmetic builds a kernel only when it is
+read.  A non-finite entry raises SingularEvaluationError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jets import SingularEvaluationError, to_scalar
-
-
-def _coerce_matrix(rows):
-    return [[to_scalar(v) for v in row] for row in rows]
+from .jets import SingularEvaluationError
 
 
 def is_exact_matrix(rows):
-    return all(isinstance(v, Fraction) for row in rows for v in row)
+    """True when every entry is an int or a Fraction."""
+    return all(isinstance(v, (int, Fraction)) for row in rows for v in row)
 
 
 def _float_matrix(rows):
@@ -66,8 +63,8 @@ def _primitive(r):
 
 
 class ExactElimination:
-    """Row-incremental fraction-free Gauss-Jordan on Fraction rows of
-    `ncols` entries.
+    """Row-incremental fraction-free Gauss-Jordan on rows of `ncols` ints
+    and Fractions.
 
     `add` scales a row to integers, reduces it against the basis rows at
     their pivots and divides it by its content; a row that is not reduced
@@ -184,27 +181,35 @@ def _eliminate_float(m, thr):
     return pivot_cols, sign, prod, marginal
 
 
-@dataclass
+def _float_kernel(m, pivot_cols):
+    """A basis of the null space of the reduced float rows m, one vector
+    per free column in increasing order."""
+    ncols = len(m[0])
+    kernel = []
+    for fc in [c for c in range(ncols) if c not in pivot_cols]:
+        v = [0.0] * ncols
+        v[fc] = 1.0
+        for i, pc in enumerate(pivot_cols):
+            v[pc] = -m[i][fc]
+        # normalise: largest-magnitude entry becomes +1
+        pivot = max(v, key=abs)
+        kernel.append(tuple(a / pivot for a in v))
+    return kernel
+
+
 class RankResult:
-    rank: int
-    kernel: list = field(default_factory=list)
-    marginal: bool = False
-    exact: bool = True
-    det: object = None      # square input only, from the same pivots
+    """The rank, marginal flag, arithmetic and (square input only)
+    determinant of one elimination; its kernel is built from that
+    elimination when first read, which most callers never do."""
 
-
-class _ExactRankResult(RankResult):
-    """An exact `RankResult` whose kernel is read from its elimination when
-    first asked for: most callers read only the rank and the determinant."""
-
-    def __init__(self, e, square):
-        self.rank, self.marginal, self.exact = e.rank, False, True
-        self.det = e.det() if square else None
-        self._elimination = e
+    def __init__(self, rank, marginal, exact, det, build_kernel):
+        self.rank, self.marginal, self.exact, self.det = (
+            rank, marginal, exact, det)
+        self._build_kernel = build_kernel
 
     @functools.cached_property
     def kernel(self):
-        return self._elimination.kernel()
+        return self._build_kernel()
 
 
 def rank_kernel(rows, tol=1e-9):
@@ -219,40 +224,32 @@ def rank_kernel(rows, tol=1e-9):
     when the rank decision says so.
 
     Kernel vectors are normalised so their largest-magnitude entry is +1.
-    An exact kernel is built only when `.kernel` is read.
+    The kernel is built only when `.kernel` is read.
     """
     if not rows:
         raise ValueError("rank_kernel needs at least one row")
-    m = _coerce_matrix(rows)
-    ncols = len(m[0])
-    if any(len(r) != ncols for r in m):
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    square = len(m) == ncols
-    if is_exact_matrix(m):
+    square = len(rows) == ncols
+    if is_exact_matrix(rows):
         e = ExactElimination(ncols)
-        for row in m:
+        for row in rows:
             if e.rank == ncols:
                 break
             e.add(row)
-        return _ExactRankResult(e, square)
+        return RankResult(e.rank, False, True, e.det() if square else None,
+                          e.kernel)
 
-    m = _float_matrix(m)
+    m = _float_matrix(rows)
     scale = max((abs(v) for row in m for v in row), default=0.0)
     thr = tol * scale if scale > 0.0 else tol
     pivot_cols, sign, prod, marginal = _eliminate_float(m, thr)
     d = None
     if square:
         d = sign * prod if len(pivot_cols) == ncols else 0.0
-    kernel = []
-    for fc in [c for c in range(ncols) if c not in pivot_cols]:
-        v = [0.0] * ncols
-        v[fc] = 1.0
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -m[i][fc]
-        # normalise: largest-magnitude entry becomes +1
-        pivot = max(v, key=abs)
-        kernel.append(tuple(a / pivot for a in v))
-    return RankResult(len(pivot_cols), kernel, marginal, False, d)
+    return RankResult(len(pivot_cols), marginal, False, d,
+                      functools.partial(_float_kernel, m, pivot_cols))
 
 
 def det(rows):
@@ -263,8 +260,7 @@ def det(rows):
         return Fraction(1)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m = _coerce_matrix(rows)
-    if is_exact_matrix(m):
-        e = ExactElimination(len(m))
-        return e.det() if all(map(e.add, m)) else Fraction(0)
-    return rank_kernel(m, 0.0).det
+    if is_exact_matrix(rows):
+        e = ExactElimination(len(rows))
+        return e.det() if all(map(e.add, rows)) else Fraction(0)
+    return rank_kernel(rows, 0.0).det

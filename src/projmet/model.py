@@ -50,16 +50,14 @@ class ProjectiveStructure:
     a1: object
     a2: object
     a3: object
-    provenance: str = "direct"
 
     @classmethod
-    def from_exprs(cls, a0, a1, a2, a3, provenance="direct"):
-        return cls(as_expr(a0), as_expr(a1), as_expr(a2), as_expr(a3),
-                   provenance)
+    def from_exprs(cls, a0, a1, a2, a3):
+        return cls(as_expr(a0), as_expr(a1), as_expr(a2), as_expr(a3))
 
     @classmethod
     def flat(cls):
-        return cls(ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO, "direct")
+        return cls(ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO)
 
     @property
     def coefficients(self):
@@ -83,35 +81,15 @@ class MetricInput:
     def from_exprs(cls, e, f, g):
         return cls(as_expr(e), as_expr(f), as_expr(g))
 
-    def values_at(self, point):
-        return (
-            eval_scalar(self.e, point[0], point[1]),
-            eval_scalar(self.f, point[0], point[1]),
-            eval_scalar(self.g, point[0], point[1]),
-        )
 
-    def discriminant_at(self, point):
-        return genericity_P(self.values_at(point))
-
-
-@dataclass(frozen=True)
-class LambdaPoly:
-    """Coefficients (c0, ..., cd) of a polynomial sum ck p^k in the slope."""
-
-    coeffs: tuple
-
-    @classmethod
-    def from_exprs(cls, coeffs):
-        return cls(tuple(as_expr(c) for c in coeffs))
-
-
-def ode_from_lambda(lam):
-    """Read the ODE coefficients off a slope polynomial.
+def ode_from_lambda(coeffs):
+    """Read the ODE coefficients off the slope polynomial sum ck p^k, given
+    by its coefficients (c0, ..., cd) as trees or text.
 
     Trailing literal-zero coefficients are dropped; anything of genuine
     degree > 3 cannot define a projective structure.
     """
-    coeffs = list(lam.coeffs)
+    coeffs = [as_expr(c) for c in coeffs]
     while len(coeffs) > 1 and isinstance(coeffs[-1], ex.Num) \
             and coeffs[-1].value == 0:
         coeffs.pop()
@@ -122,8 +100,7 @@ def ode_from_lambda(lam):
         )
     while len(coeffs) < 4:
         coeffs.append(ex.ZERO)
-    return ProjectiveStructure(coeffs[0], coeffs[1], coeffs[2], coeffs[3],
-                               "from-lambda")
+    return ProjectiveStructure(*coeffs)
 
 
 def geodesic_coefficients(efg, d_x, d_y):
@@ -148,14 +125,13 @@ def ode_from_metric(metric, check_points=()):
 
     Optionally verifies nondegeneracy of the metric at sample points first.
     """
+    efg = (metric.e, metric.f, metric.g)
     for p in check_points:
-        if metric.discriminant_at(p) == 0:
+        if genericity_P([eval_scalar(t, p[0], p[1]) for t in efg]) == 0:
             raise DegenerateMetricError((p[0], p[1]))
 
-    efg = (metric.e, metric.f, metric.g)
     return ProjectiveStructure(*geodesic_coefficients(
-        efg, *([differentiate(t, v) for t in efg] for v in "xy")),
-        "from-metric")
+        efg, *([differentiate(t, v) for t in efg] for v in "xy")))
 
 
 def section_to_metric(psi1, psi2, psi3):

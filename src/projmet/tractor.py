@@ -9,9 +9,9 @@ a parallel area scale eps^{01} = s:
   Y_abc = grad_[a P_b]c,   Y_c = eps^{ab} grad_a P_bc,   Z_ab = grad_(a Y_b)
 
 and stack second covariant derivatives of these into a 6x6 matrix whose
-determinant vanishes precisely when the 6x6 matrix M of the direct route
-does.  Every entry of the stack is linear in the area scale, so rescaling
-eps by a constant multiplies the determinant by its sixth power.
+determinant is -270 times that of the 6x6 matrix M of the direct route.
+Every entry of the stack is linear in the area scale, so rescaling eps by
+a constant multiplies the determinant by its sixth power.
 
 The determinant is also computable without any elimination, as a complete
 contraction of the blocks against eight epsilon symbols
@@ -36,6 +36,7 @@ from operator import itemgetter
 
 from . import jets as jetlib
 from .jets import Jet, InsufficientOrderError, mul_sub
+from .linalg import is_exact_matrix
 
 _VARS = ("x", "y")
 _PAIRS = ((0, 0), (0, 1), (1, 1))
@@ -310,12 +311,11 @@ def det_by_contraction(mat):
         raise ContractionLayoutError(
             "scalar-scalar corner must be exactly zero, got %r" % (mat[0][0],)
         )
-    cells = [v for row in mat for v in row]
-    if not all(isinstance(v, (int, Fraction)) for v in cells):
+    if not is_exact_matrix(mat):
         return _contract(mat, _BRACKET_WEIGHTS_FLOAT)
     # Every term has degree 6: over a common denominator D the integer
     # contraction with weights times 12 is the determinant times 12 D^6.
-    den = math.lcm(*(v.denominator for v in cells))
+    den = math.lcm(*(v.denominator for row in mat for v in row))
     ints = [[v.numerator * (den // v.denominator) for v in row]
             for row in mat]
     return Fraction(_contract(ints, _BRACKET_WEIGHTS_12), 12 * den**6)

@@ -214,10 +214,10 @@ def test_one_param_family_sixth_order_pair_and_no_common_root():
     e1_vals, e2_vals = [], []
     for c in cs:
         js = JetStructure.at(one_param_family(c), ORIGIN, 9, "rational")
-        res = sixth_order_E(js)
-        assert not res.fallback
-        e1_vals.append(res.e1)
-        e2_vals.append(res.e2)
+        e1, e2, fallback = sixth_order_E(js)
+        assert not fallback
+        e1_vals.append(e1)
+        e2_vals.append(e2)
 
     fit1 = lagrange_fit(nodes[:6], e1_vals[:6])
     assert poly_eval(fit1, nodes[6]) == e1_vals[6]

@@ -170,6 +170,20 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
     assert report["command"] == "selftest"
+    # the file holds exactly the bytes the same run prints to stdout
+    assert cli.main(["selftest"]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, where):
+    out = tmp_path / "no" / "x.json" if where == "missing-directory" \
+        else tmp_path
+    code, report = run_cli(capsys, "check", "--input",
+                           str(INPUTS / "flat.json"), "--output", str(out))
+    assert code == cli.EXIT_INPUT
+    assert report == {"error": report["error"], "version": cli.__version__}
+    assert report["error"].startswith("cannot write %s: " % out)
 
 
 def test_timing_flag(capsys):

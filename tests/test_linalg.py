@@ -88,6 +88,38 @@ def test_det_of_singular_matrix_is_zero(n, kind):
     assert r.rank == n - 1 and r.det == 0
 
 
+def test_int_matrix_is_exact():
+    m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    want = cofactor_det(m)
+    for got in (det(m), rank_kernel(m).det):
+        assert isinstance(got, Fraction) and got == want == 18
+    r = rank_kernel([[1, 2], [2, 4]])
+    assert r.exact and r.rank == 1 and r.det == 0
+    assert r.kernel == [(Fraction(1), Fraction(-1, 2))]
+
+
+def test_float_kernel_is_built_only_when_read():
+    """As for an exact result: reading the rank and the determinant builds
+    no kernel, and the first read of `.kernel` builds it once."""
+    calls = []
+    build = linalg._float_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    rows = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.5], [1.0, 2.0, 3.5]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_float_kernel", counted)
+        r = rank_kernel(rows)
+        assert (r.rank, r.det, r.exact, r.marginal) == (2, 0.0, False, False)
+        assert not calls
+        got = r.kernel
+        assert r.kernel is got and len(calls) == 1
+    assert got == [(1.0, -0.5, 0.0)]
+    assert all(abs(s) < 1e-12 for s in mat_vec(rows, got[0]))
+
+
 def test_rank_of_identity():
     eye = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
     r = rank_kernel(eye)

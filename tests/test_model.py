@@ -13,7 +13,6 @@ from projmet.invariants import JetStructure
 from projmet.jets import InsufficientOrderError
 from projmet.model import (
     DegenerateMetricError,
-    LambdaPoly,
     MetricInput,
     NotCubicError,
     ProjectiveStructure,
@@ -62,7 +61,6 @@ def test_liouville_metric_ode_values():
     vals = s.values_at((Fraction(1), Fraction(1)))
     assert vals == (Fraction(1, 4), Fraction(-1, 4),
                     Fraction(1, 4), Fraction(-1, 4))
-    assert s.provenance == "from-metric"
 
 
 def _committed_metric(name):
@@ -141,29 +139,24 @@ def test_degenerate_metric_rejected_at_check_point():
 
 
 def test_lambda_route_matches_direct_odes():
-    lam = LambdaPoly.from_exprs(("6*y^2+x", "0", "0", "0"))
-    s = ode_from_lambda(lam)
+    s = ode_from_lambda(("6*y^2+x", "0", "0", "0"))
     direct = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
     pt = (Fraction(1), Fraction(2))
     assert s.values_at(pt) == direct.values_at(pt)
-    assert s.provenance == "from-lambda"
 
 
 def test_lambda_route_trims_literal_zero_top():
-    lam = LambdaPoly.from_exprs(("1", "x", "y", "x*y", "0"))
-    s = ode_from_lambda(lam)
+    s = ode_from_lambda(("1", "x", "y", "x*y", "0"))
     assert s.values_at((Fraction(2), Fraction(3)))[3] == 6
 
 
 def test_lambda_route_rejects_quartic():
-    lam = LambdaPoly.from_exprs(("1", "x", "y", "x*y", "x"))
     with pytest.raises(NotCubicError):
-        ode_from_lambda(lam)
+        ode_from_lambda(("1", "x", "y", "x*y", "x"))
 
 
 def test_lambda_route_pads_short_lists():
-    lam = LambdaPoly.from_exprs(("x", "1"))
-    s = ode_from_lambda(lam)
+    s = ode_from_lambda(("x", "1"))
     assert s.values_at((Fraction(3), Fraction(5))) == (3, 1, 0, 0)
 
 

@@ -40,3 +40,30 @@ def test_importing_builds_no_kernel_and_no_plan():
         "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
         check=True).stdout
     assert out == "[0, 0, 0]\n"
+
+
+def test_package_facade_exports_exactly_all():
+    """Every name in `projmet.__all__` resolves, and the package's public
+    names other than its submodules are exactly `__all__`."""
+    import types
+
+    import projmet
+
+    assert len(set(projmet.__all__)) == len(projmet.__all__)
+    for name in projmet.__all__:
+        assert getattr(projmet, name) is not None, name
+    public = {name for name, value in vars(projmet).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == set(projmet.__all__)
+
+
+def test_importing_the_cli_does_not_load_random():
+    """Only `selftest` draws random numbers, so it imports `random` itself.
+    `-S` keeps site hooks, which may import `random` on their own, out of
+    the check."""
+    script = "import sys, projmet.cli\nprint('random' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-S", "-c", script], env={
+        "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
+        check=True).stdout
+    assert out == "False\n"

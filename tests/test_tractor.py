@@ -10,7 +10,7 @@ import pytest
 
 from projmet import expressions as ex
 from projmet import cli, linalg, tractor
-from projmet.invariants import JetStructure
+from projmet.invariants import JetStructure, matrix_M
 from projmet.jets import InsufficientOrderError, Jet, JetError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.tractor import (
@@ -25,6 +25,8 @@ from projmet.tractor import (
     theta_values,
     tractor_data,
 )
+
+INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
 PAINLEVE = ProjectiveStructure.from_exprs("6*y^2+x", "0", "0", "0")
 GENERIC = ProjectiveStructure.from_exprs("x^2+y", "y^2", "x*y", "x+1")
@@ -159,6 +161,58 @@ def test_volume_scale_exponent_is_six():
     d3 = linalg.det(theta_values(theta_bar(tractor_data(
         conn.rescaled(Fraction(1, 3))))))
     assert d3 == d1 * Fraction(1, 3) ** 6
+
+
+# ---------------- det Θ̄ = -270 det M ----------------
+#
+# The tractor stack's determinant is a fixed multiple of the direct route's
+# det M at the same jets, so the report's D = det_theta / 4320 is -det M / 16.
+
+def _stack_dets(structure, point, mode):
+    js = JetStructure.at(structure, point, STACK_ORDER, mode)
+    theta = theta_values(theta_bar(tractor_data(
+        AffineConnection.from_structure(js))))
+    return js.exact, linalg.det(matrix_M(js)), linalg.det(theta)
+
+
+def _random_poly(rng):
+    return "+".join("(%s)*x^%d*y^%d" % (
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        rng.randint(0, 3), rng.randint(0, 3))
+        for _ in range(rng.randint(0, 3))) or "0"
+
+
+def test_tractor_determinant_is_minus_270_det_m_exactly():
+    rng = random.Random(270)
+    nonzero = 0
+    for _ in range(40):
+        s = ProjectiveStructure.from_exprs(
+            *(_random_poly(rng) for _ in range(4)))
+        p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(2))
+        exact, det_m, det_theta = _stack_dets(s, p, "rational")
+        assert exact and det_theta == -270 * det_m, (s, p)
+        nonzero += det_m != 0
+    assert nonzero >= 30
+    exact_points = 0
+    for path in sorted(INPUTS.glob("*.json")):
+        job = cli.load_job(str(path))
+        for p in job.points:
+            exact, det_m, det_theta = _stack_dets(job.structure, p, "auto")
+            if exact:
+                assert det_theta == -270 * det_m, (path.name, p)
+                exact_points += 1
+    assert exact_points == 9
+
+
+@pytest.mark.parametrize("name", ["mixed-exactness", "one-parameter-ode",
+                                  "selftest-rank6"])
+def test_tractor_determinant_is_minus_270_det_m_in_floats(name):
+    job = cli.load_job(str(INPUTS / ("%s.json" % name)))
+    for p in job.points:
+        exact, det_m, det_theta = _stack_dets(job.structure, p, "float")
+        assert not exact and det_m != 0
+        assert abs(det_theta + 270 * det_m) <= 1e-9 * abs(270 * det_m)
 
 
 # ---------------- contraction cross-check ----------------
