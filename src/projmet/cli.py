@@ -72,9 +72,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 # Size caps on a job, checked before any jet work: the invariants cost
-# about order^4 jet operations and a recovery grid n^2 substeps nodes.  In
-# exact arithmetic every operation also grows with the bits of the numbers
-# it multiplies, which a point or literal brings in and each factor of a
+# about order^4 jet operations, and a recovery grid evaluates and keeps the
+# connection at 2 n (2 substeps (n - 1) + 1) - n^2 RK4 nodes, about 1.6 KB
+# each, so the nodes are capped beside n and substeps.  In exact
+# arithmetic every operation also grows with the bits of the numbers it
+# multiplies, which a point or literal brings in and each factor of a
 # product multiplies, so the degree of a coefficient and the bits of an
 # exact numerator or denominator are capped too.  Each sample point costs
 # a full analysis, so their number is capped; and a tree deeper than
@@ -82,6 +84,7 @@ EXIT_INPUT = 3
 MAX_ORDER = 16
 MAX_GRID_N = 201
 MAX_SUBSTEPS = 64
+MAX_GRID_NODES = 125_000
 MAX_DEGREE = 16
 MAX_EXACT_BITS = 64
 MAX_POINTS = 64
@@ -434,6 +437,11 @@ def _grid_in(job):
     if grid.n > MAX_GRID_N or grid.substeps > MAX_SUBSTEPS:
         raise InputError("grid needs n <= %d and substeps <= %d"
                          % (MAX_GRID_N, MAX_SUBSTEPS))
+    nodes = 2 * n * (2 * substeps * (n - 1) + 1) - n * n
+    if nodes > MAX_GRID_NODES:
+        raise InputError(
+            "grid needs at most %d RK4 nodes, 2 n (2 substeps (n - 1) + 1)"
+            " - n^2; got %d" % (MAX_GRID_NODES, nodes))
     return grid
 
 

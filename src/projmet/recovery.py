@@ -19,12 +19,16 @@ derivatives) and compiled into one straight-line float function, whose
 values feed the same formulas that give the connection as jets
 (`invariants.connection_formula`).  The RK4 nodes lie on the lattice of
 spacing h / (2 substeps) and are cached by integer lattice index, so each
-distinct node is evaluated once.  The round-trip residual re-derives the ODE
-coefficients from the reconstructed metric table, by `ode_from_metric`'s
-formula (`model.geodesic_coefficients`), with its first derivatives taken
-by fourth-order central differences across the grid so that it measures
-the transport rather than restating its equations, and compares them with
-the input.
+distinct node is evaluated once; the cache keeps the 19 structural
+nonzeros of each matrix, which the formula itself shows.  Each axis has
+one RK4 segment, compiled on the first transport into straight-line code
+over them, whose sections are those of the dense 6x6 products bit for
+bit.  The round-trip residual re-derives the ODE coefficients from the
+reconstructed metric table, by `ode_from_metric`'s formula
+(`model.geodesic_coefficients`), with its first derivatives taken by
+fourth-order central differences across the grid so that it measures the
+transport rather than restating its equations, and compares them with the
+input.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite
-from operator import mul
 
 from .expressions import compile_derivatives
 from .invariants import (
@@ -154,62 +157,121 @@ def connection_values(evaluate, point):
                               0.0, CONNECTION_FLOATS)
 
 
-def _neg_mat_vec(m, v):
-    return [-sum(map(mul, row, v)) for row in m]
+class _StructuralZero(float):
+    """The zero `connection_formula` is given, told apart from every value
+    it computes: arithmetic on a float subclass returns plain floats."""
 
 
-def _axpy(v, a, w):
-    return [vi + a * wi for vi, wi in zip(v, w)]
+def _connection_pattern():
+    """The structural nonzeros of (O1, O2): for each matrix, the columns
+    of each row where `connection_formula` does not place its zero.  The
+    constants +-1 and -1/2 are nonzeros.  Read off the formula itself, run
+    once on a zero it can only place, so the connection is stated once."""
+    z = _StructuralZero()
+    pair = connection_formula(((1.0,) * 6,) * 4, z, CONNECTION_FLOATS)
+    return tuple(tuple(tuple(j for j, e in enumerate(row) if e is not z)
+                       for row in m) for m in pair)
 
 
-def _rk4_segment(omegas, grid, start, axis, direction, psi):
-    """One grid edge, from grid node `start` to its neighbour `direction`
-    (+1 or -1) along `axis`: integrate dPsi/dt = -O_axis Psi by RK4.  The
-    RK4 nodes are the 2 substeps + 1 lattice nodes along the edge, and
-    `omegas` maps a lattice index to the connection values there."""
-    substeps = grid.substeps
-    h = direction * float(grid.h) / substeps
-    first = [2 * substeps * c for c in start]
-    cur = list(psi)
+@cache
+def _rk4_kernels():
+    """(nonzeros, segments), compiled on the first transport from the
+    structural nonzeros of (O1, O2).
 
-    def omega(s):
-        node = list(first)
-        node[axis] += direction * s
-        return omegas(tuple(node))[axis]
+    `nonzeros(pair)` takes the pair to a tuple of each matrix's nonzeros
+    in row-major order, which is what the lattice cache keeps of a node.
+    `segments[axis](ms, psi, h)` is classical RK4 along one grid edge in
+    direction `axis`, integrating dPsi/dt = -O_axis Psi with step h from
+    psi, where `ms` holds the nonzeros of O_axis at the edge's 2 substeps
+    + 1 lattice nodes in order.  It is straight-line code: psi and the
+    stages stay in locals, and row i of a stage is -(0.0 + m_i0*v0 +
+    m_i1*v1 + ...) over that row's nonzeros, in column order.  A dense row
+    would add 0.0*v_j, +-0.0 for a finite v_j, to a sum that starts at +0.0
+    and so never becomes -0.0, which leaves every finite value unchanged;
+    a non-finite v_j makes the node's section non-finite either way."""
+    pattern = _connection_pattern()
 
-    for k in range(substeps):
-        m0 = omega(2 * k)
-        mh = omega(2 * k + 1)
-        m1 = omega(2 * k + 2)
-        k1 = _neg_mat_vec(m0, cur)
-        k2 = _neg_mat_vec(mh, _axpy(cur, h / 2.0, k1))
-        k3 = _neg_mat_vec(mh, _axpy(cur, h / 2.0, k2))
-        k4 = _neg_mat_vec(m1, _axpy(cur, h, k3))
-        cur = [
-            c + h / 6.0 * (a + 2.0 * b + 2.0 * cc + dd)
-            for c, a, b, cc, dd in zip(cur, k1, k2, k3, k4)
-        ]
-    return cur
+    def names(m, rows):
+        return [(i, j, "%s_%d%d" % (m, i, j))
+                for i, cols in enumerate(rows) for j in cols]
+
+    def joined(m, rows):
+        return ", ".join(name for _, _, name in names(m, rows))
+
+    def unpack(m, rows):  # "(m_00, m_01, _, ...), ..." with _ for zeros
+        nonzero = {(i, j): name for i, j, name in names(m, rows)}
+        return "(%s)" % ", ".join("(%s)" % ", ".join(
+            nonzero.get((i, j), "_") for j in range(6)) for i in range(6))
+
+    def segment(axis, rows):
+        def stage(k, m, v):
+            return "".join("        %s_%d = -(%s)\n" % (k, i, " + ".join(
+                ["0.0"] + ["%s_%d%d*%s%d" % (m, i, j, v, j) for j in cols]))
+                for i, cols in enumerate(rows))
+
+        def axpy(a, k):
+            return "".join("        t%d = c%d + %s*%s_%d\n"
+                           % (i, i, a, k, i) for i in range(6))
+
+        return (
+            "def segment%d(ms, psi, h):\n"
+            "    %s = psi\n"
+            "    h2 = h / 2.0\n"
+            "    h6 = h / 6.0\n"
+            "    nodes = iter(ms)\n"
+            "    %s = next(nodes)\n"
+            "    for (%s), (%s) in zip(nodes, nodes):\n"
+            % (axis, psi, joined("m0", rows), joined("mh", rows),
+               joined("m1", rows))
+            + stage("k1", "m0", "c") + axpy("h2", "k1")
+            + stage("k2", "mh", "t") + axpy("h2", "k2")
+            + stage("k3", "mh", "t") + axpy("h", "k3")
+            + stage("k4", "m1", "t")
+            + "".join("        c%d = c%d + h6*(k1_%d + 2.0*k2_%d + 2.0*k3_%d"
+                      " + k4_%d)\n" % ((i,) * 6) for i in range(6))
+            + "        %s = %s\n" % (joined("m0", rows), joined("m1", rows))
+            + "    return (%s)\n" % psi)
+
+    psi = ", ".join("c%d" % i for i in range(6))
+    o1, o2 = pattern
+    source = (
+        "def nonzeros(pair):\n"
+        "    %s, %s = pair\n"
+        "    return (%s), (%s)\n"
+        % (unpack("a", o1), unpack("b", o2), joined("a", o1), joined("b", o2))
+        + segment(0, o1) + segment(1, o2))
+    namespace = {"__builtins__": {}, "iter": iter, "next": next, "zip": zip}
+    exec(compile(source, "<rk4 kernels>", "exec"), namespace)
+    return namespace["nonzeros"], (namespace["segment0"],
+                                   namespace["segment1"])
 
 
 def _march(omegas, grid, seed, first_axis):
     """Fill the grid by transporting along `first_axis` from the centre,
-    then along the other axis from each anchor."""
+    then along the other axis from each anchor.  Grid node (i, j) is
+    lattice node (2 substeps i, 2 substeps j)."""
     offs = grid.offsets()
-    psi = {(0, 0): list(seed)}
-
     offs_set = set(offs)
+    span = 2 * grid.substeps
+    psi = {(0, 0): seed}
+
+    segments = _rk4_kernels()[1]
 
     def sweep(anchor, axis):
-        ai, aj = anchor
+        segment = segments[axis]
+        fixed = span * anchor[1 - axis]
         for direction in (1, -1):
-            cur = list(psi[anchor])
-            pos = ai if axis == 0 else aj
+            h = direction * float(grid.h) / grid.substeps
+            cur = psi[anchor]
+            pos = anchor[axis]
             while pos + direction in offs_set:
-                start = (pos, aj) if axis == 0 else (ai, pos)
-                cur = _rk4_segment(omegas, grid, start, axis, direction, cur)
+                lo = span * pos
+                line = range(lo, lo + direction * (span + 1), direction)
+                ms = ([omegas((t, fixed))[0] for t in line] if axis == 0
+                      else [omegas((fixed, t))[1] for t in line])
+                cur = segment(ms, cur, h)
                 pos += direction
-                psi[(pos, aj) if axis == 0 else (ai, pos)] = list(cur)
+                psi[(pos, anchor[1]) if axis == 0 else (anchor[0], pos)] = cur
 
     second_axis = 1 - first_axis
     sweep((0, 0), first_axis)
@@ -227,10 +289,11 @@ def transport(structure, seed, grid):
     where either section is not finite raises SingularEvaluationError."""
     seed = initial_section(seed)
     evaluate = compile_structure(structure)
+    nonzeros = _rk4_kernels()[0]
 
     @cache
     def omegas(node):
-        return connection_values(evaluate, grid.lattice_point(*node))
+        return nonzeros(connection_values(evaluate, grid.lattice_point(*node)))
 
     psi_a = _march(omegas, grid, seed, 0)
     psi_b = _march(omegas, grid, seed, 1)
@@ -245,13 +308,7 @@ def transport(structure, seed, grid):
         d = max(abs(a - b) for a, b in zip(va, vb))
         defects[key] = d
         worst = max(worst, d)
-    return PsiSection(
-        grid,
-        tuple(seed),
-        {k: tuple(v) for k, v in psi_a.items()},
-        worst,
-        defects,
-    )
+    return PsiSection(grid, seed, psi_a, worst, defects)
 
 
 def reconstruct_metric(section):

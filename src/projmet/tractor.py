@@ -42,10 +42,13 @@ _VARS = ("x", "y")
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 _IDX2 = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
-F12 = Fraction(1, 2)
-F14 = Fraction(1, 4)
-F52 = Fraction(5, 2)
-F152 = Fraction(15, 2)
+# The stack's constants 1/2, 1/4, 5/2 and 15/2, for exact operands and as
+# floats.  Each function joins them to its operands' arithmetic once per
+# call, since a Fraction meeting a float takes Fraction's slow fallback to
+# the same product; all four are dyadic, so the floats are the same bits.
+STACK_RATIONALS = (Fraction(1, 2), Fraction(1, 4), Fraction(5, 2),
+                   Fraction(15, 2))
+STACK_FLOATS = tuple(float(c) for c in STACK_RATIONALS)
 
 
 class ContractionLayoutError(ValueError):
@@ -154,6 +157,7 @@ STACK_ORDER = 5
 def tractor_data(conn):
     if conn.order < STACK_ORDER:
         raise InsufficientOrderError(STACK_ORDER, conn.order)
+    F12 = (STACK_RATIONALS if conn.s.exact else STACK_FLOATS)[0]
     g = conn.gamma
     p = schouten(conn)
     np_ = _covd(p, g)
@@ -174,6 +178,8 @@ def theta_bar(td):
     formulas run on the tensors' values, and the entries are plain
     Fractions or floats: the order-0 jets' values, bit for bit.
     """
+    F12, F14, F52, F152 = (STACK_RATIONALS if td.conn.s.exact
+                           else STACK_FLOATS)
     g = td.conn.gamma
     target = td.conn.order - STACK_ORDER
     nz = _covd(td.z, g)
@@ -397,6 +403,10 @@ def projective_change(theta, omega):
     untouched (all operations add multiples of earlier block rows/columns).
     """
     w = omega
+    # every product with 1/2 has a factor of omega
+    floats = any(isinstance(v, float) or isinstance(v, Jet) and not v.exact
+                 for v in w)
+    F12 = (STACK_FLOATS if floats else STACK_RATIONALS)[0]
     top = theta[0]
     mid = [list(row) for row in theta]
     for c in (0, 1):

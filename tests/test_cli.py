@@ -280,6 +280,44 @@ def test_job_over_a_cap_exits_three_before_jet_work(
     assert str(value - 1) in report["error"]
 
 
+def test_grid_over_the_node_cap_exits_three_before_jet_work(
+        tmp_path, capsys, monkeypatch):
+    """n and substeps at their caps would evaluate and keep the connection
+    at 10,251,201 RK4 nodes: refused at once."""
+    data = json.loads((INPUTS / "exp-family-c1.json").read_text())
+    data["grid"].update(n=cli.MAX_GRID_N, substeps=cli.MAX_SUBSTEPS)
+
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet work started")
+
+    monkeypatch.setattr(cli, "decide_metrisability", no_jets)
+    code, report = run_cli(capsys, "recover", "--input",
+                           _write_job(tmp_path, data))
+    assert code == 3
+    assert report["error"] == (
+        "grid needs at most 125000 RK4 nodes, 2 n (2 substeps (n - 1) + 1)"
+        " - n^2; got 10251201")
+
+
+@pytest.mark.parametrize("n, substeps, nodes", [
+    (50, 13, 125_000), (201, 1, 120_801), (22, 64, 117_832),
+    (51, 13, 130_101), (50, 14, 134_800), (23, 64, 129_053),
+])
+def test_grid_node_cap_admits_exactly_the_grids_under_it(
+        tmp_path, n, substeps, nodes):
+    """n = 50 with 13 substeps is the largest grid the cap admits, with
+    exactly MAX_GRID_NODES nodes; it is read, not run."""
+    data = json.loads((INPUTS / "exp-family-c1.json").read_text())
+    data["grid"].update(n=n, substeps=substeps)
+    job = cli.load_job(_write_job(tmp_path, data))
+    if nodes <= cli.MAX_GRID_NODES:
+        grid = cli._grid_in(job)
+        assert (grid.n, grid.substeps) == (n, substeps)
+    else:
+        with pytest.raises(cli.InputError, match="got %d$" % nodes):
+            cli._grid_in(job)
+
+
 def _terms(term, count):
     return "+".join([term] * count)
 

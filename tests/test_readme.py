@@ -50,6 +50,7 @@ def test_readme_constants_match_the_code():
         r"`order`: jet order \([^)]*at most (\d+)\)": cli.MAX_ORDER,
         r"`n` at most (\d+)": cli.MAX_GRID_N,
         r"`substeps` at most (\d+)": cli.MAX_SUBSTEPS,
+        r"`MAX_GRID_NODES` = (\d+)": cli.MAX_GRID_NODES,
         r"`LOOP_TOL` = ([\d.e+-]+)": recovery.LOOP_TOL,
         r"`DEGENERATE_TOL` = ([\d.e+-]+)": recovery.DEGENERATE_TOL,
         r"`WITNESS_TOL` = ([\d.e+-]+)": recovery.WITNESS_TOL,

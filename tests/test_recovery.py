@@ -1,13 +1,21 @@
 """Parallel transport of a witness and metric reconstruction."""
 
+import dataclasses
+import functools
 import math
+import operator
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from projmet import cli, recovery
-from projmet.invariants import JetStructure
+from projmet.invariants import (
+    CONNECTION_FLOATS,
+    JetStructure,
+    connection_formula,
+)
 from projmet.jets import SingularEvaluationError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.recovery import (
@@ -230,3 +238,144 @@ def test_transport_singular_node_raises_singular_evaluation():
         transport(s, (1.0, 0.0, 0.5, 0.0, 0.0, 0.0), grid)
     assert err.value.base == (0.125, 0.0)
 
+
+
+def test_connection_pattern_is_the_formula_s_structural_nonzeros():
+    """On seeded random derivatives, every entry of (O1, O2) outside the
+    pattern the RK4 segments are compiled for is exactly 0.0, and every
+    entry in it is nonzero: an edit of `connection_formula` that moves a
+    nonzero cannot leave the segments stale."""
+    rng = random.Random(20260)
+    pattern = recovery._connection_pattern()
+    assert [sum(map(len, m)) for m in pattern] == [19, 19]
+    for _ in range(200):
+        derivs = tuple(tuple(rng.uniform(-3.0, 3.0) for _ in range(6))
+                       for _ in range(4))
+        pair = connection_formula(derivs, 0.0, CONNECTION_FLOATS)
+        for m, rows in zip(pair, pattern):
+            for row, cols in zip(m, rows):
+                for j, e in enumerate(row):
+                    if j in cols:
+                        assert e != 0.0
+                    else:
+                        assert e == 0.0 and type(e) is float
+
+
+# The dense RK4 that the compiled segments replaced, kept as the reference:
+# every row sums all six products, structural zeros included, from 0.0 left
+# to right (what `sum` did through Python 3.11; later versions compensate
+# float sums, so the fold is spelled out).
+def _neg_mat_vec(m, v):
+    return [-functools.reduce(operator.add, map(operator.mul, row, v), 0.0)
+            for row in m]
+
+
+def _axpy(v, a, w):
+    return [vi + a * wi for vi, wi in zip(v, w)]
+
+
+def _rk4_segment(omegas, grid, start, axis, direction, psi):
+    substeps = grid.substeps
+    h = direction * float(grid.h) / substeps
+    first = [2 * substeps * c for c in start]
+    cur = list(psi)
+
+    def omega(s):
+        node = list(first)
+        node[axis] += direction * s
+        return omegas(tuple(node))[axis]
+
+    for k in range(substeps):
+        m0 = omega(2 * k)
+        mh = omega(2 * k + 1)
+        m1 = omega(2 * k + 2)
+        k1 = _neg_mat_vec(m0, cur)
+        k2 = _neg_mat_vec(mh, _axpy(cur, h / 2.0, k1))
+        k3 = _neg_mat_vec(mh, _axpy(cur, h / 2.0, k2))
+        k4 = _neg_mat_vec(m1, _axpy(cur, h, k3))
+        cur = [
+            c + h / 6.0 * (a + 2.0 * b + 2.0 * cc + dd)
+            for c, a, b, cc, dd in zip(cur, k1, k2, k3, k4)
+        ]
+    return cur
+
+
+def _dense_march(omegas, grid, seed, first_axis):
+    offs = grid.offsets()
+    psi = {(0, 0): list(seed)}
+    offs_set = set(offs)
+
+    def sweep(anchor, axis):
+        ai, aj = anchor
+        for direction in (1, -1):
+            cur = list(psi[anchor])
+            pos = ai if axis == 0 else aj
+            while pos + direction in offs_set:
+                start = (pos, aj) if axis == 0 else (ai, pos)
+                cur = _rk4_segment(omegas, grid, start, axis, direction, cur)
+                pos += direction
+                psi[(pos, aj) if axis == 0 else (ai, pos)] = list(cur)
+
+    sweep((0, 0), first_axis)
+    for o in offs:
+        sweep((o, 0) if first_axis == 0 else (0, o), 1 - first_axis)
+    return psi
+
+
+def _dense_transport(structure, seed, grid):
+    """(section, defects) of the dense march, or the message of the
+    SingularEvaluationError at its first non-finite node."""
+    evaluate = compile_structure(structure)
+
+    @functools.cache
+    def omegas(node):
+        return connection_values(evaluate, grid.lattice_point(*node))
+
+    psi_a = _dense_march(omegas, grid, seed, 0)
+    psi_b = _dense_march(omegas, grid, seed, 1)
+    for key, va in psi_a.items():
+        vb = psi_b[key]
+        if not all(map(math.isfinite, va + vb)):
+            return str(SingularEvaluationError(
+                "transported section is not finite at grid node (%d, %d)"
+                % key, grid.point(*key)))
+    return ({k: tuple(v) for k, v in psi_a.items()},
+            {k: max(abs(a - b) for a, b in zip(va, psi_b[k]))
+             for k, va in psi_a.items()})
+
+
+def _compiled_transport(structure, seed, grid):
+    try:
+        section = transport(structure, seed, grid)
+    except SingularEvaluationError as err:
+        return str(err)
+    return section.psi, section.defects
+
+
+# A seed of signed zeros shows the sign of every zero the rows sum.
+@pytest.mark.parametrize("seed", [(1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                                  (1.0, -0.0, 1.0, -0.0, -0.0, -0.0)],
+                         ids=["zeros", "negative-zeros"])
+@pytest.mark.parametrize("substeps", [1, 4])
+@pytest.mark.parametrize("n", [9, 21])
+@pytest.mark.parametrize("name", ["exp-family-c1", "liouville-metric",
+                                  "flat"])
+def test_compiled_segments_match_the_dense_rk4_bit_for_bit(name, n,
+                                                           substeps, seed):
+    job = cli.load_job(str(INPUTS / (name + ".json")))
+    grid = dataclasses.replace(cli._grid_in(job), h=0.05, n=n,
+                               substeps=substeps)
+    got = _compiled_transport(job.structure, seed, grid)
+    assert repr(got) == repr(_dense_transport(job.structure, seed, grid))
+
+
+@pytest.mark.parametrize("a", ["10^150*x", "exp(60*x)", "exp(30*x+30*y)"])
+def test_compiled_segments_stop_at_the_dense_rk4_s_non_finite_node(a):
+    """Where the section overflows, the compiled segments raise at the
+    node the dense march first leaves the floats."""
+    s = ProjectiveStructure.from_exprs(a, "0", "0", a)
+    grid = GridSpec(center=(0.0, 0.0), h=0.5, n=9, substeps=1)
+    seed = (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    got = _compiled_transport(s, seed, grid)
+    assert isinstance(got, str) and "not finite" in got
+    assert got == _dense_transport(s, seed, grid)
