@@ -700,14 +700,15 @@ def _at_point(evaluate, x, y):
 def compile_derivatives(trees, words):
     """Differentiate each tree once along every word (letters applied left
     to right, "" is the tree) and compile them all with `compile_float`.
-    The returned function gives the values tree-major: every word of the
-    first tree, then every word of the second, and so on.  All words share
-    one `differentiate` memo per letter: a second derivative embeds
-    subtrees of the tree that the first derivatives have already derived,
-    and the trees of one structure share subtrees too."""
+    `words[k]` are the words of tree k.  The returned function gives the
+    values tree-major: every word of the first tree, then every word of the
+    second, and so on.  All words share one `differentiate` memo per
+    letter: a second derivative embeds subtrees of the tree that the first
+    derivatives have already derived, and the trees of one structure share
+    subtrees too."""
     derived = []
     letters = {"x": {}, "y": {}}
-    for t in trees:
+    for t, tree_words in zip(trees, words):
         memo = {"": t}
 
         def along(word):
@@ -717,5 +718,5 @@ def compile_derivatives(trees, words):
                                            letters.get(var))
             return memo[word]
 
-        derived.extend(along(w) for w in words)
+        derived.extend(along(w) for w in tree_words)
     return compile_float(derived)

@@ -146,6 +146,7 @@ def _liouville_L(a):
     if n < 2:
         raise InsufficientOrderError(2, n)
     m = n - 2
+    F13, F23 = (CONNECTION_RATIONALS if a0.exact else CONNECTION_FLOATS)[:2]
     d = lambda j, v: j.diff(v).truncated(m)
     dd = lambda j, u, v: j.diff(u).diff(v)
     t = lambda j: j.truncated(m)
@@ -200,6 +201,7 @@ def _vector_V(js):
     l1x, l1y = l1j.diff("x"), l1j.diff("y")
     l2x, l2y = l2j.diff("x"), l2j.diff("y")
     a0, a1, a2, a3 = (j.truncated(m) for j in js.a)
+    F43 = (CONNECTION_RATIONALS if js.exact else CONNECTION_FLOATS)[2]
     return (
         2 * l2y + 4 * a2 * l2 + 8 * a3 * l1,
         -2 * l1y - 2 * l2x - F43 * a1 * l2 + F43 * a2 * l1,
@@ -215,7 +217,8 @@ def _vector_V(js):
 CONNECTION_WORDS = ("", "x", "y", "xx", "xy", "yy")
 
 # The rational constants of the connection formulas, and their floats: a
-# Fraction times a float is the same float product, but much slower.
+# Fraction times a float is the same float product, but much slower.  L, V
+# and the tractor's trace-free symbols read the first three too.
 CONNECTION_RATIONALS = (F13, F23, F43, F89, F169, F49, F29, F83, F203)
 CONNECTION_FLOATS = tuple(float(c) for c in CONNECTION_RATIONALS)
 

@@ -13,17 +13,19 @@ reversed order as a consistency check) and undoing the substitution
     Delta = psi1 psi3 - psi2^2
 
 by `model.section_to_metric`, with Delta from `invariants.genericity_P`,
-yields the metric.  The connection is evaluated on plain floats: the four
-coefficient trees are differentiated once (value, first and second
-derivatives) and compiled into one straight-line float function, whose
-values feed the same formulas that give the connection as jets
-(`invariants.connection_formula`).  The RK4 nodes lie on the lattice of
-spacing h / (2 substeps) and are cached by integer lattice index, so each
-distinct node is evaluated once; the cache keeps the 19 structural
-nonzeros of each matrix, which the formula itself shows.  Each axis has
+yields the metric.  The connection is evaluated on plain floats, one axis
+at a time.  `invariants.connection_formula`, which gives the connection
+as jets, is traced once into a straight-line kernel per axis, from the 17
+of the coefficients' 24 values and first and second derivatives that O1
+or O2 reads to that matrix's 19 structural nonzeros, and for each axis
+the coefficient trees are differentiated along the words it reads and
+compiled into one float function.  The RK4 nodes lie on the lattice of spacing
+h / (2 substeps) and are cached by integer lattice index, so each
+distinct node is evaluated once, for the axes it is integrated along: O1
+on a grid row, O2 on a grid column, both at a grid node.  Each axis has
 one RK4 segment, compiled on the first transport into straight-line code
-over them, whose sections are those of the dense 6x6 products bit for
-bit.  The round-trip residual re-derives the ODE coefficients from the
+over the nonzeros, whose sections are those of the dense 6x6 products bit
+for bit.  The round-trip residual re-derives the ODE coefficients from the
 reconstructed metric table, by `ode_from_metric`'s formula
 (`model.geodesic_coefficients`), with its first derivatives taken by
 fourth-order central differences across the grid so that it measures the
@@ -33,6 +35,7 @@ input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite
@@ -142,44 +145,126 @@ def initial_section(witness):
     return tuple(w)
 
 
-def compile_structure(structure):
-    """Float function (x, y) -> the four coefficients along
-    CONNECTION_WORDS, coefficient-major: 24 values."""
-    return compile_derivatives(structure.coefficients, CONNECTION_WORDS)
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv}
 
 
-def connection_values(evaluate, point):
-    """Value matrices of the prolonged connection pair at a float point;
-    `evaluate` is what `compile_structure` makes of the structure, so that
-    a transport differentiates and compiles the coefficients once."""
-    v = evaluate(float(point[0]), float(point[1]))
-    return connection_formula((v[0:6], v[6:12], v[12:18], v[18:24]),
-                              0.0, CONNECTION_FLOATS)
+def _traced(op, reflected=False):
+    """The `_Traced` method for `self op other`, or `other op self`.  Two
+    constants fold; any other operation is a line of `ops`, text ->
+    (temporary, operands), added once per distinct text, since one IEEE
+    operation on the same inputs gives the same bits."""
+
+    def method(self, other):
+        if not isinstance(other, _Traced):
+            other = _Traced(repr(float(other)), self.ops, float(other))
+        a, b = (other, self) if reflected else (self, other)
+        if a.value is not None and b.value is not None:
+            value = _FOLD[op](a.value, b.value)
+            return _Traced(repr(value), self.ops, value)
+        text = "%s %s %s" % (a.text, op, b.text)
+        if text not in self.ops:
+            self.ops[text] = ("t%d" % len(self.ops), (a.text, b.text))
+        return _Traced(self.ops[text][0], self.ops)
+
+    return method
 
 
-class _StructuralZero(float):
-    """The zero `connection_formula` is given, told apart from every value
-    it computes: arithmetic on a float subclass returns plain floats."""
+class _Traced:
+    """A float of `connection_formula` traced on symbols: `text` names a
+    derivative value or a temporary, or is the `repr` of a constant, whose
+    `value` it then holds.  The formula negates only constants: negating
+    any other traced value raises TypeError."""
 
+    __slots__ = ("text", "value", "ops")
 
-def _connection_pattern():
-    """The structural nonzeros of (O1, O2): for each matrix, the columns
-    of each row where `connection_formula` does not place its zero.  The
-    constants +-1 and -1/2 are nonzeros.  Read off the formula itself, run
-    once on a zero it can only place, so the connection is stated once."""
-    z = _StructuralZero()
-    pair = connection_formula(((1.0,) * 6,) * 4, z, CONNECTION_FLOATS)
-    return tuple(tuple(tuple(j for j, e in enumerate(row) if e is not z)
-                       for row in m) for m in pair)
+    def __init__(self, text, ops, value=None):
+        self.text, self.ops, self.value = text, ops, value
+
+    __add__ = _traced("+")
+    __radd__ = _traced("+", True)
+    __sub__ = _traced("-")
+    __rsub__ = _traced("-", True)
+    __mul__ = _traced("*")
+    __rmul__ = _traced("*", True)
+    __truediv__ = _traced("/")
+    __rtruediv__ = _traced("/", True)
+
+    def __neg__(self):
+        return _Traced(repr(-self.value), self.ops, -self.value)
 
 
 @cache
-def _rk4_kernels():
-    """(nonzeros, segments), compiled on the first transport from the
+def _connection_kernels():
+    """Per axis, (words, kernel, rows), traced from `connection_formula`
+    on the first transport.
+
+    The formula runs once on symbols (`_Traced`) and a zero it can only
+    place.  `rows` are the structural nonzeros of O1 or O2: for each row,
+    the columns where the formula does not place that zero; the constants
+    +-1 and -1/2 are nonzeros.  `kernel` is straight-line code, one line
+    per distinct operation of the trace that the matrix reads, in the
+    formula's operand order, taking the derivative values the matrix
+    reads, coefficient-major, to its nonzeros in row-major order.
+    `words[k]` are the words of A_k it reads, along CONNECTION_WORDS."""
+    ops = {}
+    names = [["a%d%s" % (k, w or "t") for w in CONNECTION_WORDS]
+             for k in range(4)]
+    z = _Traced("0.0", ops, 0.0)
+    pair = connection_formula(
+        [[_Traced(name, ops) for name in row] for row in names], z,
+        CONNECTION_FLOATS)
+    operands = dict(ops.values())
+    axes = []
+    for m in pair:
+        rows = tuple(tuple(j for j, e in enumerate(row) if e is not z)
+                     for row in m)
+        out = [e.text for row in m for e in row if e is not z]
+        read, todo = set(), list(out)
+        while todo:
+            name = todo.pop()
+            if name not in read:
+                read.add(name)
+                todo += operands.get(name, ())
+        words = tuple(tuple(w for w, name in zip(CONNECTION_WORDS, row)
+                            if name in read) for row in names)
+        source = "def kernel(v):\n    %s, = v\n%s    return (%s,)\n" % (
+            ", ".join(name for row in names for name in row if name in read),
+            "".join("    %s = %s\n" % (t, text)
+                    for text, (t, _) in ops.items() if t in read),
+            ", ".join(out))
+        namespace = {"__builtins__": {}}
+        exec(compile(source, "<connection kernel>", "exec"), namespace)
+        axes.append((words, namespace["kernel"], rows))
+    return tuple(axes)
+
+
+def compile_structure(structure):
+    """Per axis, (values, kernel): `values` is a float function (x, y) ->
+    the derivative values of the four coefficients that the axis's kernel
+    reads, compiled over only those words, and `kernel` takes them to the
+    structural nonzeros of O1 or of O2 (`_connection_kernels`)."""
+    return tuple((compile_derivatives(structure.coefficients, words), kernel)
+                 for words, kernel, _ in _connection_kernels())
+
+
+def connection_values(evaluate, point):
+    """The structural nonzeros of O1 and of O2 at a float point, in
+    row-major order, or None for an axis whose entry of `evaluate` is None.
+    `evaluate` is what `compile_structure` makes of the structure, so that
+    a transport compiles the coefficients once, with None for each axis a
+    node is not integrated along."""
+    x, y = float(point[0]), float(point[1])
+    o1, o2 = evaluate
+    return (None if o1 is None else o1[1](o1[0](x, y)),
+            None if o2 is None else o2[1](o2[0](x, y)))
+
+
+@cache
+def _rk4_segments():
+    """The RK4 segments, compiled on the first transport from the
     structural nonzeros of (O1, O2).
 
-    `nonzeros(pair)` takes the pair to a tuple of each matrix's nonzeros
-    in row-major order, which is what the lattice cache keeps of a node.
     `segments[axis](ms, psi, h)` is classical RK4 along one grid edge in
     direction `axis`, integrating dPsi/dt = -O_axis Psi with step h from
     psi, where `ms` holds the nonzeros of O_axis at the edge's 2 substeps
@@ -189,19 +274,9 @@ def _rk4_kernels():
     would add 0.0*v_j, +-0.0 for a finite v_j, to a sum that starts at +0.0
     and so never becomes -0.0, which leaves every finite value unchanged;
     a non-finite v_j makes the node's section non-finite either way."""
-    pattern = _connection_pattern()
-
-    def names(m, rows):
-        return [(i, j, "%s_%d%d" % (m, i, j))
-                for i, cols in enumerate(rows) for j in cols]
-
     def joined(m, rows):
-        return ", ".join(name for _, _, name in names(m, rows))
-
-    def unpack(m, rows):  # "(m_00, m_01, _, ...), ..." with _ for zeros
-        nonzero = {(i, j): name for i, j, name in names(m, rows)}
-        return "(%s)" % ", ".join("(%s)" % ", ".join(
-            nonzero.get((i, j), "_") for j in range(6)) for i in range(6))
+        return ", ".join("%s_%d%d" % (m, i, j)
+                         for i, cols in enumerate(rows) for j in cols)
 
     def segment(axis, rows):
         def stage(k, m, v):
@@ -233,17 +308,11 @@ def _rk4_kernels():
             + "    return (%s)\n" % psi)
 
     psi = ", ".join("c%d" % i for i in range(6))
-    o1, o2 = pattern
-    source = (
-        "def nonzeros(pair):\n"
-        "    %s, %s = pair\n"
-        "    return (%s), (%s)\n"
-        % (unpack("a", o1), unpack("b", o2), joined("a", o1), joined("b", o2))
-        + segment(0, o1) + segment(1, o2))
+    source = "".join(segment(axis, rows) for axis, (_, _, rows)
+                     in enumerate(_connection_kernels()))
     namespace = {"__builtins__": {}, "iter": iter, "next": next, "zip": zip}
-    exec(compile(source, "<rk4 kernels>", "exec"), namespace)
-    return namespace["nonzeros"], (namespace["segment0"],
-                                   namespace["segment1"])
+    exec(compile(source, "<rk4 segments>", "exec"), namespace)
+    return namespace["segment0"], namespace["segment1"]
 
 
 def _march(omegas, grid, seed, first_axis):
@@ -255,7 +324,7 @@ def _march(omegas, grid, seed, first_axis):
     span = 2 * grid.substeps
     psi = {(0, 0): seed}
 
-    segments = _rk4_kernels()[1]
+    segments = _rk4_segments()
 
     def sweep(anchor, axis):
         segment = segments[axis]
@@ -288,12 +357,15 @@ def transport(structure, seed, grid):
     the loop defect, whose maximum is the path-dependence measure.  A node
     where either section is not finite raises SingularEvaluationError."""
     seed = initial_section(seed)
-    evaluate = compile_structure(structure)
-    nonzeros = _rk4_kernels()[0]
+    o1, o2 = compile_structure(structure)
+    span = 2 * grid.substeps
 
     @cache
     def omegas(node):
-        return nonzeros(connection_values(evaluate, grid.lattice_point(*node)))
+        # a node on a grid row is on an x-line, on a grid column a y-line
+        return connection_values((o1 if node[1] % span == 0 else None,
+                                  o2 if node[0] % span == 0 else None),
+                                 grid.lattice_point(*node))
 
     psi_a = _march(omegas, grid, seed, 0)
     psi_b = _march(omegas, grid, seed, 1)

@@ -35,6 +35,7 @@ from itertools import product
 from operator import itemgetter
 
 from . import jets as jetlib
+from .invariants import CONNECTION_FLOATS, CONNECTION_RATIONALS
 from .jets import Jet, InsufficientOrderError, mul_sub
 from .linalg import is_exact_matrix
 
@@ -73,7 +74,7 @@ class AffineConnection:
         """Trace-free symbols of the ODE coefficients; their zero trace
         makes the constant scale s = 1 parallel."""
         a0, a1, a2, a3 = js.a
-        f13 = Fraction(1, 3)
+        f13 = (CONNECTION_RATIONALS if js.exact else CONNECTION_FLOATS)[0]
         gamma = (
             ((f13 * a1, f13 * a2), (f13 * a2, a3)),
             ((-a0, -f13 * a1), ((-f13) * a1, (-f13) * a2)),

@@ -338,7 +338,7 @@ WORDS = ("", "x", "y", "xx", "xy", "yy")
 ])
 def test_compiled_derivatives_match_jet_partials(src, point):
     tree = parse_expr(src)
-    values = ex.compile_derivatives([tree], WORDS)(*point)
+    values = ex.compile_derivatives([tree], [WORDS])(*point)
     jet = eval_jet(tree, point, 2, "float")
     for word, v in zip(WORDS, values):
         ref = jet.partial(word.count("x"), word.count("y"))
@@ -347,7 +347,7 @@ def test_compiled_derivatives_match_jet_partials(src, point):
 
 def test_compiled_trees_are_tree_major_and_share_subtrees():
     a, b = parse_expr("exp(x*y)"), parse_expr("x*y+exp(x*y)")
-    f = ex.compile_derivatives([a, b], ("", "x"))
+    f = ex.compile_derivatives([a, b], [("", "x")] * 2)
     e = math.exp(0.5 * 2.0)
     assert f(0.5, 2.0) == pytest.approx((e, 2.0 * e, 1.0 + e, 2.0 + 2.0 * e))
     source = ex._float_source([a, b])
@@ -389,7 +389,7 @@ def test_compiled_singular_points_raise_singular_evaluation(
 
 
 def test_compiled_sqrt_derivative_at_zero_is_singular():
-    f = ex.compile_derivatives([parse_expr("sqrt(x)")], ("", "x"))
+    f = ex.compile_derivatives([parse_expr("sqrt(x)")], [("", "x")])
     assert f(4.0, 0.0) == (2.0, 0.25)
     with pytest.raises(SingularEvaluationError):
         f(0.0, 0.0)
@@ -582,7 +582,7 @@ def test_float_source_matches_the_reference_walk(name, structure, points,
     derivative trees `recover` compiles."""
     monkeypatch.setattr(ex, "compile_float", list)
     derived = ex.compile_derivatives(structure.coefficients,
-                                     invariants.CONNECTION_WORDS)
+                                     [invariants.CONNECTION_WORDS] * 4)
     for trees in (structure.coefficients, derived,
                   derived + list(structure.coefficients)):
         want = _source_outcome(_reference_float_source, trees)
@@ -659,7 +659,7 @@ def test_shared_derivatives_compile_to_the_unshared_source(name, structure,
                                                    word[-1])
         want.extend(along[w] for w in words)
     monkeypatch.setattr(ex, "compile_float", list)
-    got = ex.compile_derivatives(structure.coefficients, words)
+    got = ex.compile_derivatives(structure.coefficients, [words] * 4)
     assert got == want
     assert ex._float_source(got) == ex._float_source(want)
 
@@ -702,7 +702,7 @@ def test_compile_derivatives_derives_each_node_once_per_letter(monkeypatch):
     tree = ex.BinOp("*", u, ex.BinOp("+", u, ex.Call("sqrt", u)))
     monkeypatch.setattr(ex, "_derivative", counted)
     monkeypatch.setattr(ex, "compile_float", list)
-    ex.compile_derivatives([tree, u], ("", "x", "y", "xx", "xy", "yy"))
+    ex.compile_derivatives([tree, u], [("", "x", "y", "xx", "xy", "yy")] * 2)
     pairs = [(id(e), var) for e, var in seen]
     assert len(pairs) == len(set(pairs))
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import operator
 import pathlib
@@ -11,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from projmet import cli, recovery
+from projmet.expressions import compile_derivatives
 from projmet.invariants import (
     CONNECTION_FLOATS,
+    CONNECTION_WORDS,
     JetStructure,
     connection_formula,
 )
@@ -181,8 +184,19 @@ def _jet_connection_values(structure, point):
     return tuple([[e.value for e in row] for row in o] for o in (o1, o2))
 
 
+def _matrices(nonzeros):
+    """(O1, O2) as 6x6 matrices from each one's structural nonzeros in
+    row-major order, 0.0 elsewhere."""
+    pair = []
+    for values, (_, _, rows) in zip(nonzeros, recovery._connection_kernels()):
+        values = iter(values)
+        pair.append([[next(values) if j in cols else 0.0 for j in range(6)]
+                     for cols in rows])
+    return pair
+
+
 def _assert_connection_close(structure, point):
-    got = connection_values(compile_structure(structure), point)
+    got = _matrices(connection_values(compile_structure(structure), point))
     ref = _jet_connection_values(structure, point)
     for mg, mr in zip(got, ref):
         for rg, rr in zip(mg, mr):
@@ -242,23 +256,34 @@ def test_transport_singular_node_raises_singular_evaluation():
 
 def test_connection_pattern_is_the_formula_s_structural_nonzeros():
     """On seeded random derivatives, every entry of (O1, O2) outside the
-    pattern the RK4 segments are compiled for is exactly 0.0, and every
-    entry in it is nonzero: an edit of `connection_formula` that moves a
-    nonzero cannot leave the segments stale."""
+    traced pattern the kernels and RK4 segments are compiled for is exactly
+    the formula's zero, and on finite nonzero ones every entry in it is
+    nonzero: an edit of `connection_formula` that moves a nonzero cannot
+    leave them stale.  Each axis kernel returns the pattern's entries of
+    the formula's pair by `repr`, signed zeros, infinities and nan among
+    the derivative values included."""
     rng = random.Random(20260)
-    pattern = recovery._connection_pattern()
-    assert [sum(map(len, m)) for m in pattern] == [19, 19]
-    for _ in range(200):
-        derivs = tuple(tuple(rng.uniform(-3.0, 3.0) for _ in range(6))
-                       for _ in range(4))
+    kernels = recovery._connection_kernels()
+    assert [sum(map(len, rows)) for _, _, rows in kernels] == [19, 19]
+    assert [sum(map(len, words)) for words, _, _ in kernels] == [17, 17]
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    for trial in range(400):
+        finite = trial < 200
+        derivs = tuple(tuple(
+            rng.uniform(-3.0, 3.0) if finite or rng.random() < 0.6
+            else rng.choice(special) for _ in range(6)) for _ in range(4))
         pair = connection_formula(derivs, 0.0, CONNECTION_FLOATS)
-        for m, rows in zip(pair, pattern):
+        for m, (words, kernel, rows) in zip(pair, kernels):
+            read = [d[CONNECTION_WORDS.index(w)]
+                    for d, ws in zip(derivs, words) for w in ws]
+            assert repr(kernel(read)) == repr(tuple(
+                row[j] for row, cols in zip(m, rows) for j in cols))
             for row, cols in zip(m, rows):
                 for j, e in enumerate(row):
                     if j in cols:
-                        assert e != 0.0
+                        assert e != 0.0 or not finite
                     else:
-                        assert e == 0.0 and type(e) is float
+                        assert repr(e) == "0.0" and type(e) is float
 
 
 # The dense RK4 that the compiled segments replaced, kept as the reference:
@@ -324,12 +349,17 @@ def _dense_march(omegas, grid, seed, first_axis):
 
 def _dense_transport(structure, seed, grid):
     """(section, defects) of the dense march, or the message of the
-    SingularEvaluationError at its first non-finite node."""
-    evaluate = compile_structure(structure)
+    SingularEvaluationError at its first non-finite node.  Every node gets
+    both matrices from `connection_formula` on all 24 derivative values,
+    as the transport did before its per-axis kernels."""
+    evaluate = compile_derivatives(structure.coefficients,
+                                   [CONNECTION_WORDS] * 4)
 
     @functools.cache
     def omegas(node):
-        return connection_values(evaluate, grid.lattice_point(*node))
+        v = evaluate(*grid.lattice_point(*node))
+        return connection_formula((v[0:6], v[6:12], v[12:18], v[18:24]),
+                                  0.0, CONNECTION_FLOATS)
 
     psi_a = _dense_march(omegas, grid, seed, 0)
     psi_b = _dense_march(omegas, grid, seed, 1)
@@ -379,3 +409,77 @@ def test_compiled_segments_stop_at_the_dense_rk4_s_non_finite_node(a):
     got = _compiled_transport(s, seed, grid)
     assert isinstance(got, str) and "not finite" in got
     assert got == _dense_transport(s, seed, grid)
+
+
+# The outcomes of the transport that evaluated all 24 derivative values and
+# both matrices at every lattice node, on structures with singular nodes
+# and grids centred at (0, 0) with h = 0.05: the SingularEvaluationError's
+# message and base, or the first 16 hex digits of the sha256 of the repr of
+# the section and its defects.  An ODE coefficient is placed in each of
+# A0..A3 in turn, the others 0; a list holds one outcome per place.
+SINGULAR_OUTCOMES = [
+    ("E=1+x*y, F=0, G=2+1/(x-1/8)", 9, 4,
+     ("division by zero (base point (0.125, 0.0))", (0.125, 0.0))),
+    ("E=1+x*y, F=0, G=2+1/(x-1/8)", 5, 1, "2afbb38ddc8c9067"),
+    ("E=1+x*y, F=0, G=2+sqrt(x+1/10)", 9, 4,
+     ("sqrt of a non-positive value (base point (-0.1, 0.0))", (-0.1, 0.0))),
+    ("E=1+x*y, F=0, G=2+sqrt(x+1/10)", 5, 1,
+     ("sqrt of a non-positive value (base point (-0.1, 0.0))", (-0.1, 0.0))),
+    ("E=1+x*y, F=0, G=2+log(y+1/8)", 9, 4,
+     ("log of a non-positive value (base point (-0.2, -0.125))",
+      (-0.2, -0.125))),
+    ("E=1+x*y, F=0, G=2+log(y+1/8)", 5, 1, "262299578cd0b842"),
+    ("x^(-1)", 9, 4, ("zero raised to a negative power (base point "
+                      "(0.0, 0.0))", (0.0, 0.0))),
+    ("x^(-1)", 5, 1, ("zero raised to a negative power (base point "
+                      "(0.0, 0.0))", (0.0, 0.0))),
+    ("sqrt(1/16 - x)", 9, 4, ("sqrt of a non-positive value (base point "
+                              "(0.0625, 0.0))", (0.0625, 0.0))),
+    ("sqrt(1/16 - x)", 5, 1, ("sqrt of a non-positive value (base point "
+                              "(0.07500000000000001, 0.0))",
+                              (0.07500000000000001, 0.0))),
+    ("sqrt(x*x)", 9, 4, ("sqrt of a non-positive value (base point "
+                         "(0.0, 0.0))", (0.0, 0.0))),
+    ("sqrt(x*x)", 5, 1, ("sqrt of a non-positive value (base point "
+                         "(0.0, 0.0))", (0.0, 0.0))),
+    ("1/(x - 1/16)^2", 9, 4, ("division by zero (base point (0.0625, 0.0))",
+                              (0.0625, 0.0))),
+    ("1/(x - 1/16)^2", 5, 1, ["832e3f2661c772cc", "0e6bdfd65c874fd7",
+                              "53bd0336af9b5dbf", "e3fd2ff9491aee68"]),
+    ("exp(200/(x+1/8))", 9, 4, ("value out of float range (base point "
+                                "(0.0, 0.0))", (0.0, 0.0))),
+    ("exp(200/(x+1/8))", 5, 1, ("value out of float range (base point "
+                                "(0.0, 0.0))", (0.0, 0.0))),
+    ("1/(10^170*(x-1/16))", 9, 4, ("value out of float range (base point "
+                                   "(0.0, 0.0))", (0.0, 0.0))),
+    ("1/(10^170*(x-1/16))", 5, 1, ("value out of float range (base point "
+                                   "(0.0, 0.0))", (0.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("case, n, substeps, outcomes", SINGULAR_OUTCOMES)
+def test_transport_keeps_its_outcomes_on_singular_nodes(case, n, substeps,
+                                                        outcomes):
+    """Evaluating each lattice node only for the axes it is integrated
+    along, over only the derivative words their kernels read, raises at
+    the same node with the same message, or gives the same section."""
+    if case.startswith("E="):
+        structures = [ode_from_metric(MetricInput.from_exprs(
+            *(part.split("=")[1] for part in case.split(", "))))]
+    else:
+        structures = [ProjectiveStructure.from_exprs(
+            *(case if k == place else "0" for k in range(4)))
+            for place in range(4)]
+    if not isinstance(outcomes, list):
+        outcomes = [outcomes] * len(structures)
+    grid = GridSpec(center=(0.0, 0.0), h=0.05, n=n, substeps=substeps)
+    for structure, want in zip(structures, outcomes):
+        try:
+            section = transport(structure, (1.0, 0.0, 0.5, 0.0, 0.0, 0.0),
+                                grid)
+        except SingularEvaluationError as err:
+            got = (str(err), err.base)
+        else:
+            got = hashlib.sha256(repr((section.psi, section.defects))
+                                 .encode()).hexdigest()[:16]
+        assert got == want
