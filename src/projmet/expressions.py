@@ -697,7 +697,7 @@ def _at_point(evaluate, x, y):
             "value out of float range", (x, y)) from None
 
 
-def compile_derivatives(trees, words):
+def compile_derivatives(trees, words, letters=None):
     """Differentiate each tree once along every word (letters applied left
     to right, "" is the tree) and compile them all with `compile_float`.
     `words[k]` are the words of tree k.  The returned function gives the
@@ -705,9 +705,12 @@ def compile_derivatives(trees, words):
     second, and so on.  All words share one `differentiate` memo per
     letter: a second derivative embeds subtrees of the tree that the first
     derivatives have already derived, and the trees of one structure share
-    subtrees too."""
+    subtrees too.  `letters`, {"x": memo, "y": memo}, lets calls on the same
+    trees share those memos, so a word that two calls read is derived
+    once."""
     derived = []
-    letters = {"x": {}, "y": {}}
+    if letters is None:
+        letters = {"x": {}, "y": {}}
     for t, tree_words in zip(trees, words):
         memo = {"": t}
 

@@ -15,6 +15,16 @@ at a chosen base point.  The central objects:
     rank-stratified order-7/order-8 determinants);
   * a dimension count for the space of solutions by rank stabilisation.
 
+L, V and the connection are each one formula (`liouville_formula`,
+`vector_formula`, `connection_formula`) over operands of any arithmetic.
+A tracer records each formula once per arithmetic, on first use, as a tape
+(`formula_tape`): one entry per distinct operation on distinct operands, in
+the formula's order, with constants folded.  A point replays the tapes on
+its raw jet tables (`jets.run_tape`), L and the connection from one
+extraction of the coefficients' 24 derivative tables; the recover
+transport compiles the float connection tape per axis.  Row derivatives
+read each connection matrix's tables truncated once per order.
+
 `decide_metrisability` combines these into a verdict over a sample of
 points.  All derivative bookkeeping truncates uniformly, so a jet of order
 N supports L at order N-2, V at order N-3, and k-fold derivatives of V at
@@ -23,11 +33,22 @@ order N-3-k; the full verdict needs N >= 8.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .jets import InsufficientOrderError, SingularEvaluationError, mul_sub
+from .jets import (
+    InsufficientOrderError,
+    Jet,
+    JetError,
+    SingularEvaluationError,
+    mul_sub_tables,
+    run_tape,
+    to_scalar,
+    word_tables,
+)
 from .expressions import choose_arithmetic, eval_jet
 
 F13 = Fraction(1, 3)
@@ -59,6 +80,7 @@ class JetStructure:
             if a.exact != a0.exact:
                 raise ValueError("coefficient jets must share one arithmetic")
         self.a = (a0, a1, a2, a3)
+        self._words = None
         self._L = None
         self._conn = None
         self._columns = None
@@ -90,17 +112,25 @@ class JetStructure:
     def _zero(self, order):
         return 0 * self.a[0].truncated(order)
 
+    def coefficient_tables(self):
+        """A0..A3 along CONNECTION_WORDS at order N-2, coefficient-major, as
+        the raw tables (`jets.word_tables`) that L and the connection read:
+        one extraction for both."""
+        if self._words is None:
+            self._words = word_tables(self.a, CONNECTION_WORDS,
+                                      self.order - 2)
+        return self._words
+
     def liouville(self):
         if self._L is None:
-            self._L = _liouville_L(self.a)
+            self._L = _liouville_L(self)
         return self._L
 
     def connection(self):
         """(O1, O2) at order max(N-4, 0), the highest order a covariant
         derivative of V reads; each reads it truncated to its own."""
         if self._conn is None:
-            self._conn = _connection_matrices(self.a, self._zero,
-                                              max(self.order - 4, 0))
+            self._conn = _connection_matrices(self, max(self.order - 4, 0))
         return self._conn
 
     def columns(self, var):
@@ -137,109 +167,61 @@ def level_words(k):
     return ["x" * (k - j) + "y" * j for j in range(k + 1)]
 
 
-# ---------------- scalar invariants ----------------
+# ---------------- the formulas of L, V and the connection ----------------
+#
+# Each formula is written once, over operands of any arithmetic: jets,
+# floats, or the symbols of the tracer below, which records it as a tape.
 
 
-def _liouville_L(a):
-    a0, a1, a2, a3 = a
-    n = a0.order
-    if n < 2:
-        raise InsufficientOrderError(2, n)
-    m = n - 2
-    F13, F23 = (CONNECTION_RATIONALS if a0.exact else CONNECTION_FLOATS)[:2]
-    d = lambda j, v: j.diff(v).truncated(m)
-    dd = lambda j, u, v: j.diff(u).diff(v)
-    t = lambda j: j.truncated(m)
+# Derivative words of the coefficients that L and the connection formulas
+# read, letters applied left to right.
+CONNECTION_WORDS = ("", "x", "y", "xx", "xy", "yy")
 
+# The rational constants of the formulas, and their floats: a Fraction
+# times a float is the same float product, but much slower.  L, V and the
+# tractor's trace-free symbols read the first three too.
+CONNECTION_RATIONALS = (F13, F23, F43, F89, F169, F49, F29, F83, F203)
+CONNECTION_FLOATS = tuple(float(c) for c in CONNECTION_RATIONALS)
+
+
+def liouville_formula(derivs, rationals=CONNECTION_RATIONALS):
+    """Liouville's scalars (L1, L2) from the coefficients' derivatives:
+    `derivs[k]` holds A_k along CONNECTION_WORDS, in the arithmetic of the
+    constants `rationals` (as `connection_formula` takes them)."""
+    F13, F23 = rationals[:2]
+    ((a0t, a0x, a0y, _, _, a0yy),
+     (a1t, a1x, a1y, _, a1xy, a1yy),
+     (a2t, a2x, a2y, a2xx, a2xy, _),
+     (a3t, a3x, a3y, a3xx, _, _)) = derivs
     l1 = (
-        F23 * dd(a1, "x", "y") - F13 * dd(a2, "x", "x") - dd(a0, "y", "y")
-        + t(a0) * d(a2, "y") + t(a2) * d(a0, "y")
-        - t(a3) * d(a0, "x") - 2 * t(a0) * d(a3, "x")
-        - F23 * t(a1) * d(a1, "y") + F13 * t(a1) * d(a2, "x")
+        F23 * a1xy - F13 * a2xx - a0yy
+        + a0t * a2y + a2t * a0y
+        - a3t * a0x - 2 * a0t * a3x
+        - F23 * a1t * a1y + F13 * a1t * a2x
     )
     l2 = (
-        F23 * dd(a2, "x", "y") - F13 * dd(a1, "y", "y") - dd(a3, "x", "x")
-        - t(a3) * d(a1, "x") - t(a1) * d(a3, "x")
-        + t(a0) * d(a3, "y") + 2 * t(a3) * d(a0, "y")
-        + F23 * t(a2) * d(a2, "x") - F13 * t(a2) * d(a1, "y")
+        F23 * a2xy - F13 * a1yy - a3xx
+        - a3t * a1x - a1t * a3x
+        + a0t * a3y + 2 * a3t * a0y
+        + F23 * a2t * a2x - F13 * a2t * a1y
     )
     return (l1, l2)
 
 
-def nu5(js):
-    """Fifth-order relative invariant whose vanishing (on top of a rank-3
-    degeneracy) signals the Liouville-type branch."""
-    if js.order < 3:
-        raise InsufficientOrderError(3, js.order)
-    l1j, l2j = js.liouville()
-    l1, l2 = l1j.value, l2j.value
-    l1x, l1y = l1j.partial(1, 0), l1j.partial(0, 1)
-    l2x, l2y = l2j.partial(1, 0), l2j.partial(0, 1)
-    a0, a1, a2, a3 = (j.value for j in js.a)
-    try:
-        return (
-            l2 * (l1 * l2x - l2 * l1x)
-            + l1 * (l2 * l1y - l1 * l2y)
-            + a3 * l1**3 - a2 * l1**2 * l2 + a1 * l1 * l2**2 - a0 * l2**3
-        )
-    except OverflowError:
-        # a float ** overflows where a product would give inf
-        raise SingularEvaluationError("value out of float range",
-                                      js.base) from None
-
-
-# ---------------- the obstruction vector and its connection ----------------
-
-
-def _vector_V(js):
-    n = js.order
-    if n < 3:
-        raise InsufficientOrderError(3, n)
-    m = n - 3
-    l1j, l2j = js.liouville()
-    l1, l2 = l1j.truncated(m), l2j.truncated(m)
-    l1x, l1y = l1j.diff("x"), l1j.diff("y")
-    l2x, l2y = l2j.diff("x"), l2j.diff("y")
-    a0, a1, a2, a3 = (j.truncated(m) for j in js.a)
-    F43 = (CONNECTION_RATIONALS if js.exact else CONNECTION_FLOATS)[2]
+def vector_formula(operands, z, rationals=CONNECTION_RATIONALS):
+    """The obstruction row V from `operands`, (L1, L1_x, L1_y, L2, L2_x,
+    L2_y, A0, A1, A2, A3); `z` is the zero of their arithmetic, whose
+    constants `rationals` are."""
+    l1, l1x, l1y, l2, l2x, l2y, a0, a1, a2, a3 = operands
+    F43 = rationals[2]
     return (
         2 * l2y + 4 * a2 * l2 + 8 * a3 * l1,
         -2 * l1y - 2 * l2x - F43 * a1 * l2 + F43 * a2 * l1,
         2 * l1x - 8 * a0 * l2 - 4 * a1 * l1,
         -5 * l2,
         -5 * l1,
-        js._zero(m),
+        z,
     )
-
-
-# Derivative words of the coefficients that the connection formulas read,
-# letters applied left to right.
-CONNECTION_WORDS = ("", "x", "y", "xx", "xy", "yy")
-
-# The rational constants of the connection formulas, and their floats: a
-# Fraction times a float is the same float product, but much slower.  L, V
-# and the tractor's trace-free symbols read the first three too.
-CONNECTION_RATIONALS = (F13, F23, F43, F89, F169, F49, F29, F83, F203)
-CONNECTION_FLOATS = tuple(float(c) for c in CONNECTION_RATIONALS)
-
-
-def _connection_matrices(a, zero_at, m):
-    """The pair (O1, O2) of 6x6 connection matrices of the prolonged
-    system, as jets of order m <= N-2.  The coefficients' derivatives are
-    truncated to m before the formula, which gives the order-(N-2) pair
-    truncated to m bit for bit: a product's cell sums the same terms in the
-    same order at every truncation."""
-    n = a[0].order
-    if n < m + 2:
-        raise InsufficientOrderError(m + 2, n)
-    derivs = []
-    for j in a:
-        jx, jy = j.diff("x"), j.diff("y")
-        derivs.append(tuple(d.truncated(m) for d in (
-            j, jx, jy, jx.diff("x"), jx.diff("y"), jy.diff("y"))))
-    z = zero_at(m)
-    return connection_formula(derivs, z, CONNECTION_RATIONALS
-                              if z.exact else CONNECTION_FLOATS)
 
 
 def connection_formula(derivs, z, rationals=CONNECTION_RATIONALS):
@@ -320,27 +302,236 @@ def connection_formula(derivs, z, rationals=CONNECTION_RATIONALS):
     return (omega1, omega2)
 
 
+# ---------------- the tracer and the tapes ----------------
+
+
+def _traced(op, reflected=False):
+    """The `_Traced` method for `self op other`, or `other op self`."""
+    fold = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+            "div": operator.truediv}[op]
+
+    def method(self, other):
+        recording = self.recording
+        if not isinstance(other, _Traced):
+            if self.slot is not None and op == "mul":
+                return recording.scale(self.slot, other)
+            other = _Traced(recording, None, other)
+        a, b = (other, self) if reflected else (self, other)
+        if a.slot is None and b.slot is None:
+            return _Traced(recording, None, fold(a.const, b.const))
+        if a.slot is None or b.slot is None or op == "div":
+            raise TypeError("a traced formula meets a symbol only with "
+                            "symbols, and with numbers by multiplication")
+        return recording.record(op, a.slot, b.slot)
+
+    return method
+
+
+class _Traced:
+    """An operand of a formula traced into a tape: the tape's slot `slot`
+    (an input, or the result of a recorded op), or, with slot None, the
+    constant `const`, a number or an order-1 jet of the tape's arithmetic.
+    Constants fold through the jet arithmetic itself, so a constant's
+    table, negative zeros included, is the one the formula gives.  A slot
+    only meets slots, and numbers by multiplication: anything else, and
+    negating it, raises TypeError."""
+
+    __slots__ = ("recording", "slot", "const")
+
+    def __init__(self, recording, slot, const=None):
+        self.recording, self.slot, self.const = recording, slot, const
+
+    __add__ = _traced("add")
+    __radd__ = _traced("add", True)
+    __sub__ = _traced("sub")
+    __rsub__ = _traced("sub", True)
+    __mul__ = _traced("mul")
+    __rmul__ = _traced("mul", True)
+    __truediv__ = _traced("div")
+
+    def __neg__(self):
+        if self.slot is not None:
+            raise TypeError("a traced formula negates only constants")
+        return _Traced(self.recording, None, -self.const)
+
+
+class _Recording:
+    """A tape being traced: its input symbols, then its ops, each recorded
+    once per distinct op and operands, in the formula's order of
+    evaluation."""
+
+    def __init__(self, exact):
+        self.exact, self.size = exact, 0
+        self.ops, self.slots = [], {}
+        zero = Jet.constant(0 if exact else 0.0, (0, 0), 1)
+        self.zero = _Traced(self, None, zero)
+
+    def inputs(self, k):
+        """The next k input symbols; every input precedes every op."""
+        self.size += k
+        return [_Traced(self, slot) for slot in range(self.size - k,
+                                                      self.size)]
+
+    def record(self, op, x, y):
+        key = (op, x, y)
+        if key not in self.slots:
+            self.slots[key] = self.size
+            self.size += 1
+            self.ops.append(key)
+        return _Traced(self, self.slots[key])
+
+    def scale(self, x, c):
+        """Slot x times the number c, joined to the tape's arithmetic as a
+        jet joins it; times zero it is the zero table, as `Jet._scale`
+        makes it."""
+        c = to_scalar(c)
+        if not self.exact:
+            c = float(c)
+        elif isinstance(c, float):
+            raise JetError("an exact tape refuses the float %r" % (c,))
+        if c == 0:
+            return self.zero
+        return self.record("scale", x, c)
+
+    def finish(self, outputs):
+        """(ops, outputs) for `jets.run_tape`."""
+        def entry(e):
+            if e.slot is not None:
+                return e.slot
+            value, tail = e.const.coeffs[0][0], e.const.coeffs[1][0]
+            if self.exact:
+                return (value.numerator, 0, value.denominator)
+            return (value, tail, None)
+        return tuple(self.ops), tuple(map(entry, outputs))
+
+
+@functools.cache
+def formula_tape(name, exact):
+    """The tape of formula `name` ("liouville", "vector" or "connection")
+    in exact or float arithmetic, traced on first use, never at import.
+    Its inputs are the formula's operands in order: for L and the
+    connection the 24 of A0..A3 along CONNECTION_WORDS, coefficient-major.
+    Each op is recorded once per distinct operands, in the formula's order,
+    and constants fold: the connection's 220 jet operations are 183 ops,
+    56 products, 63 scalings and 64 sums or differences."""
+    recording = _Recording(exact)
+    rationals = CONNECTION_RATIONALS if exact else CONNECTION_FLOATS
+    if name == "vector":
+        return recording.finish(vector_formula(
+            recording.inputs(10), recording.zero, rationals))
+    derivs = [recording.inputs(6) for _ in range(4)]
+    if name == "liouville":
+        return recording.finish(liouville_formula(derivs, rationals))
+    if name != "connection":
+        raise ValueError("no formula %r" % (name,))
+    pair = connection_formula(derivs, recording.zero, rationals)
+    return recording.finish([e for m in pair for row in m for e in row])
+
+
+def _liouville_L(js):
+    """(L1, L2) as jets of order N-2, by the "liouville" tape."""
+    n = js.order
+    return tuple(run_tape(formula_tape("liouville", js.exact),
+                          js.coefficient_tables(), n - 2, js.base, n - 2))
+
+
+def nu5(js):
+    """Fifth-order relative invariant whose vanishing (on top of a rank-3
+    degeneracy) signals the Liouville-type branch."""
+    if js.order < 3:
+        raise InsufficientOrderError(3, js.order)
+    l1j, l2j = js.liouville()
+    l1, l2 = l1j.value, l2j.value
+    l1x, l1y = l1j.partial(1, 0), l1j.partial(0, 1)
+    l2x, l2y = l2j.partial(1, 0), l2j.partial(0, 1)
+    a0, a1, a2, a3 = (j.value for j in js.a)
+    try:
+        return (
+            l2 * (l1 * l2x - l2 * l1x)
+            + l1 * (l2 * l1y - l1 * l2y)
+            + a3 * l1**3 - a2 * l1**2 * l2 + a1 * l1 * l2**2 - a0 * l2**3
+        )
+    except OverflowError:
+        # a float ** overflows where a product would give inf
+        raise SingularEvaluationError("value out of float range",
+                                      js.base) from None
+
+
+# ---------------- the obstruction vector and its connection ----------------
+
+
+def _vector_V(js):
+    """V as jets of order N-3, by the "vector" tape."""
+    n = js.order
+    if n < 3:
+        raise InsufficientOrderError(3, n)
+    m = n - 3
+    tables = (word_tables(js.liouville(), ("", "x", "y"), m)
+              + word_tables(js.a, ("",), m))
+    return tuple(run_tape(formula_tape("vector", js.exact), tables, m,
+                          js.base, m))
+
+
+def _connection_matrices(js, m):
+    """The pair (O1, O2) of 6x6 connection matrices of the prolonged
+    system, as jets of order m <= N-2, by the "connection" tape on the
+    coefficients' word tables truncated to m.  That gives the order-(N-2)
+    pair truncated to m bit for bit: a product's cell sums the same terms
+    in the same order at every truncation."""
+    n = js.order
+    if n < m + 2:
+        raise InsufficientOrderError(m + 2, n)
+    e = run_tape(formula_tape("connection", js.exact),
+                 js.coefficient_tables(), n - 2, js.base, m)
+    return tuple(tuple(tuple(e[36 * k + 6 * i:36 * k + 6 * i + 6])
+                       for i in range(6)) for k in range(2))
+
+
 def cov_deriv(row, omega, var):
     """Covariant derivative of a row vector: D_a V = dV/da - V . O_a, one
     order below the row.  `omega` is O_a at that order or above, as a 6x6
     matrix of jets or as its `Columns`; the products read the row and O_a
-    truncated."""
+    truncated, as raw tables (`jets.word_tables`), O_a's once per order."""
     if not isinstance(omega, Columns):
         omega = Columns.of(omega)
-    return tuple(mul_sub(row[j].diff(var), [(row[i], e) for i, e in column])
-                 for j, column in enumerate(omega))
+    m = row[0].order - 1
+    if omega.entries and any(e.exact is not omega.entries[0].exact
+                             for e in row):
+        raise JetError("cov_deriv takes jets of one arithmetic")
+    tables, entries = word_tables(row, ("", var), m), omega.at(m)
+    return tuple(mul_sub_tables(row[0].base, m, tables[2 * j + 1],
+                                [(tables[2 * i], entries[k])
+                                 for i, k in column])
+                 for j, column in enumerate(omega.pattern))
 
 
 class Columns(tuple):
     """The nonzero pattern of a 6x6 connection matrix, column by column:
     column j holds the pairs (i, O[i][j]) whose entry is not zero, in the
-    order of i."""
+    order of i.  `entries` lists those entries column after column, and
+    `pattern` gives column j as the pairs (i, index in `entries`)."""
 
     @classmethod
     def of(cls, omega):
-        return cls(tuple((i, omega[i][j]) for i in range(6)
-                         if not omega[i][j].is_zero())
-                   for j in range(6))
+        columns = cls(tuple((i, omega[i][j]) for i in range(6)
+                            if not omega[i][j].is_zero())
+                      for j in range(6))
+        columns.entries = [e for column in columns for _, e in column]
+        if len({e.order for e in columns.entries}) > 1:
+            raise JetError("the entries of a connection share one order")
+        index = iter(range(len(columns.entries)))
+        columns.pattern = tuple(tuple((i, next(index)) for i, _ in column)
+                                for column in columns)
+        columns._tables = {}
+        return columns
+
+    def at(self, order):
+        """The raw tables of `entries` truncated to `order`, built once per
+        order: every covariant derivative there reads them."""
+        if order not in self._tables:
+            self._tables[order] = (word_tables(self.entries, ("",), order)
+                                   if self.entries else [])
+        return self._tables[order]
 
 
 def curvature(js):
@@ -350,7 +541,7 @@ def curvature(js):
     if n < 3:
         raise InsufficientOrderError(3, n)
     m = n - 3
-    o1, o2 = _connection_matrices(js.a, js._zero, n - 2)
+    o1, o2 = _connection_matrices(js, n - 2)
     o1t = [[e.truncated(m) for e in row] for row in o1]
     o2t = [[e.truncated(m) for e in row] for row in o2]
     out = []

@@ -58,6 +58,14 @@ product cell, summed from 0 exactly as the product kernel sums it, so
 float cells are the chain's bit for bit, and a non-finite table is
 recomputed pair by pair.  Exact pairs are summed over one common
 denominator and reduced once.  Head and pairs share one arithmetic.
+
+Fixed formulas run on raw tables.  `word_tables` reads jets differentiated
+along words and truncated, as unreduced (cells, den) pairs; `run_tape`
+replays a formula recorded once as a tape (`invariants.formula_tape`) on
+them, each op through the primitive that the jet operation itself runs,
+and `mul_sub_tables` is `mul_sub` on them.  Float results are the jet
+formula's bit for bit; exact tables stay unreduced until each result is
+reduced once, which gives the same canonical table.
 """
 
 from __future__ import annotations
@@ -501,21 +509,30 @@ def mul_sub(head, pairs):
     The result is the chain of jet products and differences, bit for bit
     and exactly, without its intermediate jets.  An exact head takes the
     pairs over one common denominator and is reduced once."""
-    n, den, exact = head.order, head._den, head.exact
-    links, dens = [], []
+    n, exact = head.order, head.exact
+    links = []
     for a, b in pairs:
         if a.exact is not exact or b.exact is not exact:
             raise JetError("mul_sub takes jets of one arithmetic")
-        links.append((_cells_at(a, n), _cells_at(b, n)))
-        if exact:
-            dens.append(a._den * b._den)
-    if not exact:
-        return _jet(head.base, n, _mul_sub(head._cells, links, n, 0.0), None)
+        links.append(((_cells_at(a, n), a._den), (_cells_at(b, n), b._den)))
+    return mul_sub_tables(head.base, n, (head._cells, head._den), links)
+
+
+def mul_sub_tables(base, n, head, links):
+    """`mul_sub` on raw order-n tables (`word_tables`) of one arithmetic:
+    head - a1*b1 - a2*b2 - ... for the pairs of tables (a, b) in `links`,
+    as the order-n jet at `base`.  Exact tables may be unreduced; the
+    result is reduced once."""
+    cells, den = head
+    if den is None:
+        return _jet(base, n, _mul_sub(cells, [(a, b) for (a, _), (b, _)
+                                             in links], n, 0.0), None)
+    dens = [da * db for (_, da), (_, db) in links]
     common = math.lcm(den, *dens)
-    cells = _mul_sub(_scaled(head._cells, common // den),
+    cells = _mul_sub(_scaled(cells, common // den),
                      [(_scaled(a, common // d), b)
-                      for (a, b), d in zip(links, dens)], n, 0)
-    return _reduced(head.base, n, cells, common)
+                      for ((a, _), (b, _)), d in zip(links, dens)], n, 0)
+    return _reduced(base, n, cells, common)
 
 
 def _cells_at(jet, n):
@@ -588,6 +605,139 @@ def _product_kernel(n, accumulate=False):
     namespace = {"__builtins__": {}}
     exec(compile(source, "<%s kernel %d>" % (name, n), "exec"), namespace)
     return namespace[name]
+
+
+# ---------------- tapes ----------------
+#
+# A tape is a fixed formula recorded once, `(ops, outputs)`, by the tracer
+# in `invariants`.  Its slots are the input tables, then one per op, in
+# order.  An op is ("mul", x, y), the product of slots x and y; ("scale",
+# x, c), slot x times the nonzero number c of the tape's arithmetic (a
+# Fraction or a float); or ("add", x, y) or ("sub", x, y).  An output is a
+# slot, or a constant (c0, tail, den): the table whose constant term is c0
+# and whose other cells are all tail, over den (None in a float tape).
+
+
+def word_tables(jets, words, m):
+    """The raw tables (cells, den) of each of `jets`, which share one order,
+    differentiated along each of `words` (a tuple; letters applied left to
+    right, "" is the jet) and truncated to order m, jet-major: unreduced,
+    integer numerators over the jet's denominator, or floats with den None.
+    Each cell is the one `diff` and `truncated` give, and a word's prefix
+    is differentiated once."""
+    steps, outputs = _word_plan(jets[0].order, words, m)
+    if not steps:  # the jets themselves, truncated
+        ((_, truncate),) = outputs
+        if truncate is None:
+            return [(jet._cells, jet._den) for jet in jets]
+        return [(truncate(jet._cells), jet._den) for jet in jets]
+    tables = []
+    for jet in jets:
+        derived = [jet._cells]
+        for source, take, mults in steps:
+            derived.append(tuple(map(mul, mults, take(derived[source]))))
+        den = jet._den
+        tables += [(derived[i] if truncate is None else truncate(derived[i]),
+                    den) for i, truncate in outputs]
+    return tables
+
+
+@functools.cache
+def _word_plan(n, words, m):
+    """(steps, outputs) of `word_tables` on an order-n jet.  Step k makes
+    table k + 1 (table 0 is the jet's) as a derivative of table `source`;
+    output i reads table i through its truncation getter, or as it is."""
+    deepest = max(map(len, words))
+    if m < 0 or n < m + deepest:
+        raise InsufficientOrderError(max(m, 0) + deepest, n)
+    index, steps, outputs = {"": 0}, [], []
+
+    def derive(word):
+        if word not in index:
+            source = derive(word[:-1])
+            steps.append((source,) + _derivative_plan(n - len(word) + 1,
+                                                      word[-1]))
+            index[word] = len(steps)
+        return index[word]
+
+    for word in words:
+        k = n - len(word)
+        outputs.append((derive(word),
+                        _truncation_plan(k, m) if k > m else None))
+    return tuple(steps), tuple(outputs)
+
+
+def run_tape(tape, tables, k, base, n):
+    """The outputs of `tape` as order-n jets at `base`, from the order-k
+    raw tables `tables` (`word_tables`), k >= n, read truncated to n.
+
+    Each op is the jet operation it records, on raw tables.  Float tables
+    go through what `Jet` itself runs: `_convolve` for a product, 0.0 +
+    a*c (0.0 for a zero cell) for a scaling, and `map(add|sub)`, so every
+    bit is the jet formula's, signed zeros included.  Exact tables stay
+    unreduced, integer numerators over the product of the operands'
+    denominators, or their lcm for a sum, and each output is reduced once:
+    the canonical table that the jet formula reduced after every op."""
+    ops, outputs = tape
+    if k != n:
+        plan = _truncation_plan(k, n)
+        tables = [(plan(cells), den) for cells, den in tables]
+    else:
+        tables = list(tables)
+    if tables[0][1] is None:
+        slots = _run_float(ops, [cells for cells, _ in tables], n)
+
+        def make(cells):
+            return _jet(base, n, cells, None)
+    else:
+        slots = _run_exact(ops, tables, n)
+
+        def make(table):
+            return _reduced(base, n, *table)
+    rest = _size(n) - 1
+    made = {}
+    out = []
+    for o in outputs:
+        if type(o) is int:
+            if o not in made:
+                made[o] = make(slots[o])
+            out.append(made[o])
+        else:
+            c0, tail, den = o
+            out.append(_jet(base, n, (c0,) + (tail,) * rest, den))
+    return out
+
+
+def _run_float(ops, slots, n):
+    """The float tables of every slot of a tape, inputs first."""
+    for op, x, y in ops:
+        a = slots[x]
+        if op == "mul":
+            slots.append(_convolve(a, slots[y], n, 0.0))
+        elif op == "scale":
+            slots.append(tuple([0.0 + v * y if v else 0.0 for v in a]))
+        else:
+            slots.append(tuple(map(add if op == "add" else sub, a,
+                                   slots[y])))
+    return slots
+
+
+def _run_exact(ops, slots, n):
+    """The unreduced exact tables (cells, den) of every slot of a tape."""
+    for op, x, y in ops:
+        a, da = slots[x]
+        if op == "scale":
+            slots.append((_scaled(a, y.numerator), da * y.denominator))
+            continue
+        b, db = slots[y]
+        if op == "mul":
+            slots.append((_convolve(a, b, n, 0), da * db))
+            continue
+        if da != db:
+            g = gcd(da, db)
+            a, b, da = _scaled(a, db // g), _scaled(b, da // g), da // g * db
+        slots.append((tuple(map(add if op == "add" else sub, a, b)), da))
+    return slots
 
 
 def _loop_convolve(a, b, n, zero):

@@ -14,37 +14,36 @@ reversed order as a consistency check) and undoing the substitution
 
 by `model.section_to_metric`, with Delta from `invariants.genericity_P`,
 yields the metric.  The connection is evaluated on plain floats, one axis
-at a time.  `invariants.connection_formula`, which gives the connection
-as jets, is traced once into a straight-line kernel per axis, from the 17
-of the coefficients' 24 values and first and second derivatives that O1
-or O2 reads to that matrix's 19 structural nonzeros, and for each axis
-the coefficient trees are differentiated along the words it reads and
-compiled into one float function.  The RK4 nodes lie on the lattice of spacing
-h / (2 substeps) and are cached by integer lattice index, so each
-distinct node is evaluated once, for the axes it is integrated along: O1
-on a grid row, O2 on a grid column, both at a grid node.  Each axis has
-one RK4 segment, compiled on the first transport into straight-line code
-over the nonzeros, whose sections are those of the dense 6x6 products bit
-for bit.  The round-trip residual re-derives the ODE coefficients from the
-reconstructed metric table, by `ode_from_metric`'s formula
-(`model.geodesic_coefficients`), with its first derivatives taken by
-fourth-order central differences across the grid so that it measures the
+at a time.  The float tape of `invariants.connection_formula`
+(`invariants.formula_tape`), which the commands replay on jet tables, is
+emitted once into a straight-line kernel per axis, from the 17 of the
+coefficients' 24 values and first and second derivatives that O1 or O2
+reads to that matrix's 19 structural nonzeros.  The coefficient trees are
+differentiated once along the words either axis reads, and each axis's
+words are compiled into one float function.  The RK4 nodes lie on the
+lattice of spacing h / (2 substeps) and are cached by integer lattice
+index, so each distinct node is evaluated once, for the axes it is
+integrated along: O1 on a grid row, O2 on a grid column, both at a grid
+node.  Each axis has one RK4 segment, compiled on the first transport into
+straight-line code over the nonzeros, whose sections are those of the dense
+6x6 products bit for bit.  The round-trip residual re-derives the ODE
+coefficients from the reconstructed metric table, by `ode_from_metric`'s
+formula (`model.geodesic_coefficients`), with its first derivatives taken
+by fourth-order central differences across the grid so that it measures the
 transport rather than restating its equations, and compares them with the
 input.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite
 
 from .expressions import compile_derivatives
 from .invariants import (
-    CONNECTION_FLOATS,
     CONNECTION_WORDS,
-    connection_formula,
+    formula_tape,
     genericity_P,
 )
 from .jets import SingularEvaluationError
@@ -145,94 +144,55 @@ def initial_section(witness):
     return tuple(w)
 
 
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-         "/": operator.truediv}
-
-
-def _traced(op, reflected=False):
-    """The `_Traced` method for `self op other`, or `other op self`.  Two
-    constants fold; any other operation is a line of `ops`, text ->
-    (temporary, operands), added once per distinct text, since one IEEE
-    operation on the same inputs gives the same bits."""
-
-    def method(self, other):
-        if not isinstance(other, _Traced):
-            other = _Traced(repr(float(other)), self.ops, float(other))
-        a, b = (other, self) if reflected else (self, other)
-        if a.value is not None and b.value is not None:
-            value = _FOLD[op](a.value, b.value)
-            return _Traced(repr(value), self.ops, value)
-        text = "%s %s %s" % (a.text, op, b.text)
-        if text not in self.ops:
-            self.ops[text] = ("t%d" % len(self.ops), (a.text, b.text))
-        return _Traced(self.ops[text][0], self.ops)
-
-    return method
-
-
-class _Traced:
-    """A float of `connection_formula` traced on symbols: `text` names a
-    derivative value or a temporary, or is the `repr` of a constant, whose
-    `value` it then holds.  The formula negates only constants: negating
-    any other traced value raises TypeError."""
-
-    __slots__ = ("text", "value", "ops")
-
-    def __init__(self, text, ops, value=None):
-        self.text, self.ops, self.value = text, ops, value
-
-    __add__ = _traced("+")
-    __radd__ = _traced("+", True)
-    __sub__ = _traced("-")
-    __rsub__ = _traced("-", True)
-    __mul__ = _traced("*")
-    __rmul__ = _traced("*", True)
-    __truediv__ = _traced("/")
-    __rtruediv__ = _traced("/", True)
-
-    def __neg__(self):
-        return _Traced(repr(-self.value), self.ops, -self.value)
-
-
 @cache
 def _connection_kernels():
-    """Per axis, (words, kernel, rows), traced from `connection_formula`
-    on the first transport.
+    """Per axis, (words, kernel, rows), emitted on the first transport
+    from the float tape of `connection_formula`
+    (`invariants.formula_tape`).
 
-    The formula runs once on symbols (`_Traced`) and a zero it can only
-    place.  `rows` are the structural nonzeros of O1 or O2: for each row,
-    the columns where the formula does not place that zero; the constants
+    `rows` are the structural nonzeros of O1 or O2: for each row, the
+    columns whose entry is not the tape's zero constant; the constants
     +-1 and -1/2 are nonzeros.  `kernel` is straight-line code, one line
-    per distinct operation of the trace that the matrix reads, in the
-    formula's operand order, taking the derivative values the matrix
-    reads, coefficient-major, to its nonzeros in row-major order.
+    per op of the tape that the matrix reads, in the tape's order, taking
+    the derivative values the matrix reads, coefficient-major, to its
+    nonzeros in row-major order.  A scaling is c * a and any other op
+    a op b, so each line is the float the formula computes on floats.
     `words[k]` are the words of A_k it reads, along CONNECTION_WORDS."""
-    ops = {}
-    names = [["a%d%s" % (k, w or "t") for w in CONNECTION_WORDS]
-             for k in range(4)]
-    z = _Traced("0.0", ops, 0.0)
-    pair = connection_formula(
-        [[_Traced(name, ops) for name in row] for row in names], z,
-        CONNECTION_FLOATS)
-    operands = dict(ops.values())
+    ops, outputs = formula_tape("connection", False)
+    inputs = len(CONNECTION_WORDS) * 4
+    names = ["a%d%s" % (k, w or "t") for k in range(4)
+             for w in CONNECTION_WORDS]
+    names += ["t%d" % i for i in range(len(ops))]
+    symbols = {"mul": "*", "add": "+", "sub": "-"}
+
+    def text(entry):
+        return names[entry] if type(entry) is int else repr(entry[0])
+
+    def expression(op, x, y):
+        if op == "scale":
+            return "%r * %s" % (y, names[x])
+        return "%s %s %s" % (names[x], symbols[op], names[y])
+
     axes = []
-    for m in pair:
-        rows = tuple(tuple(j for j, e in enumerate(row) if e is not z)
-                     for row in m)
-        out = [e.text for row in m for e in row if e is not z]
-        read, todo = set(), list(out)
+    for m in (outputs[:36], outputs[36:]):
+        rows = tuple(tuple(j for j in range(6) if type(m[6 * i + j]) is int
+                           or m[6 * i + j][0] != 0) for i in range(6))
+        out = [m[6 * i + j] for i, cols in enumerate(rows) for j in cols]
+        read, todo = set(), [e for e in out if type(e) is int]
         while todo:
-            name = todo.pop()
-            if name not in read:
-                read.add(name)
-                todo += operands.get(name, ())
-        words = tuple(tuple(w for w, name in zip(CONNECTION_WORDS, row)
-                            if name in read) for row in names)
+            slot = todo.pop()
+            if slot not in read:
+                read.add(slot)
+                if slot >= inputs:
+                    op, x, y = ops[slot - inputs]
+                    todo += (x,) if op == "scale" else (x, y)
+        lines = "".join("    %s = %s\n" % (names[inputs + i], expression(*op))
+                        for i, op in enumerate(ops) if inputs + i in read)
+        words = tuple(tuple(w for j, w in enumerate(CONNECTION_WORDS)
+                            if 6 * k + j in read) for k in range(4))
         source = "def kernel(v):\n    %s, = v\n%s    return (%s,)\n" % (
-            ", ".join(name for row in names for name in row if name in read),
-            "".join("    %s = %s\n" % (t, text)
-                    for text, (t, _) in ops.items() if t in read),
-            ", ".join(out))
+            ", ".join(names[s] for s in range(inputs) if s in read), lines,
+            ", ".join(map(text, out)))
         namespace = {"__builtins__": {}}
         exec(compile(source, "<connection kernel>", "exec"), namespace)
         axes.append((words, namespace["kernel"], rows))
@@ -243,9 +203,11 @@ def compile_structure(structure):
     """Per axis, (values, kernel): `values` is a float function (x, y) ->
     the derivative values of the four coefficients that the axis's kernel
     reads, compiled over only those words, and `kernel` takes them to the
-    structural nonzeros of O1 or of O2 (`_connection_kernels`)."""
-    return tuple((compile_derivatives(structure.coefficients, words), kernel)
-                 for words, kernel, _ in _connection_kernels())
+    structural nonzeros of O1 or of O2 (`_connection_kernels`).  The two
+    axes share one derivation of the words they both read."""
+    letters = {"x": {}, "y": {}}
+    return tuple((compile_derivatives(structure.coefficients, words, letters),
+                  kernel) for words, kernel, _ in _connection_kernels())
 
 
 def connection_values(evaluate, point):

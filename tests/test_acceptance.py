@@ -381,8 +381,7 @@ def test_commutator_of_transport_derivatives_is_v_weighted():
         pt = (Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1)))
         js = JetStructure.at(s, pt, 7, "rational")
         # the pair at order N-2, two orders above what `connection` keeps
-        o1, o2 = invariants._connection_matrices(js.a, js._zero,
-                                                 js.order - 2)
+        o1, o2 = invariants._connection_matrices(js, js.order - 2)
         v = js.row("")
         n = o1[0][0].order
         o1t = [[e.truncated(n - 1) for e in row] for row in o1]

@@ -152,7 +152,7 @@ def test_commutator_on_random_rows():
     s = _random_structure(rng)
     pt = (Fraction(1), Fraction(-1))
     js = JetStructure.at(s, pt, 9)
-    o1, o2 = invariants._connection_matrices(js.a, js._zero, js.order - 2)
+    o1, o2 = invariants._connection_matrices(js, js.order - 2)
     v = js.row("")
     n = o1[0][0].order  # connection entries sit at order - 2
     for _ in range(5):
@@ -371,7 +371,7 @@ def test_connection_is_the_order_n_minus_2_pair_truncated(
     structure, point, mode = CONNECTION_CASES[case]
     for order in range(4, 11):
         js = JetStructure.at(structure, point, order, mode)
-        full = invariants._connection_matrices(js.a, js._zero, order - 2)
+        full = invariants._connection_matrices(js, order - 2)
         for got, want in zip(js.connection(), full):
             for got_row, want_row in zip(got, want):
                 for g, w in zip(got_row, want_row):
@@ -436,7 +436,7 @@ def test_cov_deriv_reads_its_row_and_pair_truncated(case, path, monkeypatch):
     structure, point, mode = CONNECTION_CASES[case]
     for order in range(6, 11):
         js = JetStructure.at(structure, point, order, mode)
-        full = invariants._connection_matrices(js.a, js._zero, order - 2)
+        full = invariants._connection_matrices(js, order - 2)
         for level in js.levels(order - 3):
             for row in level:
                 for var, omega in zip("xy", full):

@@ -1,0 +1,215 @@
+"""The tapes of L, V and the prolonged connection against their formulas
+evaluated on `Jet` objects, which is the reference: the same jets bit for
+bit (floats by `float.hex`, signed zeros included), and canonical exact
+tables (den > 0, gcd 1)."""
+
+import math
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from projmet import invariants, jets
+from projmet.cli import load_job
+from projmet.expressions import ExactModeError
+from projmet.invariants import (
+    CONNECTION_FLOATS,
+    CONNECTION_RATIONALS,
+    JetStructure,
+    connection_formula,
+    formula_tape,
+    liouville_formula,
+    vector_formula,
+)
+from projmet.jets import Jet, JetError
+
+INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
+
+
+# ---------------- the reference: the formulas on Jet objects ----------------
+
+
+def _rationals(js):
+    return CONNECTION_RATIONALS if js.exact else CONNECTION_FLOATS
+
+
+def _derivs(js, m):
+    """A0..A3 along CONNECTION_WORDS as jets truncated to m."""
+    out = []
+    for a in js.a:
+        ax, ay = a.diff("x"), a.diff("y")
+        out.append(tuple(d.truncated(m) for d in (
+            a, ax, ay, ax.diff("x"), ax.diff("y"), ay.diff("y"))))
+    return out
+
+
+def reference_L(js):
+    return liouville_formula(_derivs(js, js.order - 2), _rationals(js))
+
+
+def reference_V(js):
+    m = js.order - 3
+    l1, l2 = reference_L(js)
+    operands = [l1.truncated(m), l1.diff("x"), l1.diff("y"),
+                l2.truncated(m), l2.diff("x"), l2.diff("y")]
+    operands += [a.truncated(m) for a in js.a]
+    return vector_formula(operands, js._zero(m), _rationals(js))
+
+
+def reference_connection(js, m):
+    return connection_formula(_derivs(js, m), js._zero(m), _rationals(js))
+
+
+def _bits(jet):
+    """The jet's table as its exact (den, cells) or its floats' hex, after
+    checking that an exact table is canonical."""
+    den, cells = jet._den, jet._cells
+    if den is None:
+        assert all(type(c) is float for c in cells)
+        return jet.order, tuple(c.hex() for c in cells)
+    assert den > 0 and math.gcd(den, *cells) == 1
+    assert all(type(c) is int for c in cells)
+    return jet.order, den, cells
+
+
+def _assert_same(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.base == w.base and g.exact is w.exact
+        assert _bits(g) == _bits(w)
+
+
+def _flat(pair):
+    return [e for m in pair for row in m for e in row]
+
+
+def _assert_tapes_match(js):
+    n = js.order
+    _assert_same(js.liouville(), reference_L(js))
+    _assert_same(js.row(""), reference_V(js))
+    _assert_same(_flat(js.connection()),
+                 _flat(reference_connection(js, max(n - 4, 0))))
+    _assert_same(_flat(invariants._connection_matrices(js, n - 2)),
+                 _flat(reference_connection(js, n - 2)))
+
+
+# ---------------- committed inputs ----------------
+
+
+@pytest.mark.parametrize("mode", ("rational", "float", "auto"))
+@pytest.mark.parametrize(
+    "path", sorted(INPUTS.glob("*.json")), ids=lambda p: p.stem)
+def test_tapes_match_the_jet_formulas_on_committed_inputs(path, mode):
+    job = load_job(str(path))
+    for point in job.points:
+        for order in range(5, 13):
+            try:
+                js = JetStructure.at(job.structure, point, order, mode)
+            except ExactModeError:  # a transcendental tree or float point
+                assert mode == "rational"
+                break
+            _assert_tapes_match(js)
+
+
+# ---------------- seeded random tables ----------------
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def _random_table(rng, order, exact):
+    def cell():
+        if exact:
+            if rng.random() < 0.25:
+                return 0
+            return Fraction(rng.randint(-40, 40), rng.choice(
+                (1, 2, 3, 4, 5, 6, 7, 9, 12, 25, 27, 49)))
+        if rng.random() < 0.2:
+            return rng.choice(SPECIAL)
+        if rng.random() < 0.1:
+            return rng.choice((1e300, -1e-300, 5e-324))
+        return rng.uniform(-3.0, 3.0)
+    return [[cell() for _ in range(order + 1 - i)] for i in range(order + 1)]
+
+
+def _random_structure(rng, order, exact):
+    base = (Fraction(rng.randint(-3, 3), 2), Fraction(1, 3))
+    return JetStructure(tuple(
+        Jet(base, order, _random_table(rng, order, exact)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("path", (0, math.inf))
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "float"))
+def test_tapes_match_the_jet_formulas_on_random_tables(exact, path,
+                                                       monkeypatch):
+    """Seeded random tables: mixed denominators, or floats with +-0.0,
+    +-inf, nan, huge and subnormal cells, on the loop and on the kernel
+    product path."""
+    monkeypatch.setattr(jets, "KERNEL_AT", path)
+    rng = random.Random(3030 + exact)
+    for trial in range(40):
+        _assert_tapes_match(_random_structure(rng, 3 + trial % 6, exact))
+
+
+def test_low_orders_match_or_raise_alike():
+    """Below their orders the tapes raise InsufficientOrderError, as the
+    jet formulas do; at order 2 the connection is the order-0 pair."""
+    rng = random.Random(7)
+    for exact in (True, False):
+        js = _random_structure(rng, 2, exact)
+        _assert_same(js.liouville(), reference_L(js))
+        _assert_same(_flat(js.connection()),
+                     _flat(reference_connection(js, 0)))
+        with pytest.raises(jets.InsufficientOrderError):
+            js.row("")
+        with pytest.raises(jets.InsufficientOrderError):
+            _random_structure(rng, 1, exact).liouville()
+
+
+# ---------------- the tapes themselves ----------------
+
+
+def test_tapes_record_each_distinct_op_once():
+    """The connection's 220 jet operations are 183 distinct ones: 56
+    products, 63 scalings and 64 sums or differences, each recorded once;
+    the two arithmetics trace the same ops."""
+    counts = {}
+    for name in ("liouville", "vector", "connection"):
+        exact_ops, exact_out = formula_tape(name, True)
+        float_ops, float_out = formula_tape(name, False)
+        assert len(set(exact_ops)) == len(exact_ops)
+        assert [op[:2] for op in exact_ops] == [op[:2] for op in float_ops]
+        kinds = [op for op, _, _ in exact_ops]
+        counts[name] = (kinds.count("mul"), kinds.count("scale"),
+                        kinds.count("add") + kinds.count("sub"))
+    assert counts == {"liouville": (12, 10, 16), "vector": (6, 12, 7),
+                      "connection": (56, 63, 64)}
+
+
+def test_traced_constants_keep_their_signed_zeros():
+    """-1/2 and -1 are the negated constant tables of the formula: -0.0 in
+    every cell but the constant term of a float table."""
+    _, outputs = formula_tape("connection", False)
+    constants = {o for o in outputs if type(o) is not int}
+    assert {(c0, math.copysign(1.0, tail)) for c0, tail, _ in constants} == {
+        (0.0, 1.0), (1.0, 1.0), (-0.5, -1.0), (-1.0, -1.0)}
+    _, outputs = formula_tape("connection", True)
+    assert {o for o in outputs if type(o) is not int} == {
+        (0, 0, 1), (1, 0, 1), (-1, 0, 2), (-1, 0, 1)}
+
+
+def test_the_tracer_records_only_what_a_tape_runs():
+    recording = invariants._Recording(True)
+    a, b = recording.inputs(2)
+    for refused in (lambda: a + 1, lambda: 1 - a, lambda: -a, lambda: a / 2,
+                    lambda: a * recording.zero, lambda: a + recording.zero):
+        with pytest.raises(TypeError):
+            refused()
+    with pytest.raises(JetError, match="refuses the float"):
+        a * 0.5
+    assert (0 * a) is recording.zero
+    assert (a * b).slot == (a * b).slot != (b * a).slot
+    assert (2 * a).slot == (a * 2).slot
+    assert recording.ops == [("mul", 0, 1), ("mul", 1, 0),
+                             ("scale", 0, Fraction(2))]
