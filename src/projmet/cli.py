@@ -12,7 +12,10 @@ Subcommands:
 
 Exit codes: 0 metrisable (or informational command succeeded), 1 not
 metrisable / degenerate / recovery refusal, 2 inconclusive, 3 bad input
-or an unwritable --output path.
+or an unwritable --output path, 4 an internal error (any other exception,
+reported as {"error": "internal error: <Type>: <message>"} with its
+traceback on stderr), so that a fault of the program never reads as a
+verdict.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 # Size caps on a job, checked before any jet work: the invariants cost
 # about order^4 jet operations, and a recovery grid evaluates and keeps the
@@ -615,6 +619,12 @@ def main(argv=None):
         report = to_jsonable(report)  # it may refuse a value
     except (InputError, ExprError, JetError) as err:
         report, code = {"error": str(err)}, EXIT_INPUT
+    except Exception as err:  # a fault of the program, never a verdict
+        import traceback  # only here, so that a run imports no more
+        traceback.print_exc()
+        report = {"error": "internal error: %s: %s"
+                  % (type(err).__name__, err)}
+        code = EXIT_INTERNAL
     report["version"] = __version__
     if job is not None:
         report["input"] = job.data

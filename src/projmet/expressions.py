@@ -93,6 +93,9 @@ class _Node:
     __truediv__ = _operator(lambda a, b: div(a, b))
     __rtruediv__ = _operator(lambda a, b: div(b, a))
 
+    def __neg__(self):
+        return neg(self)
+
 
 @dataclass(frozen=True)
 class Num(_Node):
@@ -590,7 +593,7 @@ def eval_scalar(e, x, y):
 
     Rational inputs and a transcendental-free tree give an exact Fraction;
     otherwise the result is a float.  Outside the domain it raises as
-    `compile_float` does.
+    `compile_float` does.  A variable other than x and y raises TypeError.
     """
     xv = to_scalar(x)
     yv = to_scalar(y)
@@ -600,7 +603,7 @@ def eval_scalar(e, x, y):
             return _BINARY[t.op](rec(t.left), rec(t.right))
         if isinstance(t, Num):
             return t.value
-        if isinstance(t, Var):
+        if isinstance(t, Var) and t.name in ("x", "y"):
             return xv if t.name == "x" else yv
         if isinstance(t, Pow):
             v, k = rec(t.base), t.exponent
@@ -620,8 +623,10 @@ def eval_scalar(e, x, y):
 # they are compiled once into straight-line Python: one assignment per
 # distinct subtree (hash-consed, so common subexpressions are shared), each
 # line a single operation on names.  The source holds nothing but `repr`'d
-# float literals, x, y, temporaries, + - * / ** with integer exponents and the
-# helpers of _FLOAT_FUNCS; no text of the input reaches `exec`.
+# float literals, the parameters (x and y unless a caller names others, each
+# an identifier that can name no temporary and no helper), temporaries,
+# + - * / ** with integer exponents and the helpers of _FLOAT_FUNCS; no text
+# of the input reaches `exec`.
 
 
 def _negative_power(v, k):
@@ -630,14 +635,21 @@ def _negative_power(v, k):
     return v**k
 
 
-def _float_source(trees):
-    """Source of `_evaluate(x, y)`, which returns the trees' float values:
-    one line per distinct subtree (`_shared`), named by its line."""
+def _float_source(trees, params=("x", "y")):
+    """Source of `_evaluate(*params)`, which returns the trees' float
+    values: one line per distinct subtree (`_shared`), named by its line.
+    A parameter that is not an identifier, or that could name a temporary
+    (t<digits>) or a helper (_...), raises ValueError; a variable that is
+    not a parameter raises TypeError."""
+    for p in params:
+        if (not p.isidentifier() or p.startswith("_")
+                or p[0] == "t" and p[1:].isdigit()):
+            raise ValueError("%r cannot name a parameter" % (p,))
     lines = []
 
     def build(t, args):
         if isinstance(t, Var):
-            if t.name not in ("x", "y"):
+            if t.name not in params:
                 raise TypeError("not an expression: %r" % (t,))
             return t.name
         if isinstance(t, Num):
@@ -665,9 +677,19 @@ def _float_source(trees):
     memo = {}
     results = [_shared(t, build, memo) for t in trees]
     return "\n".join(
-        ["def _evaluate(x, y):"] + lines
+        ["def _evaluate(%s):" % ", ".join(params)] + lines
         + ["    return (%s)" % "".join(r + ", " for r in results)]
     ) + "\n"
+
+
+def _compiled(trees, params=("x", "y")):
+    """The function of `_float_source(trees, params)`, whose ways out of
+    the domain raise as Python raises them."""
+    namespace = {"__builtins__": {}, "_negative_power": _negative_power}
+    namespace.update(_FLOAT_FUNCS.values())
+    exec(compile(_float_source(trees, params), "<compiled trees>", "exec"),
+         namespace)
+    return namespace["_evaluate"]
 
 
 def compile_float(trees):
@@ -677,10 +699,7 @@ def compile_float(trees):
     to a negative power, sin or cos of a non-finite value, overflow in `**`
     or an elementary function) it raises SingularEvaluationError naming the
     point.  `+`, `-`, `*` and `/` overflow to inf or nan without raising."""
-    namespace = {"__builtins__": {}, "_negative_power": _negative_power}
-    namespace.update(_FLOAT_FUNCS.values())
-    exec(compile(_float_source(trees), "<compiled trees>", "exec"), namespace)
-    return partial(_at_point, namespace["_evaluate"])
+    return partial(_at_point, _compiled(trees))
 
 
 def _at_point(evaluate, x, y):

@@ -17,13 +17,14 @@ at a chosen base point.  The central objects:
 
 L, V and the connection are each one formula (`liouville_formula`,
 `vector_formula`, `connection_formula`) over operands of any arithmetic.
-A tracer records each formula once per arithmetic, on first use, as a tape
-(`formula_tape`): one entry per distinct operation on distinct operands, in
-the formula's order, with constants folded.  A point replays the tapes on
-its raw jet tables (`jets.run_tape`), L and the connection from one
-extraction of the coefficients' 24 derivative tables; the recover
-transport compiles the float connection tape per axis.  Row derivatives
-read each connection matrix's tables truncated once per order.
+Each is run once, on first use, on symbols, as expression trees
+(`formula_trees`), and a tape per arithmetic is read off them
+(`formula_tape`): one entry per distinct operation on distinct operands,
+with constants folded.  A point replays the tapes on its raw jet tables
+(`jets.run_tape`), L and the connection from one extraction of the
+coefficients' 24 derivative tables; the recover transport compiles the
+connection's trees per axis.  Row derivatives read each connection
+matrix's tables truncated once per order.
 
 `decide_metrisability` combines these into a verdict over a sample of
 points.  All derivative bookkeeping truncates uniformly, so a jet of order
@@ -34,7 +35,6 @@ order N-3-k; the full verdict needs N >= 8.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,10 +46,10 @@ from .jets import (
     SingularEvaluationError,
     mul_sub_tables,
     run_tape,
-    to_scalar,
     word_tables,
 )
-from .expressions import choose_arithmetic, eval_jet
+from .expressions import (ZERO, BinOp, Num, Var, _shared, choose_arithmetic,
+                          eval_jet)
 
 F13 = Fraction(1, 3)
 F23 = Fraction(2, 3)
@@ -170,7 +170,7 @@ def level_words(k):
 # ---------------- the formulas of L, V and the connection ----------------
 #
 # Each formula is written once, over operands of any arithmetic: jets,
-# floats, or the symbols of the tracer below, which records it as a tape.
+# floats, or expression trees, off which its tapes are read (below).
 
 
 # Derivative words of the coefficients that L and the connection formulas
@@ -302,130 +302,94 @@ def connection_formula(derivs, z, rationals=CONNECTION_RATIONALS):
     return (omega1, omega2)
 
 
-# ---------------- the tracer and the tapes ----------------
+# ---------------- the formulas as trees, and their tapes ----------------
 
 
-def _traced(op, reflected=False):
-    """The `_Traced` method for `self op other`, or `other op self`."""
-    fold = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-            "div": operator.truediv}[op]
-
-    def method(self, other):
-        recording = self.recording
-        if not isinstance(other, _Traced):
-            if self.slot is not None and op == "mul":
-                return recording.scale(self.slot, other)
-            other = _Traced(recording, None, other)
-        a, b = (other, self) if reflected else (self, other)
-        if a.slot is None and b.slot is None:
-            return _Traced(recording, None, fold(a.const, b.const))
-        if a.slot is None or b.slot is None or op == "div":
-            raise TypeError("a traced formula meets a symbol only with "
-                            "symbols, and with numbers by multiplication")
-        return recording.record(op, a.slot, b.slot)
-
-    return method
+def _formula(name, operands, z, rationals):
+    """The outputs of formula `name` ("liouville", "vector" or
+    "connection") on its operands in order, flat: for L and the connection
+    the 24 of A0..A3 along CONNECTION_WORDS, coefficient-major."""
+    if name == "vector":
+        return vector_formula(operands, z, rationals)
+    derivs = [operands[6 * k:6 * k + 6] for k in range(4)]
+    if name == "liouville":
+        return liouville_formula(derivs, rationals)
+    if name != "connection":
+        raise ValueError("no formula %r" % (name,))
+    return [e for m in connection_formula(derivs, z, rationals)
+            for row in m for e in row]
 
 
-class _Traced:
-    """An operand of a formula traced into a tape: the tape's slot `slot`
-    (an input, or the result of a recorded op), or, with slot None, the
-    constant `const`, a number or an order-1 jet of the tape's arithmetic.
-    Constants fold through the jet arithmetic itself, so a constant's
-    table, negative zeros included, is the one the formula gives.  A slot
-    only meets slots, and numbers by multiplication: anything else, and
-    negating it, raises TypeError."""
-
-    __slots__ = ("recording", "slot", "const")
-
-    def __init__(self, recording, slot, const=None):
-        self.recording, self.slot, self.const = recording, slot, const
-
-    __add__ = _traced("add")
-    __radd__ = _traced("add", True)
-    __sub__ = _traced("sub")
-    __rsub__ = _traced("sub", True)
-    __mul__ = _traced("mul")
-    __rmul__ = _traced("mul", True)
-    __truediv__ = _traced("div")
-
-    def __neg__(self):
-        if self.slot is not None:
-            raise TypeError("a traced formula negates only constants")
-        return _Traced(self.recording, None, -self.const)
+@functools.cache
+def formula_trees(name):
+    """(symbols, trees): formula `name` run once, on first use, on `Var`
+    leaves named for its operands (a0t, a0x, ..., a3yy: A0..A3 along
+    CONNECTION_WORDS, t the value), with CONNECTION_RATIONALS and ZERO, so
+    that the trees' `+ - * /` record it with its constants folded."""
+    if name == "vector":
+        symbols = tuple("l1 l1x l1y l2 l2x l2y a0t a1t a2t a3t".split())
+    else:
+        symbols = tuple("a%d%s" % (k, w or "t") for k in range(4)
+                        for w in CONNECTION_WORDS)
+    return symbols, tuple(_formula(name, tuple(map(Var, symbols)), ZERO,
+                                   CONNECTION_RATIONALS))
 
 
-class _Recording:
-    """A tape being traced: its input symbols, then its ops, each recorded
-    once per distinct op and operands, in the formula's order of
-    evaluation."""
+def _read_tape(trees, symbols, exact):
+    """(ops, outputs) of the tape of `trees` over the inputs `symbols`: one
+    op per distinct subtree (`_shared`) and per distinct op and operands.
+    A product of two symbols is "mul", of a number and a symbol "scale" by
+    the number in the tape's arithmetic, and + and - are "add" and "sub";
+    a symbol negated, divided, or meeting a number other than by a product
+    raises TypeError.  A constant tree's output is its `Num`."""
+    slots = {s: i for i, s in enumerate(symbols)}  # and each op's slot
+    ops = []
 
-    def __init__(self, exact):
-        self.exact, self.size = exact, 0
-        self.ops, self.slots = [], {}
-        zero = Jet.constant(0 if exact else 0.0, (0, 0), 1)
-        self.zero = _Traced(self, None, zero)
+    def record(op):
+        if op not in slots:
+            slots[op] = len(symbols) + len(ops)
+            ops.append(op)
+        return slots[op]
 
-    def inputs(self, k):
-        """The next k input symbols; every input precedes every op."""
-        self.size += k
-        return [_Traced(self, slot) for slot in range(self.size - k,
-                                                      self.size)]
+    def build(t, args):
+        if isinstance(t, (Num, Var)):
+            return t if isinstance(t, Num) else slots[t.name]
+        if isinstance(t, BinOp) and t.op in "+-*":
+            x, y = args
+            if type(x) is int and type(y) is int:
+                return record(({"+": "add", "-": "sub", "*": "mul"}[t.op],
+                               x, y))
+            if t.op == "*" and int in (type(x), type(y)):
+                c, x = (x, y) if type(y) is int else (y, x)
+                return record(("scale", x,
+                               c.value if exact else float(c.value)))
+        raise TypeError("a tape meets a symbol only with symbols, and with "
+                        "numbers by multiplication")
 
-    def record(self, op, x, y):
-        key = (op, x, y)
-        if key not in self.slots:
-            self.slots[key] = self.size
-            self.size += 1
-            self.ops.append(key)
-        return _Traced(self, self.slots[key])
-
-    def scale(self, x, c):
-        """Slot x times the number c, joined to the tape's arithmetic as a
-        jet joins it; times zero it is the zero table, as `Jet._scale`
-        makes it."""
-        c = to_scalar(c)
-        if not self.exact:
-            c = float(c)
-        elif isinstance(c, float):
-            raise JetError("an exact tape refuses the float %r" % (c,))
-        if c == 0:
-            return self.zero
-        return self.record("scale", x, c)
-
-    def finish(self, outputs):
-        """(ops, outputs) for `jets.run_tape`."""
-        def entry(e):
-            if e.slot is not None:
-                return e.slot
-            value, tail = e.const.coeffs[0][0], e.const.coeffs[1][0]
-            if self.exact:
-                return (value.numerator, 0, value.denominator)
-            return (value, tail, None)
-        return tuple(self.ops), tuple(map(entry, outputs))
+    memo = {}
+    outputs = [_shared(t, build, memo) for t in trees]
+    return tuple(ops), outputs
 
 
 @functools.cache
 def formula_tape(name, exact):
-    """The tape of formula `name` ("liouville", "vector" or "connection")
-    in exact or float arithmetic, traced on first use, never at import.
-    Its inputs are the formula's operands in order: for L and the
-    connection the 24 of A0..A3 along CONNECTION_WORDS, coefficient-major.
-    Each op is recorded once per distinct operands, in the formula's order,
-    and constants fold: the connection's 220 jet operations are 183 ops,
-    56 products, 63 scalings and 64 sums or differences."""
-    recording = _Recording(exact)
-    rationals = CONNECTION_RATIONALS if exact else CONNECTION_FLOATS
-    if name == "vector":
-        return recording.finish(vector_formula(
-            recording.inputs(10), recording.zero, rationals))
-    derivs = [recording.inputs(6) for _ in range(4)]
-    if name == "liouville":
-        return recording.finish(liouville_formula(derivs, rationals))
-    if name != "connection":
-        raise ValueError("no formula %r" % (name,))
-    pair = connection_formula(derivs, recording.zero, rationals)
-    return recording.finish([e for m in pair for row in m for e in row])
+    """The tape of formula `name` in exact or float arithmetic, read on
+    first use, never at import, off its trees (`formula_trees`), whose
+    symbols are its inputs in order.  Each distinct op is recorded once:
+    the connection's 220 jet operations are 183 ops, 56 products, 63
+    scalings and 64 sums or differences.  A constant output is its number,
+    in a float tape with the tail that the formula gives it on order-1
+    zero jets, so that -1/2 and -1 keep their negative zeros."""
+    symbols, trees = formula_trees(name)
+    ops, outputs = _read_tape(trees, symbols, exact)
+    if exact:
+        return ops, tuple(o if type(o) is int else (
+            o.value.numerator, 0, o.value.denominator) for o in outputs)
+    zero = Jet.constant(0.0, (0, 0), 1)
+    tables = _formula(name, (zero,) * len(symbols), zero, CONNECTION_FLOATS)
+    return ops, tuple(o if type(o) is int else (
+        jet.coeffs[0][0], jet.coeffs[1][0], None)
+        for o, jet in zip(outputs, tables))
 
 
 def _liouville_L(js):

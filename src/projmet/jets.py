@@ -609,13 +609,14 @@ def _product_kernel(n, accumulate=False):
 
 # ---------------- tapes ----------------
 #
-# A tape is a fixed formula recorded once, `(ops, outputs)`, by the tracer
-# in `invariants`.  Its slots are the input tables, then one per op, in
-# order.  An op is ("mul", x, y), the product of slots x and y; ("scale",
-# x, c), slot x times the nonzero number c of the tape's arithmetic (a
-# Fraction or a float); or ("add", x, y) or ("sub", x, y).  An output is a
-# slot, or a constant (c0, tail, den): the table whose constant term is c0
-# and whose other cells are all tail, over den (None in a float tape).
+# A tape is a fixed formula recorded once, `(ops, outputs)`, read off its
+# expression trees by `invariants.formula_tape`.  Its slots are the input
+# tables, then one per op, in order.  An op is ("mul", x, y), the product
+# of slots x and y; ("scale", x, c), slot x times the nonzero number c of
+# the tape's arithmetic (a Fraction or a float); or ("add", x, y) or
+# ("sub", x, y).  An output is a slot, or a constant (c0, tail, den): the
+# table whose constant term is c0 and whose other cells are all tail, over
+# den (None in a float tape).
 
 
 def word_tables(jets, words, m):

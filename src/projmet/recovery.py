@@ -14,11 +14,12 @@ reversed order as a consistency check) and undoing the substitution
 
 by `model.section_to_metric`, with Delta from `invariants.genericity_P`,
 yields the metric.  The connection is evaluated on plain floats, one axis
-at a time.  The float tape of `invariants.connection_formula`
-(`invariants.formula_tape`), which the commands replay on jet tables, is
-emitted once into a straight-line kernel per axis, from the 17 of the
-coefficients' 24 values and first and second derivatives that O1 or O2
-reads to that matrix's 19 structural nonzeros.  The coefficient trees are
+at a time.  The expression trees of `invariants.connection_formula`
+(`invariants.formula_trees`), off which the commands' tapes are read, are
+compiled once into a straight-line kernel per axis by the emitter of
+`expressions.compile_float`, from the 17 of the coefficients' 24 values
+and first and second derivatives that O1 or O2 reads to that matrix's 19
+structural nonzeros.  The coefficient trees are
 differentiated once along the words either axis reads, and each axis's
 words are compiled into one float function.  The RK4 nodes lie on the
 lattice of spacing h / (2 substeps) and are cached by integer lattice
@@ -31,7 +32,7 @@ coefficients from the reconstructed metric table, by `ode_from_metric`'s
 formula (`model.geodesic_coefficients`), with its first derivatives taken
 by fourth-order central differences across the grid so that it measures the
 transport rather than restating its equations, and compares them with the
-input.
+input coefficients, compiled once per residual by `compile_float`.
 """
 
 from __future__ import annotations
@@ -40,12 +41,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite
 
-from .expressions import compile_derivatives
-from .invariants import (
-    CONNECTION_WORDS,
-    formula_tape,
-    genericity_P,
-)
+from .expressions import (ZERO, BinOp, Var, _compiled, compile_derivatives,
+                          compile_float)
+from .invariants import CONNECTION_WORDS, formula_trees, genericity_P
 from .jets import SingularEvaluationError
 from .model import geodesic_coefficients, section_to_metric
 
@@ -144,58 +142,37 @@ def initial_section(witness):
     return tuple(w)
 
 
+def _reads(tree):
+    """The names of the variables of a tree of + - * on numbers."""
+    if isinstance(tree, BinOp):
+        return _reads(tree.left) | _reads(tree.right)
+    return {tree.name} if isinstance(tree, Var) else set()
+
+
 @cache
 def _connection_kernels():
-    """Per axis, (words, kernel, rows), emitted on the first transport
-    from the float tape of `connection_formula`
-    (`invariants.formula_tape`).
+    """Per axis, (words, kernel, rows), compiled on the first transport
+    from the trees of `connection_formula` (`invariants.formula_trees`).
 
     `rows` are the structural nonzeros of O1 or O2: for each row, the
-    columns whose entry is not the tape's zero constant; the constants
-    +-1 and -1/2 are nonzeros.  `kernel` is straight-line code, one line
-    per op of the tape that the matrix reads, in the tape's order, taking
-    the derivative values the matrix reads, coefficient-major, to its
-    nonzeros in row-major order.  A scaling is c * a and any other op
-    a op b, so each line is the float the formula computes on floats.
-    `words[k]` are the words of A_k it reads, along CONNECTION_WORDS."""
-    ops, outputs = formula_tape("connection", False)
-    inputs = len(CONNECTION_WORDS) * 4
-    names = ["a%d%s" % (k, w or "t") for k in range(4)
-             for w in CONNECTION_WORDS]
-    names += ["t%d" % i for i in range(len(ops))]
-    symbols = {"mul": "*", "add": "+", "sub": "-"}
-
-    def text(entry):
-        return names[entry] if type(entry) is int else repr(entry[0])
-
-    def expression(op, x, y):
-        if op == "scale":
-            return "%r * %s" % (y, names[x])
-        return "%s %s %s" % (names[x], symbols[op], names[y])
-
+    columns whose tree is not the number 0; the constants +-1 and -1/2 are
+    nonzeros.  `kernel` is those trees, in row-major order, compiled into
+    straight-line float code (`expressions._compiled`) whose parameters
+    are the symbols they read, coefficient-major; each line is the float
+    the formula computes on floats.  `words[k]` are the words of A_k it
+    reads, along CONNECTION_WORDS."""
+    symbols, trees = formula_trees("connection")
     axes = []
-    for m in (outputs[:36], outputs[36:]):
-        rows = tuple(tuple(j for j in range(6) if type(m[6 * i + j]) is int
-                           or m[6 * i + j][0] != 0) for i in range(6))
+    for m in (trees[:36], trees[36:]):
+        rows = tuple(tuple(j for j in range(6) if m[6 * i + j] != ZERO)
+                     for i in range(6))
         out = [m[6 * i + j] for i, cols in enumerate(rows) for j in cols]
-        read, todo = set(), [e for e in out if type(e) is int]
-        while todo:
-            slot = todo.pop()
-            if slot not in read:
-                read.add(slot)
-                if slot >= inputs:
-                    op, x, y = ops[slot - inputs]
-                    todo += (x,) if op == "scale" else (x, y)
-        lines = "".join("    %s = %s\n" % (names[inputs + i], expression(*op))
-                        for i, op in enumerate(ops) if inputs + i in read)
-        words = tuple(tuple(w for j, w in enumerate(CONNECTION_WORDS)
-                            if 6 * k + j in read) for k in range(4))
-        source = "def kernel(v):\n    %s, = v\n%s    return (%s,)\n" % (
-            ", ".join(names[s] for s in range(inputs) if s in read), lines,
-            ", ".join(map(text, out)))
-        namespace = {"__builtins__": {}}
-        exec(compile(source, "<connection kernel>", "exec"), namespace)
-        axes.append((words, namespace["kernel"], rows))
+        read = set().union(*map(_reads, out))
+        words = tuple(tuple(w for w, s in zip(CONNECTION_WORDS,
+                                              symbols[6 * k:6 * k + 6])
+                            if s in read) for k in range(4))
+        axes.append((words, _compiled(out, [s for s in symbols if s in read]),
+                     rows))
     return tuple(axes)
 
 
@@ -218,8 +195,8 @@ def connection_values(evaluate, point):
     node is not integrated along."""
     x, y = float(point[0]), float(point[1])
     o1, o2 = evaluate
-    return (None if o1 is None else o1[1](o1[0](x, y)),
-            None if o2 is None else o2[1](o2[0](x, y)))
+    return (None if o1 is None else o1[1](*o1[0](x, y)),
+            None if o2 is None else o2[1](*o2[0](x, y)))
 
 
 @cache
@@ -383,6 +360,7 @@ def roundtrip_residual(metric, structure):
     grid = metric.grid
     h = grid.h
     efg = {key: node[:3] for key, node in metric.nodes.items()}
+    coefficients = compile_float(structure.coefficients)
 
     def stencil(key, axis):
         i, j = key
@@ -404,7 +382,7 @@ def roundtrip_residual(metric, structure):
         if dx is None or dy is None:
             continue
         rec = geodesic_coefficients(efg[key], dx, dy)
-        ref = [float(v) for v in structure.values_at(grid.point(*key))]
+        ref = coefficients(*grid.point(*key))
         dev = max(abs(r - s) for r, s in zip(rec, ref))
         worst = dev if worst is None else max(worst, dev)
     return float("nan") if worst is None else worst

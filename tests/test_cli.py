@@ -186,6 +186,22 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, where):
     assert report["error"].startswith("cannot write %s: " % out)
 
 
+def test_an_unexpected_exception_exits_four(monkeypatch, capsys):
+    """A fault of the program is reported as an internal error with its own
+    exit code, never as exit 1, which means NotMetrisable."""
+    def broken(job, mode):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "check", broken)
+    code = cli.main(["check", "--input", f"{INPUTS}/flat.json"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    report = json.loads(out)
+    assert report["error"] == "internal error: RuntimeError: boom"
+    assert report["version"] == cli.__version__
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err
+
+
 def test_timing_flag(capsys):
     code, report = run_cli(capsys, "selftest", "--timing")
     assert code == 0

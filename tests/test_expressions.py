@@ -370,6 +370,32 @@ def test_compiled_source_is_flat_and_holds_no_input_text():
     assert repr(2 / 3) in source
 
 
+def test_compiled_parameters_are_names_that_shadow_nothing():
+    """Other parameter names than x and y compile a function of them; a
+    name that is not an identifier, or that could name a temporary or a
+    helper, is refused before any source is built, and a variable that is
+    not a parameter is refused too."""
+    a, b = ex.Var("a"), ex.Var("b")
+    f = ex._compiled([a * b - 2 * a, -b], ("a", "b"))
+    assert repr(f(3.0, -0.0)) == repr((-6.0, 0.0))
+    for bad in ("1a", "a-b", "x)", "t0", "t12", "_exp", "__builtins__", ""):
+        with pytest.raises(ValueError):
+            ex._float_source([a], ("a", bad))
+    assert "t" in ex._float_source([ex.Var("t")], ("t",))
+    with pytest.raises(TypeError):
+        ex._float_source([a * b], ("a",))
+    with pytest.raises(TypeError):
+        ex._float_source([a])
+
+
+def test_eval_scalar_reads_only_x_and_y():
+    assert eval_scalar(parse_expr("x - 2*y"), 1, 3) == -5
+    with pytest.raises(TypeError):
+        eval_scalar(ex.Var("a") + ex.Var("x"), 1, 2)
+    with pytest.raises(TypeError):
+        eval_scalar(ex.Var("y") * ex.Var("b"), 1, 2)
+
+
 @pytest.mark.parametrize("src, point, message", [
     ("1/(x-1/8)", (0.125, 0.0), "division by zero"),
     ("log(x)", (0.0, 1.0), "log of a non-positive value"),

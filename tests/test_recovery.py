@@ -276,7 +276,7 @@ def test_connection_pattern_is_the_formula_s_structural_nonzeros():
         for m, (words, kernel, rows) in zip(pair, kernels):
             read = [d[CONNECTION_WORDS.index(w)]
                     for d, ws in zip(derivs, words) for w in ws]
-            assert repr(kernel(read)) == repr(tuple(
+            assert repr(kernel(*read)) == repr(tuple(
                 row[j] for row, cols in zip(m, rows) for j in cols))
             for row, cols in zip(m, rows):
                 for j, e in enumerate(row):

@@ -12,7 +12,7 @@ import pytest
 
 from projmet import invariants, jets
 from projmet.cli import load_job
-from projmet.expressions import ExactModeError
+from projmet.expressions import ZERO, ExactModeError, Var
 from projmet.invariants import (
     CONNECTION_FLOATS,
     CONNECTION_RATIONALS,
@@ -22,7 +22,7 @@ from projmet.invariants import (
     liouville_formula,
     vector_formula,
 )
-from projmet.jets import Jet, JetError
+from projmet.jets import Jet
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
@@ -199,17 +199,21 @@ def test_traced_constants_keep_their_signed_zeros():
         (0, 0, 1), (1, 0, 1), (-1, 0, 2), (-1, 0, 1)}
 
 
-def test_the_tracer_records_only_what_a_tape_runs():
-    recording = invariants._Recording(True)
-    a, b = recording.inputs(2)
-    for refused in (lambda: a + 1, lambda: 1 - a, lambda: -a, lambda: a / 2,
-                    lambda: a * recording.zero, lambda: a + recording.zero):
+def test_the_tree_reader_records_only_what_a_tape_runs():
+    """A symbol meets symbols by + - *, and numbers only by a product; one
+    op per distinct op and operands, so a*b and b*a are two products and
+    2*a and a*2 one scaling, in the tape's arithmetic."""
+    a, b = Var("a"), Var("b")
+    for refused in (a + 1, 1 - a, -a, a / 2):
         with pytest.raises(TypeError):
-            refused()
-    with pytest.raises(JetError, match="refuses the float"):
+            invariants._read_tape([refused], ("a", "b"), True)
+    with pytest.raises(TypeError):
         a * 0.5
-    assert (0 * a) is recording.zero
-    assert (a * b).slot == (a * b).slot != (b * a).slot
-    assert (2 * a).slot == (a * 2).slot
-    assert recording.ops == [("mul", 0, 1), ("mul", 1, 0),
-                             ("scale", 0, Fraction(2))]
+    assert 0 * a is ZERO
+    trees = [a * b, b * a, 2 * a, a * 2, a * b, 0 * a, a - b]
+    ops, outputs = invariants._read_tape(trees, ("a", "b"), True)
+    assert ops == (("mul", 0, 1), ("mul", 1, 0), ("scale", 0, Fraction(2)),
+                   ("sub", 0, 1))
+    assert outputs == [2, 3, 4, 4, 2, ZERO, 5]
+    ops, _ = invariants._read_tape(trees, ("a", "b"), False)
+    assert type(ops[2][2]) is float and ops[2][2] == 2.0
