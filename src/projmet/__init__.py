@@ -54,7 +54,6 @@ from .invariants import (
     JetStructure,
     nu5,
     cov_deriv,
-    curvature,
     matrix_M,
     matrix_Mmax,
     sixth_order_E,
@@ -72,7 +71,6 @@ from .tractor import (
     ContractionLayoutError,
     AffineConnection,
     schouten,
-    TractorData,
     tractor_data,
     theta_bar,
     theta_values,
@@ -112,12 +110,12 @@ __all__ = [
     "det", "rank_kernel", "RankResult",
     "VERDICT_FLAT", "VERDICT_METRISABLE", "VERDICT_NOT",
     "VERDICT_DEGENERATE", "VERDICT_INCONCLUSIVE",
-    "JetStructure", "nu5", "cov_deriv", "curvature", "matrix_M",
+    "JetStructure", "nu5", "cov_deriv", "matrix_M",
     "matrix_Mmax", "sixth_order_E", "stratified_obstruction",
     "cartan_stabilize", "degenerate_obstruction", "genericity_P",
     "kernel_has_nondegenerate", "PointReport", "ObstructionReport",
     "analyze_point", "decide_metrisability",
-    "ContractionLayoutError", "AffineConnection", "schouten", "TractorData",
+    "ContractionLayoutError", "AffineConnection", "schouten",
     "tractor_data", "theta_bar", "theta_values", "det_by_contraction",
     "projective_change", "change_connection",
     "RecoveryError", "DegenerateWitnessError", "PathDependenceError",

@@ -347,6 +347,9 @@ def cmd_check(job, mode):
 def cmd_tractor(job, mode):
     change = job.data.get("change")
     f_expr = None if change is None else job._parse(change, '"change"')
+    # omega = df, derived once for every point
+    df = None if f_expr is None else [ex.differentiate(f_expr, v)
+                                      for v in "xy"]
     points = []
     for p in job.points:
         js = JetStructure.at(job.structure, p, STACK_ORDER, mode)
@@ -366,16 +369,15 @@ def cmd_tractor(job, mode):
         }
         if f_expr is not None:
             entry["change"] = _change_block(conn, theta, det_direct,
-                                            f_expr, p)
+                                            f_expr, df, p)
         points.append(entry)
     report = {"command": "tractor", "order": job.order, "points": points}
     return report, EXIT_OK
 
 
-def _change_block(conn, theta, det_theta, f_expr, point):
-    # omega's values are read from order-0 jets, so they round as eval_jet
-    # rounds, not as eval_scalar does
-    df = [ex.differentiate(f_expr, v) for v in "xy"]
+def _change_block(conn, theta, det_theta, f_expr, df, point):
+    # omega's values are read from order-0 jets of df, so they round as
+    # eval_jet rounds, not as eval_scalar does
     kind = ex.choose_arithmetic(df, point,
                                 "auto" if conn.s.exact else "float")
     memo = {}

@@ -8,7 +8,8 @@ independent evaluators: `eval_jet` (truncated Taylor arithmetic),
 `eval_scalar` (plain floating/rational point evaluation) and `compile_float`
 (straight-line float code for many points).  The three share one operator
 table and one set of domain rules, those of `jets`.  `+ - * /` on trees
-build trees, so a formula written once also runs on jets and numbers.
+build trees, so a formula written once also runs on jets and numbers, and
+`.diff` builds a `Diff` node, a derivative left unevaluated for tapes.
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ class _Node:
     def __neg__(self):
         return neg(self)
 
+    def diff(self, var):
+        """The formal derivative along "x" or "y", as a `Diff` node, which
+        is what a formula that differentiates its operands records."""
+        if var not in ("x", "y"):
+            raise ValueError("differentiation variable must be 'x' or 'y'")
+        return Diff(var, self)
+
 
 @dataclass(frozen=True)
 class Num(_Node):
@@ -129,6 +137,17 @@ class Neg(_Node):
 class Call(_Node):
     func: str
     arg: object
+
+
+class Diff(_Node):
+    """The partial derivative of the field `arg` stands for, along `var`,
+    left unevaluated: `Var("g").diff("x")` is dg/dx, where `differentiate`
+    gives 0.  Only tapes read it (`invariants._read_tape`).  A plain class,
+    since a dataclass costs a cold run about 0.5 ms to create."""
+
+    def __init__(self, var, arg):
+        self.var = var
+        self.arg = arg
 
 
 # ---------------- tokenizer / parser ----------------
@@ -348,7 +367,7 @@ ONE = Num(Fraction(1))
 
 
 def num(v):
-    return Num(Fraction(v))
+    return Num(v if type(v) is Fraction else Fraction(v))
 
 
 def _is_zero(e):
@@ -493,7 +512,8 @@ def _parts(t):
     if isinstance(t, BinOp):
         return t.op, (t.left, t.right)
     if isinstance(t, Num):
-        return t.value, ()
+        # the two ints key a value alike, and hash much faster than it
+        return (t.value.numerator, t.value.denominator), ()
     if isinstance(t, Var):
         return t.name, ()
     if isinstance(t, Pow):

@@ -18,9 +18,9 @@ at a chosen base point.  The central objects:
 L, V and the connection are each one formula (`liouville_formula`,
 `vector_formula`, `connection_formula`) over operands of any arithmetic.
 Each is run once, on first use, on symbols, as expression trees
-(`formula_trees`), and a tape per arithmetic is read off them
-(`formula_tape`): one entry per distinct operation on distinct operands,
-with constants folded.  A point replays the tapes on its raw jet tables
+(`formula_trees`), and a tape is read off them (`formula_tape`, exact and
+in floats): one entry per distinct operation on distinct operands, with
+constants folded.  `tractor.stack_tape` is read by the same reader.  A point replays the tapes on its raw jet tables
 (`jets.run_tape`), L and the connection from one extraction of the
 coefficients' 24 derivative tables; the recover transport compiles the
 connection's trees per axis.  Row derivatives read each connection
@@ -48,7 +48,7 @@ from .jets import (
     run_tape,
     word_tables,
 )
-from .expressions import (ZERO, BinOp, Num, Var, _shared, choose_arithmetic,
+from .expressions import (ZERO, BinOp, Diff, Num, Var, choose_arithmetic,
                           eval_jet)
 
 F13 = Fraction(1, 3)
@@ -335,61 +335,128 @@ def formula_trees(name):
                                    CONNECTION_RATIONALS))
 
 
-def _read_tape(trees, symbols, exact):
-    """(ops, outputs) of the tape of `trees` over the inputs `symbols`: one
-    op per distinct subtree (`_shared`) and per distinct op and operands.
-    A product of two symbols is "mul", of a number and a symbol "scale" by
-    the number in the tape's arithmetic, and + and - are "add" and "sub";
-    a symbol negated, divided, or meeting a number other than by a product
-    raises TypeError.  A constant tree's output is its `Num`."""
+def _read_tape(trees, symbols):
+    """(ops, outputs, ups), the exact tape of `trees` over the inputs
+    `symbols`: one op per distinct op and operands, so one per distinct
+    subtree.  A product of two symbols is "mul", of a number and a symbol
+    "scale" by the number, + and - are "add" and "sub", and a `Diff` node
+    "dx" or "dy"; a symbol negated, divided, or meeting a number other than
+    by a product raises TypeError.  A constant tree's output is its `Num`.
+    Each op then runs as low as its readers allow (`_lowered`)."""
     slots = {s: i for i, s in enumerate(symbols)}  # and each op's slot
     ops = []
+    # each node read once, by identity: `trees` keeps every node alive, so
+    # an id names one node while this runs
+    memo = {}
 
     def record(op):
-        if op not in slots:
-            slots[op] = len(symbols) + len(ops)
+        slot = slots.get(op)
+        if slot is None:
+            slot = slots[op] = len(symbols) + len(ops)
             ops.append(op)
-        return slots[op]
+        return slot
 
-    def build(t, args):
-        if isinstance(t, (Num, Var)):
-            return t if isinstance(t, Num) else slots[t.name]
-        if isinstance(t, BinOp) and t.op in "+-*":
-            x, y = args
+    def read(t):
+        slot = memo.get(id(t))
+        if slot is None:
+            slot = memo[id(t)] = build(t)
+        return slot
+
+    def build(t):
+        kind = type(t)
+        if kind is BinOp and t.op in "+-*":
+            x, y = read(t.left), read(t.right)
             if type(x) is int and type(y) is int:
                 return record(({"+": "add", "-": "sub", "*": "mul"}[t.op],
                                x, y))
             if t.op == "*" and int in (type(x), type(y)):
                 c, x = (x, y) if type(y) is int else (y, x)
-                return record(("scale", x,
-                               c.value if exact else float(c.value)))
+                return record(("scale", x, c.value))
+        elif kind is Var:
+            return slots[t.name]
+        elif kind is Num:
+            return t
+        elif kind is Diff:
+            x = read(t.arg)
+            if type(x) is int:
+                return record(("d" + t.var, x, None))
         raise TypeError("a tape meets a symbol only with symbols, and with "
                         "numbers by multiplication")
 
-    memo = {}
-    outputs = [_shared(t, build, memo) for t in trees]
-    return tuple(ops), outputs
+    return _lowered(ops, [read(t) for t in trees], len(symbols))
+
+
+def _lowered(ops, outputs, k):
+    """(ops, outputs, ups) with every slot at the lowest order its readers
+    need: `ups[i]` is slot i's order above the outputs', which are at 0,
+    and a derivative reads its operand one order higher.  A reader that
+    needs a slot lower than that reads it through a ("trunc", x, up) op,
+    where up is slot x's own; one per slot and order.  Without derivatives
+    every up is 0 and the ops are as recorded."""
+    need = [0] * (k + len(ops))
+    for i in range(len(ops) - 1, -1, -1):
+        kind, x, y = ops[i]
+        up = need[k + i] + (kind[0] == "d")
+        if up > need[x]:
+            need[x] = up
+        if type(y) is int and up > need[y]:  # y is a slot
+            need[y] = up
+    new, ups, where, truncs = [], need[:k], list(range(k)), {}
+
+    def read(x, up):  # the new slot of old slot x at order up
+        x = where[x]
+        if ups[x] == up:
+            return x
+        t = truncs.get((x, up))
+        if t is None:
+            t = truncs[x, up] = len(ups)
+            new.append(("trunc", x, ups[x]))
+            ups.append(up)
+        return t
+
+    for (kind, x, y), up in zip(ops, need[k:]):
+        if type(y) is int:
+            op = (kind, read(x, up), read(y, up))
+        else:
+            op = (kind, read(x, up + (kind[0] == "d")), y)
+        where.append(len(ups))
+        new.append(op)
+        ups.append(up)
+    outputs = tuple(read(o, 0) if type(o) is int else o for o in outputs)
+    return tuple(new), outputs, tuple(ups)
+
+
+def float_ops(ops):
+    """The ops of an exact tape in float arithmetic: each scaling by its
+    number's float."""
+    return tuple((op, x, float(y)) if op == "scale" else (op, x, y)
+                 for op, x, y in ops)
 
 
 @functools.cache
 def formula_tape(name, exact):
     """The tape of formula `name` in exact or float arithmetic, read on
     first use, never at import, off its trees (`formula_trees`), whose
-    symbols are its inputs in order.  Each distinct op is recorded once:
-    the connection's 220 jet operations are 183 ops, 56 products, 63
-    scalings and 64 sums or differences.  A constant output is its number,
-    in a float tape with the tail that the formula gives it on order-1
-    zero jets, so that -1/2 and -1 keep their negative zeros."""
-    symbols, trees = formula_trees(name)
-    ops, outputs = _read_tape(trees, symbols, exact)
+    symbols are its inputs in order; the float tape is the exact one in
+    floats.  Each distinct op is recorded once: the connection's 220 jet
+    operations are 183 ops, 56 products, 63 scalings and 64 sums or
+    differences.  A constant output is its number, in a float tape with
+    the tail that the formula gives it on order-1 zero jets, so that -1/2
+    and -1 keep their negative zeros."""
     if exact:
+        symbols, trees = formula_trees(name)
+        ops, outputs, ups = _read_tape(trees, symbols)
         return ops, tuple(o if type(o) is int else (
-            o.value.numerator, 0, o.value.denominator) for o in outputs)
+            o.value.numerator, 0, o.value.denominator) for o in outputs), ups
+    ops, outputs, ups = formula_tape(name, True)
+    if all(type(o) is int for o in outputs):  # no constant to fold
+        return float_ops(ops), outputs, ups
     zero = Jet.constant(0.0, (0, 0), 1)
+    symbols, _ = formula_trees(name)
     tables = _formula(name, (zero,) * len(symbols), zero, CONNECTION_FLOATS)
-    return ops, tuple(o if type(o) is int else (
+    return float_ops(ops), tuple(o if type(o) is int else (
         jet.coeffs[0][0], jet.coeffs[1][0], None)
-        for o, jet in zip(outputs, tables))
+        for o, jet in zip(outputs, tables)), ups
 
 
 def _liouville_L(js):
@@ -496,28 +563,6 @@ class Columns(tuple):
             self._tables[order] = (word_tables(self.entries, ("",), order)
                                    if self.entries else [])
         return self._tables[order]
-
-
-def curvature(js):
-    """F = dO2/dx - dO1/dy + O1 O2 - O2 O1.  Its first five rows vanish
-    identically and its sixth row equals V."""
-    n = js.order
-    if n < 3:
-        raise InsufficientOrderError(3, n)
-    m = n - 3
-    o1, o2 = _connection_matrices(js, n - 2)
-    o1t = [[e.truncated(m) for e in row] for row in o1]
-    o2t = [[e.truncated(m) for e in row] for row in o2]
-    out = []
-    for i in range(6):
-        row = []
-        for j in range(6):
-            acc = o2[i][j].diff("x") - o1[i][j].diff("y")
-            for k in range(6):
-                acc = acc + o1t[i][k] * o2t[k][j] - o2t[i][k] * o1t[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------- determinant/rank stacks ----------------

@@ -61,8 +61,9 @@ denominator and reduced once.  Head and pairs share one arithmetic.
 
 Fixed formulas run on raw tables.  `word_tables` reads jets differentiated
 along words and truncated, as unreduced (cells, den) pairs; `run_tape`
-replays a formula recorded once as a tape (`invariants.formula_tape`) on
-them, each op through the primitive that the jet operation itself runs,
+replays a formula recorded once as a tape (`invariants.formula_tape`,
+`tractor.stack_tape`) on them, each op through the primitive that the jet
+operation itself runs, at the lowest order that the op's readers need,
 and `mul_sub_tables` is `mul_sub` on them.  Float results are the jet
 formula's bit for bit; exact tables stay unreduced until each result is
 reduced once, which gives the same canonical table.
@@ -609,14 +610,19 @@ def _product_kernel(n, accumulate=False):
 
 # ---------------- tapes ----------------
 #
-# A tape is a fixed formula recorded once, `(ops, outputs)`, read off its
-# expression trees by `invariants.formula_tape`.  Its slots are the input
-# tables, then one per op, in order.  An op is ("mul", x, y), the product
-# of slots x and y; ("scale", x, c), slot x times the nonzero number c of
-# the tape's arithmetic (a Fraction or a float); or ("add", x, y) or
-# ("sub", x, y).  An output is a slot, or a constant (c0, tail, den): the
-# table whose constant term is c0 and whose other cells are all tail, over
-# den (None in a float tape).
+# A tape is a fixed formula recorded once, `(ops, outputs, ups)`, read off
+# its expression trees by `invariants._read_tape`.  Its slots are the input
+# tables, then one per op, in order, and slot i's table is at order n +
+# ups[i], where n is the outputs' order: each op runs at the lowest order
+# that its readers need.  An op is ("mul", x, y), the product of slots x
+# and y; ("scale", x, c), slot x times the nonzero number c of the tape's
+# arithmetic (a Fraction or a float); ("add", x, y) or ("sub", x, y);
+# ("dx", x, None) or ("dy", x, None), the derivative of slot x, which is
+# one order higher; or ("trunc", x, up), slot x, at order n + up,
+# truncated.  The operands of the other ops are at the op's own order.  An
+# output is a slot at order n, or a constant (c0, tail, den): the table
+# whose constant term is c0 and whose other cells are all tail, over den
+# (None in a float tape).
 
 
 def word_tables(jets, words, m):
@@ -670,31 +676,35 @@ def _word_plan(n, words, m):
 
 def run_tape(tape, tables, k, base, n):
     """The outputs of `tape` as order-n jets at `base`, from the order-k
-    raw tables `tables` (`word_tables`), k >= n, read truncated to n.
+    raw tables `tables` (`word_tables`), each read truncated to its slot's
+    order, which k must reach.
 
     Each op is the jet operation it records, on raw tables.  Float tables
     go through what `Jet` itself runs: `_convolve` for a product, 0.0 +
-    a*c (0.0 for a zero cell) for a scaling, and `map(add|sub)`, so every
-    bit is the jet formula's, signed zeros included.  Exact tables stay
-    unreduced, integer numerators over the product of the operands'
-    denominators, or their lcm for a sum, and each output is reduced once:
-    the canonical table that the jet formula reduced after every op."""
-    ops, outputs = tape
-    if k != n:
-        plan = _truncation_plan(k, n)
-        tables = [(plan(cells), den) for cells, den in tables]
-    else:
-        tables = list(tables)
+    a*c (0.0 for a zero cell) for a scaling, `map(add|sub)`, and a
+    derivative's or truncation's plan, so every bit is the jet formula's,
+    signed zeros included, whatever order an op runs at: a cell of a
+    product, sum or derivative does not depend on the truncation.  Exact
+    tables stay unreduced, integer numerators over the product of the
+    operands' denominators, or their lcm for a sum, and each output is
+    reduced once: the canonical table that the jet formula reduced after
+    every op.  A slot at order 0 runs as its one cell, bare, by the same
+    rules."""
+    ops, outputs, ups = tape
+    tables = [(cells[0] if n + up == 0 else cells if k == n + up
+               else _truncation_plan(k, n + up)(cells), den)
+              for (cells, den), up in zip(tables, ups)]
     if tables[0][1] is None:
-        slots = _run_float(ops, [cells for cells, _ in tables], n)
+        slots = _run_float(ops, ups, [cells for cells, _ in tables], n)
 
         def make(cells):
-            return _jet(base, n, cells, None)
+            return _jet(base, n, cells if n else (cells,), None)
     else:
-        slots = _run_exact(ops, tables, n)
+        slots = _run_exact(ops, ups, tables, n)
 
         def make(table):
-            return _reduced(base, n, *table)
+            cells, den = table
+            return _reduced(base, n, cells if n else (cells,), den)
     rest = _size(n) - 1
     made = {}
     out = []
@@ -709,35 +719,80 @@ def run_tape(tape, tables, k, base, n):
     return out
 
 
-def _run_float(ops, slots, n):
-    """The float tables of every slot of a tape, inputs first."""
-    for op, x, y in ops:
+# The cell of an order-1 table that its derivative along x or y, at order
+# 0, is: 1 times it, which is the cell itself.
+_BARE_DERIVATIVE = {"dx": _at(1, 1, 0), "dy": _at(1, 0, 1)}
+
+
+def _run_float(ops, ups, slots, n):
+    """The float tables of every slot of a tape, inputs first; a slot at
+    order 0 is its cell.  A bare product is _convolve's one cell."""
+    for (op, x, y), up in zip(ops, ups[len(slots):]):
         a = slots[x]
-        if op == "mul":
-            slots.append(_convolve(a, slots[y], n, 0.0))
-        elif op == "scale":
-            slots.append(tuple([0.0 + v * y if v else 0.0 for v in a]))
-        else:
+        if n + up == 0:
+            if op == "mul":
+                b = slots[y]
+                slots.append(0.0 + a * b if a and b else 0.0)
+            elif op == "sub":
+                slots.append(a - slots[y])
+            elif op == "add":
+                slots.append(a + slots[y])
+            elif op == "scale":
+                slots.append(0.0 + a * y if a else 0.0)
+            elif op == "trunc":
+                slots.append(a[0])
+            else:
+                slots.append(a[_BARE_DERIVATIVE[op]])
+        elif op == "mul":
+            slots.append(_convolve(a, slots[y], n + up, 0.0))
+        elif op == "add" or op == "sub":
             slots.append(tuple(map(add if op == "add" else sub, a,
                                    slots[y])))
+        elif op == "scale":
+            slots.append(tuple([0.0 + v * y if v else 0.0 for v in a]))
+        elif op == "trunc":
+            slots.append(_truncation_plan(n + y, n + up)(a))
+        else:
+            take, mults = _derivative_plan(n + up + 1, op[1])
+            slots.append(tuple(map(mul, mults, take(a))))
     return slots
 
 
-def _run_exact(ops, slots, n):
-    """The unreduced exact tables (cells, den) of every slot of a tape."""
-    for op, x, y in ops:
+def _run_exact(ops, ups, slots, n):
+    """The unreduced exact tables (cells, den) of every slot of a tape; a
+    slot at order 0 has its numerator for cells."""
+    for (op, x, y), up in zip(ops, ups[len(slots):]):
         a, da = slots[x]
-        if op == "scale":
-            slots.append((_scaled(a, y.numerator), da * y.denominator))
-            continue
-        b, db = slots[y]
+        bare = n + up == 0
         if op == "mul":
-            slots.append((_convolve(a, b, n, 0), da * db))
-            continue
-        if da != db:
-            g = gcd(da, db)
-            a, b, da = _scaled(a, db // g), _scaled(b, da // g), da // g * db
-        slots.append((tuple(map(add if op == "add" else sub, a, b)), da))
+            b, db = slots[y]
+            slots.append((a * b if bare else _convolve(a, b, n + up, 0),
+                          da * db))
+        elif op == "add" or op == "sub":
+            b, db = slots[y]
+            if da != db:
+                g = gcd(da, db)
+                if bare:
+                    a, b = a * (db // g), b * (da // g)
+                else:
+                    a, b = _scaled(a, db // g), _scaled(b, da // g)
+                da = da // g * db
+            if bare:
+                slots.append((a + b if op == "add" else a - b, da))
+            else:
+                slots.append((tuple(map(add if op == "add" else sub, a, b)),
+                              da))
+        elif op == "scale":
+            slots.append((a * y.numerator if bare
+                          else _scaled(a, y.numerator), da * y.denominator))
+        elif op == "trunc":
+            slots.append((a[0] if bare
+                          else _truncation_plan(n + y, n + up)(a), da))
+        elif bare:
+            slots.append((a[_BARE_DERIVATIVE[op]], da))
+        else:
+            take, mults = _derivative_plan(n + up + 1, op[1])
+            slots.append((tuple(map(mul, mults, take(a))), da))
     return slots
 
 

@@ -23,6 +23,17 @@ and column operations (`projective_change`); recomputing from scratch with
 the changed connection (`change_connection`, which also rescales s by
 exp(-3 f) to keep eps parallel) reproduces that result up to the one power
 of the scale change, which is the invariance statement the tests pin down.
+
+The stack is one formula (`stack_formula`, through `schouten`, `_covd` and
+`tractor_tensors`) over operands that support + - *, scaling and `.diff`.
+On first use, never at import, it is run once on `Var` symbols for the six
+distinct gamma^c_ab and s, and a tape is read off the trees
+(`stack_tape`): 891 ops, 209 products, 123 scalings, 423 sums and
+differences, 50 derivatives and 86 truncations, each run at the lowest
+order that the stack's entries need.  That takes about 3.5 ms in exact
+arithmetic; the float tape is the exact one's in floats, about 0.2 ms
+more.  `tractor_data` hands the connection's raw tables to `theta_bar`,
+which replays the tape on them (`jets.run_tape`) at any target order.
 """
 
 from __future__ import annotations
@@ -35,8 +46,10 @@ from itertools import product
 from operator import itemgetter
 
 from . import jets as jetlib
-from .invariants import CONNECTION_FLOATS, CONNECTION_RATIONALS
-from .jets import Jet, InsufficientOrderError, mul_sub
+from .expressions import Var
+from .invariants import (CONNECTION_FLOATS, CONNECTION_RATIONALS, _read_tape,
+                         float_ops)
+from .jets import InsufficientOrderError, Jet, JetError, run_tape, word_tables
 from .linalg import is_exact_matrix
 
 _VARS = ("x", "y")
@@ -44,9 +57,9 @@ _PAIRS = ((0, 0), (0, 1), (1, 1))
 _IDX2 = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
 # The stack's constants 1/2, 1/4, 5/2 and 15/2, for exact operands and as
-# floats.  Each function joins them to its operands' arithmetic once per
-# call, since a Fraction meeting a float takes Fraction's slow fallback to
-# the same product; all four are dyadic, so the floats are the same bits.
+# floats: the formulas take those of their operands' arithmetic, since a
+# Fraction meeting a float takes Fraction's slow fallback to the same
+# product.  All four are dyadic, so the floats are the same bits.
 STACK_RATIONALS = (Fraction(1, 2), Fraction(1, 4), Fraction(5, 2),
                    Fraction(15, 2))
 STACK_FLOATS = tuple(float(c) for c in STACK_RATIONALS)
@@ -86,13 +99,6 @@ class AffineConnection:
         return AffineConnection(self.gamma, self.s * lam)
 
 
-def _truncated(t, m):
-    """A jet, or nested lists of jets, truncated to order m."""
-    if isinstance(t, Jet):
-        return t.truncated(m)
-    return [_truncated(e, m) for e in t]
-
-
 @functools.cache
 def _covd_links(rank):
     """For each index tuple of a rank-r tensor, in order, its links
@@ -103,111 +109,90 @@ def _covd_links(rank):
              for k, i in enumerate(idx) for e in (0, 1)] for idx in idxs]
 
 
+# ---------------- the stack's formulas ----------------
+#
+# Written once, over operands of any arithmetic that support + - *,
+# scaling by a number and `.diff(var)`, with the symbols g[c][a][b] and the
+# scale s: on expression trees they record the stack tape, and on jets,
+# each binary operation truncating to the lower order of its operands, they
+# are the tests' reference.
+
+
 def _covd(t, g):
-    """grad_a t_{i1...ir} for a tensor t of jets nested r lists deep: each
-    entry's derivative minus gamma^e_{a ik} t_{...e...} over its links, in
-    one `mul_sub`."""
+    """grad_a t_{i1...ir} for a tensor t nested r lists deep: each entry's
+    derivative minus gamma^e_{a ik} t_{...e...} over its links, in order."""
     leaves, rank = [t], 0
-    while not isinstance(leaves[0], Jet):
+    while isinstance(leaves[0], list):
         leaves, rank = [u[i] for u in leaves for i in (0, 1)], rank + 1
-    out = [mul_sub(u.diff(_VARS[a]),
-                   [(g[e][a][i], leaves[n]) for i, e, n in links])
-           for a in (0, 1) for u, links in zip(leaves, _covd_links(rank))]
+    out = []
+    for a in (0, 1):
+        for u, links in zip(leaves, _covd_links(rank)):
+            acc = u.diff(_VARS[a])
+            for i, e, n in links:
+                acc = acc - g[e][a][i] * leaves[n]
+            out.append(acc)
     # the entries run over (a, i1, ..., ir) in lexicographic order
     for _ in range(rank):
         out = [out[j:j + 2] for j in range(0, len(out), 2)]
     return out
 
 
-def schouten(conn):
+def schouten(g):
     """Schouten tensor P_bd: the Ricci contraction of the curvature.  Its
     skew part vanishes identically for trace-free symbols."""
-    g = conn.gamma
-    n = conn.order
-    if n < 1:
-        raise InsufficientOrderError(1, 0)
-    gg = _truncated(g, n - 1)
-
     def riem(c, a, b, dd):
         acc = g[c][b][dd].diff(_VARS[a]) - g[c][a][dd].diff(_VARS[b])
         for e in (0, 1):
-            acc = acc + gg[c][a][e] * gg[e][b][dd]
-            acc = acc - gg[c][b][e] * gg[e][a][dd]
+            acc = acc + g[c][a][e] * g[e][b][dd]
+            acc = acc - g[c][b][e] * g[e][a][dd]
         return acc
 
     return [[riem(0, 0, b, dd) + riem(1, 1, b, dd) for dd in (0, 1)]
             for b in (0, 1)]
 
 
-@dataclass(frozen=True)
-class TractorData:
-    conn: AffineConnection
-    p: list         # Schouten P_ab
-    np: list        # grad_a P_bc
-    y3: list        # Cotton Y_abc
-    y1: list        # contracted Cotton Y_c = eps^{ab} grad_a P_bc
-    ny: list        # grad_a Y_c
-    z: list         # Z_ab = grad_(a Y_b)
-
-
-# The connection order the stack needs: its entries carry up to five
-# derivatives of the symbols, and theta_bar truncates to order - 5.
-STACK_ORDER = 5
-
-
-def tractor_data(conn):
-    if conn.order < STACK_ORDER:
-        raise InsufficientOrderError(STACK_ORDER, conn.order)
-    F12 = (STACK_RATIONALS if conn.s.exact else STACK_FLOATS)[0]
-    g = conn.gamma
-    p = schouten(conn)
+def tractor_tensors(g, s, rationals):
+    """(P, grad P, Y_abc, Y_c, grad Y, Z) of the symbols g and scale s:
+    the Schouten tensor P_ab, grad_a P_bc, the Cotton tensor Y_abc, the
+    contracted Cotton tensor Y_c = eps^{ab} grad_a P_bc, grad_a Y_c and
+    Z_ab = grad_(a Y_b).  `rationals` are STACK_RATIONALS or STACK_FLOATS,
+    in the operands' arithmetic."""
+    F12 = rationals[0]
+    p = schouten(g)
     np_ = _covd(p, g)
     y3 = [[[F12 * (np_[a][b][c] - np_[b][a][c]) for c in (0, 1)]
            for b in (0, 1)] for a in (0, 1)]
-    st = conn.s.truncated(np_[0][0][0].order)
-    y1 = [st * (np_[0][1][c] - np_[1][0][c]) for c in (0, 1)]
+    y1 = [s * (np_[0][1][c] - np_[1][0][c]) for c in (0, 1)]
     ny = _covd(y1, g)
     z = [[F12 * (ny[a][b] + ny[b][a]) for b in (0, 1)] for a in (0, 1)]
-    return TractorData(conn, p, np_, y3, y1, ny, z)
+    return p, np_, y3, y1, ny, z
 
 
-def theta_bar(td):
-    """The stacked 6x6 matrix at the connection order minus STACK_ORDER.
-
-    Above target order 0 its entries are jets truncated to that order.  At
-    target 0, where every caller reads only constant terms, the block
-    formulas run on the tensors' values, and the entries are plain
-    Fractions or floats: the order-0 jets' values, bit for bit.
-    """
-    F12, F14, F52, F152 = (STACK_RATIONALS if td.conn.s.exact
-                           else STACK_FLOATS)
-    g = td.conn.gamma
-    target = td.conn.order - STACK_ORDER
-    nz = _covd(td.z, g)
-    nny = _covd(td.ny, g)
+def stack_formula(g, s, rationals):
+    """The stacked 6x6 matrix of the symbols g and scale s, its rows and
+    columns over the scalar slot 0, the vector slots 1 + c and the tensor
+    slots (c, d), from `tractor_tensors` and three more derivatives."""
+    F12, F14, F52, F152 = rationals
+    p, np_, y3, y1, ny, z = tractor_tensors(g, s, rationals)
+    nz = _covd(z, g)
+    nny = _covd(ny, g)
     nnz = _covd(nz, g)
-    tensors = _truncated(
-        [td.p, td.np, td.y3, td.y1, td.ny, td.z, nz, nny, nnz, td.conn.s],
-        target)
-    if target == 0:
-        tensors = theta_values(tensors)
-    p, np_, y3, y1, ny, z, nzt, nnyt, nnzt, s = tensors
 
     def block_t(c, a, b):
         return (
-            F52 * (nnyt[a][b][c] + nnyt[b][a][c])
-            + 2 * (nzt[a][b][c] + nzt[b][a][c])
+            F52 * (nny[a][b][c] + nny[b][a][c])
+            + 2 * (nz[a][b][c] + nz[b][a][c])
             - 5 * p[a][b] * y1[c]
             - F152 * (p[c][a] * y1[b] + p[c][b] * y1[a])
         )
 
     def block_v(c, dd, a):
-        return nzt[a][c][dd] - F52 * (p[a][c] * y1[dd] + p[a][dd] * y1[c])
+        return nz[a][c][dd] - F52 * (p[a][c] * y1[dd] + p[a][dd] * y1[c])
 
     def block_x(c, dd, a, b):
         ysym = lambda bb: F12 * (y3[bb][c][dd] + y3[bb][dd][c])
         return (
-            F12 * (nnzt[a][b][c][dd] + nnzt[b][a][c][dd])
+            F12 * (nnz[a][b][c][dd] + nnz[b][a][c][dd])
             - 5 * F14 * (np_[a][b][c] * y1[dd] + np_[b][a][c] * y1[dd]
                          + np_[a][b][dd] * y1[c] + np_[b][a][dd] * y1[c])
             - F52 * (p[c][a] * ny[b][dd] + p[c][b] * ny[a][dd])
@@ -241,6 +226,67 @@ def theta_bar(td):
                 block_x(c, dd, a, b) - 5 * p[a][b] * z[c][dd]
             )
     return theta
+
+
+# ---------------- the stack as a tape ----------------
+
+# The connection order the stack needs: its entries carry up to five
+# derivatives of the symbols, and theta_bar truncates to order - 5.
+STACK_ORDER = 5
+
+# The stack tape's inputs: the six distinct symbols gamma^c_ab, a <= b,
+# and the scale.
+_STACK_SYMBOLS = tuple("g%d%d%d" % (c, a, b) for c in (0, 1)
+                       for a, b in _PAIRS) + ("s",)
+
+
+@functools.cache
+def stack_tape(exact):
+    """The tape of `stack_formula` in exact or float arithmetic (see
+    `jets.run_tape`), read on first use, never at import, off the formula
+    run once on `Var` symbols (`_STACK_SYMBOLS`); the float tape is the
+    exact one in floats.  Its ops run at orders counted up from the
+    stack's, so one tape serves every target order."""
+    if not exact:
+        ops, outputs, ups = stack_tape(True)
+        return float_ops(ops), outputs, ups
+    sym = [Var(name) for name in _STACK_SYMBOLS]
+    g = tuple(((sym[3 * c], sym[3 * c + 1]), (sym[3 * c + 1], sym[3 * c + 2]))
+              for c in (0, 1))
+    trees = [e for row in stack_formula(g, sym[6], STACK_RATIONALS)
+             for e in row]
+    return _read_tape(trees, _STACK_SYMBOLS)
+
+
+def tractor_data(conn):
+    """The stack's inputs: the raw tables (`jets.word_tables`) of the
+    connection's six distinct symbols and its scale, which must share one
+    order of at least STACK_ORDER, one arithmetic and one base point."""
+    if conn.order < STACK_ORDER:
+        raise InsufficientOrderError(STACK_ORDER, conn.order)
+    g = conn.gamma
+    inputs = [g[c][a][b] for c in (0, 1) for a, b in _PAIRS] + [conn.s]
+    if len({(j.order, j.exact, j.base) for j in inputs}) > 1:
+        raise JetError("a connection's symbols and scale share one order, "
+                       "arithmetic and base point")
+    return conn, word_tables(inputs, ("",), conn.order)
+
+
+def theta_bar(td):
+    """The stacked 6x6 matrix at the connection order minus STACK_ORDER,
+    by the stack tape on `tractor_data`'s tables.
+
+    Above target order 0 its entries are jets of that order.  At target 0,
+    where every caller reads only constant terms, they are plain Fractions
+    or floats: the order-0 jets' values, bit for bit.
+    """
+    conn, tables = td
+    n = conn.order - STACK_ORDER
+    s = conn.s
+    out = run_tape(stack_tape(s.exact), tables, conn.order, s.base, n)
+    if n == 0:
+        out = [e.value for e in out]
+    return [out[6 * r:6 * r + 6] for r in range(6)]
 
 
 def theta_values(t):

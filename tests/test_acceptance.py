@@ -22,7 +22,6 @@ from projmet import (
     analyze_point,
     cartan_stabilize,
     cov_deriv,
-    curvature,
     decide_metrisability,
     degenerate_obstruction,
     det_by_contraction,
@@ -42,6 +41,8 @@ from projmet import (
 from projmet import cli
 from projmet import expressions as ex
 from projmet import invariants
+
+from jet_reference import curvature
 
 ORIGIN = (Fraction(0), Fraction(0))
 

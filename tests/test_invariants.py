@@ -22,7 +22,6 @@ from projmet.invariants import (
     analyze_point,
     cartan_stabilize,
     cov_deriv,
-    curvature,
     decide_metrisability,
     degenerate_obstruction,
     genericity_P,
@@ -35,6 +34,8 @@ from projmet.invariants import (
 )
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
+
+from jet_reference import curvature
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 ORIGIN = (Fraction(0), Fraction(0))

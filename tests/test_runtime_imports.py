@@ -29,23 +29,24 @@ def test_package_imports_only_the_standard_library(path):
 
 def test_importing_builds_no_kernel_and_no_plan():
     """A fresh process that imports the package and its CLI has recorded no
-    formula as trees or as a tape, compiled no product kernel, connection
-    kernel or RK4 segment, and built no truncation, derivative or word
-    plan: a one-shot run pays for the orders and arithmetic it uses, and
-    for the transport, when it uses them."""
+    formula as trees or as a tape, the tractor stack's included, compiled
+    no product kernel, connection kernel or RK4 segment, and built no
+    truncation, derivative or word plan: a one-shot run pays for the
+    orders and arithmetic it uses, and for the transport, when it uses
+    them."""
     script = (
         "import projmet, projmet.cli\n"
         "from projmet import jets, recovery\n"
-        "from projmet import invariants\n"
+        "from projmet import invariants, tractor\n"
         "print([f.cache_info().currsize for f in (jets._product_kernel,"
         " jets._truncation_plan, jets._derivative_plan, jets._word_plan,"
         " invariants.formula_trees, invariants.formula_tape,"
-        " recovery._connection_kernels,"
+        " tractor.stack_tape, recovery._connection_kernels,"
         " recovery._rk4_segments)])\n")
     out = subprocess.run([sys.executable, "-c", script], env={
         "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
         check=True).stdout
-    assert out == "[0, 0, 0, 0, 0, 0, 0, 0]\n"
+    assert out == "[0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
 
 
 def test_package_facade_exports_exactly_all():

@@ -15,6 +15,7 @@ from projmet.jets import InsufficientOrderError, Jet, JetError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 from projmet.tractor import (
     STACK_ORDER,
+    STACK_RATIONALS,
     AffineConnection,
     ContractionLayoutError,
     change_connection,
@@ -24,7 +25,10 @@ from projmet.tractor import (
     theta_bar,
     theta_values,
     tractor_data,
+    tractor_tensors,
 )
+
+from jet_reference import Lowering, lifted, lowered
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
@@ -85,26 +89,33 @@ def test_beta_vanishes_identically():
 
 def test_schouten_is_symmetric():
     js, conn = _conn(GENERIC, (Fraction(2), Fraction(1)), order=8)
-    p = schouten(conn)
+    p = lifted(schouten(lowered(conn.gamma)))
     assert p[0][1] == p[1][0]
+
+
+def _y1(conn):
+    """The contracted Cotton tensor Y_c of an exact connection, by its
+    formula on jets."""
+    return lifted(tractor_tensors(lowered(conn.gamma), Lowering(conn.s),
+                                  STACK_RATIONALS)[3])
 
 
 def test_y1_is_minus_liouville():
     js, conn = _conn(PAINLEVE, (Fraction(1), Fraction(2)), order=10)
-    td = tractor_data(conn)
+    y1 = _y1(conn)
     l1, l2 = js.liouville()
-    m = td.y1[0].order
-    assert td.y1[0] == -(l1.truncated(m))
-    assert td.y1[1] == -(l2.truncated(m))
+    m = y1[0].order
+    assert y1[0] == -(l1.truncated(m))
+    assert y1[1] == -(l2.truncated(m))
 
 
 def test_y1_is_minus_liouville_generic():
     js, conn = _conn(GENERIC, (Fraction(1), Fraction(1)), order=10)
-    td = tractor_data(conn)
+    y1 = _y1(conn)
     l1, l2 = js.liouville()
-    m = td.y1[0].order
-    assert td.y1[0] == -(l1.truncated(m))
-    assert td.y1[1] == -(l2.truncated(m))
+    m = y1[0].order
+    assert y1[0] == -(l1.truncated(m))
+    assert y1[1] == -(l2.truncated(m))
 
 
 def test_theta_order_bookkeeping():
@@ -532,7 +543,11 @@ def test_theta_values_reads_a_jet_stack():
 # `tractor._covd` differentiates a tensor of any rank by one rule.  Exact
 # arithmetic does not depend on the order of its pairs, so the Leibniz rule
 # on outer products of rank-1 jets pins it down at ranks 2 and 3, and the
-# rank-1 formula pins down the factors.
+# rank-1 formula pins down the factors.  It runs on jets as `Lowering`s.
+
+
+def _covd(t, g):
+    return lifted(tractor._covd(lowered(t), lowered(g)))
 
 COVD_ORDER = 4
 
@@ -570,7 +585,7 @@ def test_covd_obeys_the_leibniz_rule_exactly():
                                for i in range(n + 1)]) for _ in (0, 1)]
 
         u, v, w = vector(), vector(), vector()
-        du, dv, dw = (tractor._covd(t, g) for t in (u, v, w))
+        du, dv, dw = (_covd(t, g) for t in (u, v, w))
         for a in (0, 1):
             for b in (0, 1):
                 want = u[b].diff("xy"[a]) - sum(
@@ -581,7 +596,7 @@ def test_covd_obeys_the_leibniz_rule_exactly():
         uvw = [[[u[i] * v[j] * w[k] for k in (0, 1)] for j in (0, 1)]
                for i in (0, 1)]
         ut, vt, wt = ([e.truncated(m) for e in t] for t in (u, v, w))
-        duv, duvw = tractor._covd(uv, g), tractor._covd(uvw, g)
+        duv, duvw = _covd(uv, g), _covd(uvw, g)
         for rank, result in ((1, du), (2, duv), (3, duvw)):
             leaves = list(_leaves(result))
             assert len(leaves) == 2 ** (rank + 1), (label, rank)
