@@ -335,6 +335,9 @@ def formula_trees(name):
                                    CONNECTION_RATIONALS))
 
 
+_TAPE_OPS = {"+": "add", "-": "sub", "*": "mul"}
+
+
 def _read_tape(trees, symbols):
     """(ops, outputs, ups), the exact tape of `trees` over the inputs
     `symbols`: one op per distinct op and operands, so one per distinct
@@ -367,8 +370,7 @@ def _read_tape(trees, symbols):
         if kind is BinOp and t.op in "+-*":
             x, y = read(t.left), read(t.right)
             if type(x) is int and type(y) is int:
-                return record(({"+": "add", "-": "sub", "*": "mul"}[t.op],
-                               x, y))
+                return record((_TAPE_OPS[t.op], x, y))
             if t.op == "*" and int in (type(x), type(y)):
                 c, x = (x, y) if type(y) is int else (y, x)
                 return record(("scale", x, c.value))

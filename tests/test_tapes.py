@@ -330,9 +330,14 @@ def test_stack_tape_matches_the_formula_on_random_tables(exact, path,
             (((g000, g001), (g001, g011)), ((g100, g101), (g101, g111))), s))
 
 
+STACK_COUNTS = {"mul": 209, "scale": 123, "add": 136, "sub": 287, "dx": 25,
+                "dy": 25, "trunc": 86}
+
+
 def test_stack_tape_counts():
-    """Pinned: the stack's ops by kind, the same in both arithmetics, and
-    the orders they run at above the target."""
+    """Pinned: the stack's ops by kind, the same in both arithmetics; the
+    outputs at the target order, and the inputs read up to STACK_ORDER
+    above it."""
     counts = []
     for exact in (True, False):
         ops, outputs, ups = tractor.stack_tape(exact)
@@ -344,10 +349,6 @@ def test_stack_tape_counts():
         counts.append({k: kinds.count(k) for k in set(kinds)})
         assert max(ups) == tractor.STACK_ORDER
     assert counts[0] == counts[1] == STACK_COUNTS
-
-
-STACK_COUNTS = {"mul": 209, "scale": 123, "add": 136, "sub": 287, "dx": 25,
-                "dy": 25, "trunc": 86}
 
 
 def test_stack_inputs_share_order_and_arithmetic():
