@@ -30,7 +30,7 @@ On first use, never at import, it is run once on `Var` symbols for the six
 distinct gamma^c_ab and s, and a tape is read off the trees
 (`stack_tape`): 891 ops, 209 products, 123 scalings, 423 sums and
 differences, 50 derivatives and 86 truncations, each run at the lowest
-order that the stack's entries need.  That takes about 3.5 ms in exact
+order that the stack's entries need.  That takes about 3.2 ms in exact
 arithmetic; the float tape is the exact one's in floats, about 0.2 ms
 more.  `tractor_data` hands the connection's raw tables to `theta_bar`,
 which replays the tape on them (`jets.run_tape`) at any target order.
